@@ -14,12 +14,11 @@ from .geometry import (Coplanar, DesignAssembly, DielectricStack,
                        ValidationError, assemble_design,
                        capacitance_to_length, interface_weights)
 from .special import ck_ratio, ellipk, ellipkp
-from ._kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EPS0", "KERNEL_BACKEND", "__version__",
+    "EPS0", "__version__",
     "Coplanar", "DesignAssembly", "DielectricStack", "ParallelPlate",
     "ParticipationBreakdown", "Ribbon", "RibbonWithGround", "StraightWire",
     "TaperedWire", "ValidationError", "assemble_design",

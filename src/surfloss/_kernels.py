@@ -1,23 +1,22 @@
-"""Pure-NumPy reference implementation of the hot solver kernels.
+"""Hot solver kernels: potential matrices and fields, vectorized in NumPy.
 
-The compiled extension `_core` mirrors every function here one-to-one;
-both must produce results matching to floating-point rounding so the
-backend can be swapped freely.  Everything takes SI inputs and returns
-potential-matrix entries in volts per coulomb (per unit length for the
-planar kernel).
+Everything takes SI inputs and returns potential-matrix entries in volts
+per coulomb (per unit length for the planar kernel).  The ring and
+flat-wire kernels evaluate K(m) at m <= 0 through the Cephes routine of
+scipy.special (see surfloss.special).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-NAME = "python"
+from .constants import EPS0
+from .special import _ellipk_nonpositive
 
-EPS0 = 8.8541878128e-12
 _TWO_PI_EPS = 2.0 * np.pi * EPS0
 _RING_NORM = 2.0 * np.pi**2 * EPS0
 
-# 16-point Gauss-Legendre rule on (-1, 1); shared verbatim with _core.pyx
+# 16-point Gauss-Legendre rule on (-1, 1)
 _GAUSS_X = np.array([
     -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
     -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
@@ -40,21 +39,6 @@ _GAUSS_W = np.array([
 NEAR_FACTOR = 2.5
 
 
-def ellipk_grid(m):
-    """Vectorized complete elliptic integral K(m), m < 1, AGM iteration."""
-    m = np.asarray(m, dtype=float)
-    neg = m < 0.0
-    mp = np.where(neg, m / (m - 1.0), m)
-    a = np.ones_like(mp)
-    b = np.sqrt(1.0 - mp)
-    for _ in range(40):
-        if np.max(np.abs(a - b)) <= 1e-15 * np.max(a):
-            break
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    k = np.pi / (a + b)
-    return np.where(neg, k / np.sqrt(1.0 - m), k)
-
-
 def planar_matrix(x, y, w):
     """2-D logarithmic potential matrix for line-charge strip elements.
 
@@ -72,7 +56,7 @@ def planar_matrix(x, y, w):
 
 
 def _ring_kernel(rho, ri, rj):
-    return ellipk_grid(-4.0 * ri * rj / rho**2) / (_RING_NORM * rho)
+    return _ellipk_nonpositive(-4.0 * ri * rj / rho**2) / (_RING_NORM * rho)
 
 
 def _ring_self(r, w):
@@ -87,25 +71,30 @@ def _ring_self(r, w):
 
 
 def ring_matrix(z, r, w):
-    """Axisymmetric ring-charge potential matrix with self/near treatment."""
+    """Axisymmetric ring-charge potential matrix with self/near treatment.
+
+    The kernel and its near-field average are symmetric in (i, j), so only
+    the pairs i < j are evaluated and the result is mirrored.
+    """
     z = np.asarray(z, float); r = np.asarray(r, float); w = np.asarray(w, float)
     n = len(z)
-    dz = z[:, None] - z[None, :]
-    dr = r[:, None] - r[None, :]
-    rho = np.hypot(dz, dr)
-    np.fill_diagonal(rho, 1.0)
-    m = _ring_kernel(rho, r[:, None], r[None, :])
-    m[np.diag_indices(n)] = _ring_self(r, w)
-    # near pairs: average the kernel over the source element extent
-    wsum = w[:, None] + w[None, :]
-    ii, jj = np.nonzero((np.abs(dz) < NEAR_FACTOR * wsum) & ~np.eye(n, dtype=bool))
-    if len(ii):
-        zi = z[ii][:, None] + 0.5 * w[ii][:, None] * _GAUSS_X[None, :]
-        zj = z[jj][:, None] + 0.5 * w[jj][:, None] * _GAUSS_X[None, :]
+    ii, jj = np.triu_indices(n, 1)
+    dz = z[ii] - z[jj]
+    upper = _ring_kernel(np.hypot(dz, r[ii] - r[jj]), r[ii], r[jj])
+    # near pairs: average the kernel over both element extents
+    near = np.nonzero(np.abs(dz) < NEAR_FACTOR * (w[ii] + w[jj]))[0]
+    if len(near):
+        ni, nj = ii[near], jj[near]
+        zi = z[ni][:, None] + 0.5 * w[ni][:, None] * _GAUSS_X[None, :]
+        zj = z[nj][:, None] + 0.5 * w[nj][:, None] * _GAUSS_X[None, :]
         du = zi[:, :, None] - zj[:, None, :]
-        rr = np.hypot(du, (r[ii] - r[jj])[:, None, None])
-        kv = _ring_kernel(rr, r[ii][:, None, None], r[jj][:, None, None])
-        m[ii, jj] = np.einsum("i,j,pij->p", _GAUSS_W, _GAUSS_W, kv) / 4.0
+        rr = np.hypot(du, (r[ni] - r[nj])[:, None, None])
+        kv = _ring_kernel(rr, r[ni][:, None, None], r[nj][:, None, None])
+        upper[near] = np.einsum("i,j,pij->p", _GAUSS_W, _GAUSS_W, kv) / 4.0
+    m = np.empty((n, n))
+    m[ii, jj] = upper
+    m[jj, ii] = upper
+    m[np.diag_indices(n)] = _ring_self(r, w)
     return m
 
 
@@ -118,7 +107,7 @@ def ring_mutual(z1, r1, z2, r2):
 
 
 def _flat_kernel(ydist, rbar):
-    return ellipk_grid(-((rbar / ydist) ** 2)) / (_RING_NORM * ydist)
+    return _ellipk_nonpositive(-((rbar / ydist) ** 2)) / (_RING_NORM * ydist)
 
 
 def _flat_self(rb, w):
@@ -131,16 +120,19 @@ def _flat_self(rb, w):
 
 
 def flatwire_matrix(y, rbar, w):
-    """Thin-strip wire potential matrix (edge-loaded transverse profile)."""
+    """Thin-strip wire potential matrix (edge-loaded transverse profile).
+
+    Not symmetric: column j uses the source half-width rbar[j].
+    """
     y = np.asarray(y, float); rbar = np.asarray(rbar, float); w = np.asarray(w, float)
     n = len(y)
     dy = np.abs(y[:, None] - y[None, :])
     np.fill_diagonal(dy, 1.0)
-    m = _flat_kernel(dy, rbar[None, :] * np.ones((n, 1)))
+    m = _flat_kernel(dy, rbar[None, :])
     m[np.diag_indices(n)] = _flat_self(rbar, w)
-    wsum = w[:, None] + w[None, :]
-    dyr = np.abs(y[:, None] - y[None, :])
-    ii, jj = np.nonzero((dyr < NEAR_FACTOR * wsum) & ~np.eye(n, dtype=bool))
+    ii, jj = np.nonzero(dy < NEAR_FACTOR * (w[:, None] + w[None, :]))
+    off = ii != jj
+    ii, jj = ii[off], jj[off]
     if len(ii):
         yi = y[ii][:, None] + 0.5 * w[ii][:, None] * _GAUSS_X[None, :]
         yj = y[jj][:, None] + 0.5 * w[jj][:, None] * _GAUSS_X[None, :]
@@ -155,7 +147,7 @@ def flatwire_mutual(y1, y2, rbar2):
     y1 = np.asarray(y1, float); y2 = np.asarray(y2, float)
     rbar2 = np.asarray(rbar2, float)
     dy = np.abs(y1[:, None] - y2[None, :])
-    return _flat_kernel(dy, rbar2[None, :] * np.ones((len(y1), 1)))
+    return _flat_kernel(dy, rbar2[None, :])
 
 
 def segment_field(px, py, mx, my, tx, ty, w, q):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,23 @@ def _fail(code: int, message: str) -> int:
 
 def _fmt(x: float) -> str:
     return f"{x:.2e}"
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    val = float(text)
+    if not (math.isfinite(val) and val > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return val
+
+
+def _sections(text: str) -> int:
+    """argparse type: a wire-spectrum patch count of at least MIN_SECTIONS."""
+    val = int(text)
+    if val < tls.MIN_SECTIONS:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {tls.MIN_SECTIONS}, got {val}")
+    return val
 
 
 # --------------------------------------------------------------------------
@@ -273,8 +291,11 @@ def cmd_tls(args) -> int:
         else:
             print(f"{name}: no TLS model for this structure type; skipped")
             continue
-        s_first = spectrum.s_at_area(tls.OBSERVABLE_AREA_UM2)
-        s_spaced = spectrum.s_at_spacing(200e6)
+        try:
+            s_first = spectrum.s_at_area(tls.OBSERVABLE_AREA_UM2)
+            s_spaced = spectrum.s_at_spacing(200e6)
+        except ValueError as exc:
+            return _fail(EXIT_NUMERICAL, f"{name}: {exc}")
         count = tls.DENSITY_PER_UM2_GHZ * spectrum.area_um2[-1] * span_hz / 1e9
         print(f"{name}: largest observable splitting {_fmt(s_first)} Hz "
               f"(A = 1 um^2); {_fmt(s_spaced)} Hz at one-per-200-MHz spacing; "
@@ -310,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a formula-vs-solver suite")
     pv.add_argument("--suite", required=True,
                     help=f"one of: {', '.join(SUITES)}")
-    pv.add_argument("--mesh-scale", type=float, default=1.0)
+    pv.add_argument("--mesh-scale", type=_positive_float, default=1.0)
     pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("sweep", help="sweep one config parameter, emit CSV")
@@ -330,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("tls", help="TLS splitting spectra and densities")
     pl.add_argument("--config", required=True)
     pl.add_argument("--out", default=None)
-    pl.add_argument("--span-ghz", type=float, default=None)
-    pl.add_argument("--sections", type=int, default=100_000)
+    pl.add_argument("--span-ghz", type=_positive_float, default=None)
+    pl.add_argument("--sections", type=_sections, default=100_000)
     pl.set_defaults(fn=cmd_tls)
     return p
 

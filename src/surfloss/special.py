@@ -1,10 +1,12 @@
-"""Complete elliptic integrals of the first kind via AGM iteration.
+"""Complete elliptic integrals of the first kind.
 
-ellipk takes the parameter m = k^2 (not the modulus) and accepts negative
-arguments, which the axisymmetric potential kernels need.  Negative m is
+The scalar ellipk iterates the arithmetic-geometric mean; the vectorized
+ellipk_grid evaluates the Cephes routine of scipy.special.  Both take the
+parameter m = k^2 (not the modulus) and accept negative arguments, which
+the axisymmetric potential kernels need.  Negative m is
 evaluated through the imaginary-modulus transformation
     K(m) = K(m/(m-1)) / sqrt(1-m),   m < 0,
-which maps onto a parameter in (0, 1).
+which maps onto a parameter in [0, 1).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import ellipk as _cephes_ellipk
 
 _AGM_RTOL = 1e-15
 _AGM_MAX_ITER = 40
@@ -36,20 +39,22 @@ def ellipk(m: float) -> float:
     return math.pi / (2.0 * _agm(math.sqrt(1.0 - m)))
 
 
+def _ellipk_nonpositive(m) -> np.ndarray:
+    """Vectorized K(m) for m <= 0, without a domain check.
+
+    The imaginary-modulus transformation maps m onto m/(m-1) in [0, 1),
+    where the Cephes routine takes over.
+    """
+    return _cephes_ellipk(m / (m - 1.0)) / np.sqrt(1.0 - m)
+
+
 def ellipk_grid(m) -> np.ndarray:
     """Vectorized K(m) over an array of parameters, all < 1."""
     m = np.asarray(m, dtype=float)
     if np.any(m >= 1.0):
         raise ValueError("ellipk_grid requires m < 1 everywhere")
     neg = m < 0.0
-    mp = np.where(neg, m / (m - 1.0), m)
-    a = np.ones_like(mp)
-    b = np.sqrt(1.0 - mp)
-    for _ in range(_AGM_MAX_ITER):
-        if np.max(np.abs(a - b)) <= _AGM_RTOL * np.max(a):
-            break
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    k = np.pi / (a + b)
+    k = _cephes_ellipk(np.where(neg, m / (m - 1.0), m))
     return np.where(neg, k / np.sqrt(1.0 - m), k)
 
 

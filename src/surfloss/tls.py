@@ -37,6 +37,9 @@ DENSITY_REF_THICKNESS = 2e-9
 OBSERVABLE_AREA_UM2 = 1.0
 DEFAULT_SPAN_HZ = 2e9
 
+#: fewest wire patches that give a converged spectrum
+MIN_SECTIONS = 10_000
+
 
 def saturate(e_sq, e_s: float):
     """TLS-saturated field square: E^2 -> E^2/sqrt(1 + E^2/E_s^2)."""
@@ -161,8 +164,9 @@ def wire_tls_spectrum(spec, capacitance: float,
         halfwidth = lambda y: analytic.taper_halfwidth(y, r0, spec.slope, t)
     else:
         raise TypeError("wire spectrum needs a StraightWire or TaperedWire")
-    if sections < 10_000:
-        raise ValueError("use at least 10k sections for a converged spectrum")
+    if sections < MIN_SECTIONS:
+        raise ValueError(f"use at least {MIN_SECTIONS} sections for a "
+                         "converged spectrum")
 
     n_edge = 40      # transverse bins outside the corner region
     n_corner = 12    # corner sub-bins below t/2

@@ -214,3 +214,35 @@ def test_tls_command(table_config, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "s_max_hz,cumulative_area_um2"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_bad_mesh_scale(scale):
+    res = run_cli("verify", "--suite", "coax", "--mesh-scale", scale)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "--mesh-scale" in res.stderr
+
+
+def test_tls_rejects_too_few_sections(table_config):
+    res = run_cli("tls", "--config", str(table_config), "--sections", "5")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "--sections" in res.stderr
+
+
+def test_tls_small_wire_area_is_numerical_error(tmp_path):
+    # 4*d*half_width is under the 10 um^2 the 200-MHz spacing needs
+    path = tmp_path / "small_wire.ini"
+    path.write_text("""
+[structure.wire]
+type = straight_wire
+half_width_um = 0.069
+d_um = 24.5
+t_um = 0.1
+""")
+    res = run_cli("tls", "--config", str(path), "--sections", "20000")
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert "outside the tabulated range" in res.stderr

@@ -67,6 +67,17 @@ def test_ellipk_grid_matches_scalar():
         assert ki == pytest.approx(ellipk(float(mi)), rel=1e-14)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ellipk_grid maps m < 0 onto m/(m-1) and so evaluates K near 1 - m/(m-1), "
+    "which cancels: 1.9e-10 relative error at m = -1e8 (3.0e-12 at -1e6). "
+    "perfbench/reference.json holds values with this error; the fix waits "
+    "for a benchmark change that re-records it"))
+def test_ellipk_grid_large_negative_parameter():
+    from scipy.special import ellipk as scipy_ellipk
+    m = np.array([-1e6, -1e8])
+    np.testing.assert_allclose(ellipk_grid(m), scipy_ellipk(m), rtol=1e-13)
+
+
 def test_ellipk_vs_scipy_oracle():
     from scipy.special import ellipk as scipy_ellipk
     for m in (-5.0, -0.5, 0.0, 0.25, 0.75, 0.9999):
