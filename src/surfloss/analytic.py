@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import EPS0
 from .geometry import (Coplanar, DielectricStack, ParallelPlate,
@@ -342,24 +341,30 @@ def ribbon_ground_field(x, a: float, b: float, c: float):
     return out if out.shape else float(out)
 
 
-def ribbon_with_ground(spec: RibbonWithGround, stack: DielectricStack,
-                       length: float, corner_split: bool = False,
-                       c_m: float = C_M_DEFAULT, c_s: float = C_S_DEFAULT):
-    """Fitted ribbon-with-ground -> (breakdown, profiles).
+def ribbon_ground_energies(a: float, b: float, c: float, t: float,
+                           c_m: float = C_M_DEFAULT,
+                           c_s: float = C_S_DEFAULT) -> SurfaceEnergyPair:
+    """Fitted ribbon-with-ground surface energies per unit length.
 
     Fit model: ribbon-like inner term plus a coplanar-like term between the
     ribbon outer edge b and the ground at c.
     """
-    a, b, c, t, ell = spec.a, spec.b, spec.c, spec.t, spec.length
     k = ellipk((a / b) ** 2)
     kp_bc = ellipkp((b / c) ** 2)
+    u_m = (0.98 * surface_sum(a, b, t, c_m) / (2 * k * k * a)
+           + 1.70 * surface_sum_outer(b, c, t, c_m) / (2 * kp_bc * kp_bc * b))
+    u_s = (0.95 * surface_sum(a, b, t, c_s) / (4 * k * k * a)
+           + 0.80 * surface_sum(b, c, t, c_s) / (4 * kp_bc * kp_bc * b))
+    return SurfaceEnergyPair(u_m, u_s, c_m, c_s)
 
-    def u_m(cc: float) -> float:
-        return ell * (0.98 * surface_sum(a, b, t, cc) / (2 * k * k * a)
-                      + 1.70 * surface_sum_outer(b, c, t, cc) / (2 * kp_bc * kp_bc * b))
 
-    u_s = ell * (0.95 * surface_sum(a, b, t, c_s) / (4 * k * k * a)
-                 + 0.80 * surface_sum(b, c, t, c_s) / (4 * kp_bc * kp_bc * b))
+def ribbon_with_ground(spec: RibbonWithGround, stack: DielectricStack,
+                       length: float, corner_split: bool = False,
+                       c_m: float = C_M_DEFAULT, c_s: float = C_S_DEFAULT):
+    """Fitted ribbon-with-ground -> (breakdown, profiles)."""
+    a, b, c, t, ell = spec.a, spec.b, spec.c, spec.t, spec.length
+    u_m = lambda cc: ell * ribbon_ground_energies(a, b, c, t, cc, c_s).u_metal
+    u_s = ell * ribbon_ground_energies(a, b, c, t, c_m, c_s).u_substrate
     bd = _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
                                   ribbon_ground_capacitance(spec, stack),
                                   c_m=c_m, corner_split=corner_split)
@@ -387,6 +392,7 @@ def wire_field(y, half_width, flat: bool = True):
 def straight_wire_energy_quadrature(rbar: float, d: float, t: float,
                                     c: float = C_M_DEFAULT) -> float:
     """U/(eps0 V^2) of both straight wires by direct quadrature from 2*rbar."""
+    from scipy.integrate import quad
     coef = (math.log(4 * rbar / t) + c) / (2.0 * rbar)
     val, _ = quad(lambda y: 1.0 / math.log(4 * y / rbar) ** 2, 2 * rbar, d,
                   limit=200)
@@ -403,6 +409,8 @@ def taper_halfwidth(y, r0: float, slope: float, t: float):
 def tapered_wire_energy_quadrature(r0: float, slope: float, d: float, t: float,
                                    c: float = C_M_DEFAULT) -> float:
     """U/(eps0 V^2) of both tapered wires; the line integral starts at y = 5t."""
+    from scipy.integrate import quad
+
     def integrand(y: float) -> float:
         r = max(r0, (y - 5.0 * t) * slope)
         return 2.0 * (math.log(4 * r / t) + c) / (4.0 * r * math.log(4 * y / r) ** 2)

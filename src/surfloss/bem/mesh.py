@@ -44,6 +44,8 @@ class Mesh:
     def __post_init__(self):
         if self.end_distance is None:
             self.end_distance = np.full(len(self.width), np.inf)
+        if len(self.width) == 0:
+            raise MeshCapError("mesh has no elements; increase mesh_scale")
         if len(self.width) > MAX_UNKNOWNS:
             raise MeshCapError(
                 f"mesh has {len(self.width)} unknowns, cap is {MAX_UNKNOWNS}; "
@@ -112,6 +114,9 @@ def line(p0, p1, h_min, h_max, electrode=0, side="metal",
 def circle(radius: float, n: int, electrode=0, side="shield",
            center=(0.0, 0.0)) -> Mesh:
     """Closed circular contour (solid conductor boundary)."""
+    if n < 3:
+        raise MeshCapError(f"circle needs at least 3 elements, got {n}; "
+                           "increase mesh_scale")
     th = (np.arange(n) + 0.5) * 2.0 * np.pi / n
     pos = np.stack([center[0] + radius * np.cos(th),
                     center[1] + radius * np.sin(th)], axis=1)

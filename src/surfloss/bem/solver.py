@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg import lapack as _lapack
 
 from .. import _kernels as kern
 from ..constants import EPS0
@@ -113,6 +111,9 @@ def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
     electrode at +V/2 faces an implicit image at -V/2, so the differential
     drive is twice the set potential.
     """
+    from scipy.linalg import lapack as _lapack
+    from scipy.linalg import lu_factor, lu_solve
+
     m = assemble(mesh, mirror=mirror)
     v = np.empty(mesh.n)
     for eid, volt in voltages.items():
@@ -120,6 +121,9 @@ def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
     anorm = np.linalg.norm(m, 1)
     lu, piv = lu_factor(m)
     rcond = float(_lapack.dgecon(lu, anorm, norm="1")[0])
+    if rcond == 0.0:
+        raise SolverError("potential matrix is singular: condition estimate "
+                          "rcond = 0")
     if rcond < RCOND_LIMIT:
         raise SolverError(
             f"potential matrix ill-conditioned: condition estimate {1.0 / rcond:.2e}")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .. import analytic
 from .. import _kernels as kern
@@ -78,6 +77,8 @@ def suite_coax(mesh_scale: float = 1.0) -> list[Check]:
 
 def suite_flat_coax(mesh_scale: float = 1.0) -> list[Check]:
     """Thin-film coax: surface fields and metal energy vs the conformal form."""
+    from scipy.integrate import quad
+
     rbar, shield, t = 10e-6, 100e-6, 0.1e-6
     strip = meshes.thin_strip(-rbar, rbar, t / (20 * mesh_scale), 1e-6,
                               electrode=0, side="metal")
@@ -252,20 +253,15 @@ def suite_ribbon_ground(mesh_scale: float = 1.0) -> list[Check]:
 
     errs_c, errs_m, errs_s = [], [], []
     for a in RWG_A:
-        k = analytic.ellipk((a / b) ** 2)
         for g in RWG_GAPS:
             c_gnd = b * (1 + g)
             cap, u_m, u_s = ribbon_ground_point(a, b, c_gnd, t, mesh_scale)
             spec = analytic.RibbonWithGround(a, b, c_gnd, 1.0, t)
             stack_vac = analytic.DielectricStack(eps_s=1.0)
             c_fit = analytic.ribbon_ground_capacitance(spec, stack_vac)
-            kp_bc = analytic.ellipkp((b / c_gnd) ** 2)
-            u_m_fit = EPS0 * (0.98 * analytic.surface_sum(a, b, t, 0) / (2 * k * k * a)
-                              + 1.70 * analytic.surface_sum_outer(b, c_gnd, t, 0)
-                              / (2 * kp_bc * kp_bc * b))
-            u_s_fit = EPS0 * (0.95 * analytic.surface_sum(a, b, t, 0) / (4 * k * k * a)
-                              + 0.80 * analytic.surface_sum(b, c_gnd, t, 0)
-                              / (4 * kp_bc * kp_bc * b))
+            fit = analytic.ribbon_ground_energies(a, b, c_gnd, t, 0.0, 0.0)
+            u_m_fit = EPS0 * fit.u_metal
+            u_s_fit = EPS0 * fit.u_substrate
             errs_c.append(abs(cap / c_fit - 1.0))
             errs_m.append(abs(u_m / u_m_fit - 1.0))
             errs_s.append(abs(u_s / u_s_fit - 1.0))
@@ -322,7 +318,9 @@ def suite_cyl_wire(mesh_scale: float = 1.0) -> list[Check]:
     m = meshes.wire_rings(d2, lambda y: np.full_like(y, r0), y0=r0 / 5,
                           n=int(340 * mesh_scale))
     sol = solve(m, {0: 0.5}, mirror=True)
-    c_fit = 4.1 * EPS0 * d2 / math.log(d2 / r0)
+    wire = analytic.StraightWire(half_width=r0, d=d2, t=r0)
+    c_fit = analytic.straight_wire_capacitance(
+        wire, analytic.DielectricStack(eps_s=1.0))
     checks.append(_rel("straight wire capacitance vs 4.1 fit",
                        sol.capacitance, c_fit, 0.07))
     # far-field limit of the ring kernel

@@ -25,6 +25,7 @@ Example::
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,10 +79,13 @@ class DesignConfig:
 
 def _parse_float(raw: str, where: str, problems: list[str]) -> float:
     try:
-        return float(raw)
+        val = float(raw)
     except ValueError:
         problems.append(f"{where}: not a number: {raw!r}")
         return float("nan")
+    if not math.isfinite(val):
+        problems.append(f"{where}: not a finite number: {raw!r}")
+    return val
 
 
 def load_config(path, clamp_slope: bool = False) -> DesignConfig:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ellipk as _cephes_ellipk
 
 _AGM_RTOL = 1e-15
 _AGM_MAX_ITER = 40
@@ -45,11 +44,13 @@ def _ellipk_nonpositive(m) -> np.ndarray:
     The imaginary-modulus transformation maps m onto m/(m-1) in [0, 1),
     where the Cephes routine takes over.
     """
+    from scipy.special import ellipk as _cephes_ellipk
     return _cephes_ellipk(m / (m - 1.0)) / np.sqrt(1.0 - m)
 
 
 def ellipk_grid(m) -> np.ndarray:
     """Vectorized K(m) over an array of parameters, all < 1."""
+    from scipy.special import ellipk as _cephes_ellipk
     m = np.asarray(m, dtype=float)
     if np.any(m >= 1.0):
         raise ValueError("ellipk_grid requires m < 1 everywhere")

@@ -20,7 +20,6 @@ from surfloss import analytic, tls
 from surfloss.bem.suites import (RWG_A, RWG_GAPS, ribbon_ground_point,
                                  run_suite, suite_coax, suite_corner,
                                  suite_flat_coax, wire_field_profile)
-from surfloss.special import ellipk, ellipkp
 
 UM = 1e-6
 FF = 1e-15
@@ -240,7 +239,6 @@ def rwg_sweep():
     rows = []
     b, t = 100 * UM, 0.1 * UM
     for a in RWG_A:
-        k = ellipk((a / b) ** 2)
         for g in RWG_GAPS:
             c_gnd = b * (1 + g)
             cap, u_m, u_s = ribbon_ground_point(a, b, c_gnd, t)
@@ -248,15 +246,9 @@ def rwg_sweep():
             spec = RibbonWithGround(a, b, c_gnd, 1.0, t)
             c_fit = analytic.ribbon_ground_capacitance(
                 spec, DielectricStack(eps_s=1.0))
-            kp = ellipkp((b / c_gnd) ** 2)
-            u_m_fit = EPS0 * (0.98 * analytic.surface_sum(a, b, t, 0)
-                              / (2 * k * k * a)
-                              + 1.70 * analytic.surface_sum_outer(b, c_gnd, t, 0)
-                              / (2 * kp * kp * b))
-            u_s_fit = EPS0 * (0.95 * analytic.surface_sum(a, b, t, 0)
-                              / (4 * k * k * a)
-                              + 0.80 * analytic.surface_sum(b, c_gnd, t, 0)
-                              / (4 * kp * kp * b))
+            fit = analytic.ribbon_ground_energies(a, b, c_gnd, t, 0.0, 0.0)
+            u_m_fit = EPS0 * fit.u_metal
+            u_s_fit = EPS0 * fit.u_substrate
             rows.append((a / UM, g, cap / c_fit, u_m / u_m_fit, u_s / u_s_fit))
     return rows
 

@@ -98,6 +98,26 @@ def test_mesh_cap_enforced():
                     np.zeros(30_000, int), np.full(30_000, "x", object))
 
 
+def test_too_coarse_meshes_rejected():
+    with pytest.raises(MeshCapError, match="at least 3 elements"):
+        meshes.circle(10 * UM, 2)
+    with pytest.raises(MeshCapError, match="no elements"):
+        meshes.wire_strip(50 * UM, lambda y: np.full_like(y, 0.1 * UM),
+                          y0=0.02 * UM, n=0)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_matrix_reported(monkeypatch):
+    # rcond = 0 must be reported, not turned into a 1/rcond division
+    from surfloss.bem import solver as solver_mod
+    monkeypatch.setattr(solver_mod, "assemble",
+                        lambda mesh, mirror=False: np.ones((2, 2)))
+    m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int),
+                    np.full(2, "x", object))
+    with pytest.raises(SolverError, match="singular"):
+        solve(m, {0: 1.0})
+
+
 def test_coincident_elements_rejected():
     pos = np.array([[0.0, 0.0], [0.0, 0.0], [5e-6, 0.0]])
     m = meshes.Mesh("planar", pos, np.full(3, 1e-6), np.zeros(3, int),

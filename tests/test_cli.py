@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, file outputs."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -246,3 +247,65 @@ t_um = 0.1
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1
     assert "outside the tabulated range" in res.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", [("stack", "tan_ma"),
+                                          ("structure.pads", "length_um")])
+def test_analyze_rejects_non_finite_value(tmp_path, section, key, value):
+    import configparser
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(TABLE_CONFIG)
+    cp[section][key] = value
+    path = tmp_path / "nonfinite.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    res = run_cli("analyze", "--config", str(path))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert f"error[2]: {section}.{key}: not a finite number: {value!r}" \
+        in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("suite", ["coax", "corner", "flat-wire"])
+def test_verify_too_coarse_mesh_is_numerical_error(suite):
+    res = run_cli("verify", "--suite", suite, "--mesh-scale", "0.001")
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    assert res.stderr.count("error[3]:") == 1
+    assert len(res.stderr.strip().splitlines()) == 1
+
+
+IMPORT_GUARD = """\
+import json, sys
+import surfloss, surfloss.cli, surfloss.bem
+from surfloss import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+cfg = sys.argv[1]
+codes = [cli.main(["analyze", "--config", cfg]),
+         cli.main(["tls", "--config", cfg, "--sections", "20000"])]
+before = scipy_modules()
+codes.append(cli.main(["taper", "--config", cfg]))
+print(json.dumps([codes, before, "scipy.integrate" in sys.modules]))
+"""
+
+
+def test_analyze_and_tls_load_no_scipy():
+    # SciPy is imported inside the functions that call it: importing the
+    # package and running analyze or tls must not load it, and the first
+    # quadrature (taper) must
+    import os
+    cfg = SRC.parent / "configs" / "transmon_100ff.ini"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    res = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(cfg)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    codes, before, integrate_loaded = json.loads(res.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert before == []
+    assert integrate_loaded
