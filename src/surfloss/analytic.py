@@ -261,23 +261,6 @@ def tapered_wire_capacitance(spec: TaperedWire, stack: DielectricStack) -> float
     return 3.5 * eps_eff * EPS0 * math.sqrt(spec.slope) * spec.d
 
 
-def capacitance(spec: StructureSpec, stack: DielectricStack) -> float:
-    """Capacitance of any structure (SI farads)."""
-    if isinstance(spec, ParallelPlate):
-        return parallel_plate_capacitance(spec)
-    if isinstance(spec, Ribbon):
-        return ribbon_capacitance(spec, stack)
-    if isinstance(spec, Coplanar):
-        return coplanar_capacitance(spec, stack)
-    if isinstance(spec, RibbonWithGround):
-        return ribbon_ground_capacitance(spec, stack)
-    if isinstance(spec, StraightWire):
-        return straight_wire_capacitance(spec, stack)
-    if isinstance(spec, TaperedWire):
-        return tapered_wire_capacitance(spec, stack)
-    raise TypeError(f"unknown structure type {type(spec)!r}")
-
-
 def parallel_plate(spec: ParallelPlate, stack: DielectricStack,
                    length: float) -> ParticipationBreakdown:
     """Vacuum-gap plate pair: only the metal-air interface participates."""
@@ -426,9 +409,8 @@ def straight_wire(spec: StraightWire, stack: DielectricStack, length: float,
                   c_s: float = C_S_DEFAULT):
     """Straight junction wires -> (breakdown, capacitance)."""
     rb, d, t = spec.half_width, spec.d, spec.t
-    log2 = math.log(d / rb) ** 2
-    u_m = lambda c: 0.5 * (math.log(4 * rb / t) + c) * (d / rb) / log2
-    u_s = 0.25 * (math.log(4 * rb / t) + c_s) * (d / rb) / log2
+    u_m = lambda c: straight_wire_energy_fit(rb, d, t, c)
+    u_s = 0.25 * (math.log(4 * rb / t) + c_s) * (d / rb) / math.log(d / rb) ** 2
     cap = straight_wire_capacitance(spec, stack)
     bd = _breakdown_from_energies(spec.label, stack, length, u_m, u_s, cap,
                                   c_m=c_m, corner_split=corner_split)
@@ -440,10 +422,9 @@ def tapered_wire(spec: TaperedWire, stack: DielectricStack, length: float,
                  c_s: float = C_S_DEFAULT):
     """Tapered junction wires (fit formulas) -> (breakdown, capacitance)."""
     r0, s, d, t = spec.r0, spec.slope, spec.d, spec.t
-    pre = math.log(d / r0) / s
-    log2 = math.log(4.0 / s) ** 2
-    u_m = lambda c: 0.68 * pre * (math.log(4 * s * d / t) + c) / log2
-    u_s = 0.29 * pre * (math.log(4 * s * d / t) + c_s) / log2
+    u_m = lambda c: tapered_wire_energy_fit(r0, s, d, t, c)
+    u_s = 0.29 * (math.log(d / r0) / s) * (math.log(4 * s * d / t) + c_s) \
+        / math.log(4.0 / s) ** 2
     cap = tapered_wire_capacitance(spec, stack)
     bd = _breakdown_from_energies(spec.label, stack, length, u_m, u_s, cap,
                                   c_m=c_m, corner_split=corner_split)
@@ -541,21 +522,49 @@ def optimal_halfwidth_ratio(y_over_t: float, c_m: float = C_M_DEFAULT) -> float:
 # --------------------------------------------------------------------------
 # dispatch
 
+#: closed forms of each structure type: spec class -> (capacitance(spec,
+#: stack), participation(spec, stack, length, corner_split, c_m, c_s))
+CLOSED_FORMS = {
+    ParallelPlate: (lambda spec, stack: parallel_plate_capacitance(spec),
+                    lambda spec, stack, length, *_:
+                        parallel_plate(spec, stack, length)),
+    Ribbon: (ribbon_capacitance, lambda *args: ribbon(*args)[0]),
+    Coplanar: (coplanar_capacitance, lambda *args: coplanar(*args)[0]),
+    RibbonWithGround: (ribbon_ground_capacitance,
+                       lambda *args: ribbon_with_ground(*args)[0]),
+    StraightWire: (straight_wire_capacitance,
+                   lambda *args: straight_wire(*args)[0]),
+    TaperedWire: (tapered_wire_capacitance,
+                  lambda *args: tapered_wire(*args)[0]),
+}
+
+#: junction-wire types: spec class -> (quadrature, closed form) metal energy
+#: U/(eps0 V^2) of the wire pair.  The energy functions are looked up when
+#: called, so a wrapper installed on this module sees these calls too.
+WIRE_ENERGIES = {
+    StraightWire: lambda w: (straight_wire_energy_quadrature(w.r0, w.d, w.t),
+                             straight_wire_energy_fit(w.r0, w.d, w.t)),
+    TaperedWire: lambda w: (
+        tapered_wire_energy_quadrature(w.r0, w.slope, w.d, w.t),
+        tapered_wire_energy_fit(w.r0, w.slope, w.d, w.t)),
+}
+
+
+def _closed_forms(spec: StructureSpec):
+    try:
+        return CLOSED_FORMS[type(spec)]
+    except KeyError:
+        raise TypeError(f"unknown structure type {type(spec)!r}") from None
+
+
+def capacitance(spec: StructureSpec, stack: DielectricStack) -> float:
+    """Capacitance of any structure (SI farads)."""
+    return _closed_forms(spec)[0](spec, stack)
+
+
 def participation(spec: StructureSpec, stack: DielectricStack, length: float,
                   corner_split: bool = False,
                   c_m: float = C_M_DEFAULT, c_s: float = C_S_DEFAULT
                   ) -> ParticipationBreakdown:
     """Participation breakdown of any structure at a shared design length."""
-    if isinstance(spec, ParallelPlate):
-        return parallel_plate(spec, stack, length)
-    if isinstance(spec, Ribbon):
-        return ribbon(spec, stack, length, corner_split, c_m, c_s)[0]
-    if isinstance(spec, Coplanar):
-        return coplanar(spec, stack, length, corner_split, c_m, c_s)[0]
-    if isinstance(spec, RibbonWithGround):
-        return ribbon_with_ground(spec, stack, length, corner_split, c_m, c_s)[0]
-    if isinstance(spec, StraightWire):
-        return straight_wire(spec, stack, length, corner_split, c_m, c_s)[0]
-    if isinstance(spec, TaperedWire):
-        return tapered_wire(spec, stack, length, corner_split, c_m, c_s)[0]
-    raise TypeError(f"unknown structure type {type(spec)!r}")
+    return _closed_forms(spec)[1](spec, stack, length, corner_split, c_m, c_s)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -112,14 +113,17 @@ def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
     drive is twice the set potential.
     """
     from scipy.linalg import lapack as _lapack
-    from scipy.linalg import lu_factor, lu_solve
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
     m = assemble(mesh, mirror=mirror)
     v = np.empty(mesh.n)
     for eid, volt in voltages.items():
         v[mesh.electrode == eid] = volt
     anorm = np.linalg.norm(m, 1)
-    lu, piv = lu_factor(m)
+    with warnings.catch_warnings():
+        # a singular matrix is reported by the rcond check below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(m)
     rcond = float(_lapack.dgecon(lu, anorm, norm="1")[0])
     if rcond == 0.0:
         raise SolverError("potential matrix is singular: condition estimate "

@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .constants import FF, GHZ, UM
-from .config import DesignConfig, load_config
-from .geometry import (ParallelPlate, Ribbon, StraightWire, TaperedWire,
-                       ValidationError, assemble_design)
+from .config import DesignConfig, load_config, parse_config, read_config
+from .geometry import ParallelPlate, Ribbon, ValidationError, assemble_design
 from . import analytic, tls
 from .bem.mesh import MeshCapError
 from .bem.solver import SolverError
@@ -106,13 +105,8 @@ def _write_rows(path: Path, rows, fmt: str):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        design, rows, total = _analysis_rows(cfg, corner_split=args.corner_split)
-    except ValidationError as exc:
-        for p in exc.problems:
-            print(f"error[{EXIT_CONFIG}]: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    design, rows, total = _analysis_rows(cfg, corner_split=args.corner_split)
     _print_table(rows, total)
     print(f"L = {_fmt(design.length / UM)} um  "
           f"(C_total = {_fmt(design.capacitance / FF)} fF)")
@@ -128,10 +122,7 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         return _fail(EXIT_CONFIG,
                      f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
-    try:
-        checks = run_suite(args.suite, mesh_scale=args.mesh_scale)
-    except (MeshCapError, SolverError) as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
+    checks = run_suite(args.suite, mesh_scale=args.mesh_scale)
     all_ok = True
     for c in checks:
         flag = "PASS" if c.passed else "FAIL"
@@ -143,12 +134,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ValidationError as exc:
-        for p in exc.problems:
-            print(f"error[{EXIT_CONFIG}]: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+    cp = read_config(args.config)
+    parse_config(cp)        # the unswept config must be valid on its own
     if args.steps < 1:
         return _fail(EXIT_CONFIG, "sweep needs steps >= 1")
     try:
@@ -158,43 +145,28 @@ def cmd_sweep(args) -> int:
     sect, _, key = args.param.rpartition(".")
     if not sect:
         return _fail(EXIT_CONFIG, f"--param must be section.key, got {args.param!r}")
+    if not cp.has_section(sect) or key not in cp[sect]:
+        return _fail(EXIT_CONFIG, f"--param {args.param!r} not found in config")
 
-    import configparser
     values = np.linspace(lo, hi, args.steps)
     cols = None
     out_rows = []
     for val in values:
-        cp = configparser.ConfigParser(interpolation=None)
-        cp.read(args.config)
-        if not cp.has_section(sect) or key not in cp[sect]:
-            return _fail(EXIT_CONFIG, f"--param {args.param!r} not found in config")
         cp[sect][key] = repr(float(val))
-        import tempfile, os
-        with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as fh:
-            cp.write(fh)
-            tmp = fh.name
         try:
-            cfg_i = load_config(tmp)
+            cfg_i = parse_config(cp)
             design, rows, total = _analysis_rows(cfg_i)
         except ValidationError as exc:
-            os.unlink(tmp)
             return _fail(EXIT_CONFIG, f"{args.param}={val}: {exc}")
-        os.unlink(tmp)
         row = {"param": float(val)}
         for name, spec in cfg_i.structures:
             bd = next(r for r in rows if r["structure"] == name)
             for c in ("capacitance_ff", "p_ma", "p_ms", "p_sa", "loss_tangent"):
                 row[f"{name}.{c}"] = bd[c]
-            if isinstance(spec, StraightWire):
-                row[f"{name}.u_metal"] = analytic.straight_wire_energy_quadrature(
-                    spec.half_width, spec.d, spec.t)
-                row[f"{name}.u_metal_fit"] = analytic.straight_wire_energy_fit(
-                    spec.half_width, spec.d, spec.t)
-            if isinstance(spec, TaperedWire):
-                row[f"{name}.u_metal"] = analytic.tapered_wire_energy_quadrature(
-                    spec.r0, spec.slope, spec.d, spec.t)
-                row[f"{name}.u_metal_fit"] = analytic.tapered_wire_energy_fit(
-                    spec.r0, spec.slope, spec.d, spec.t)
+            energies = analytic.WIRE_ENERGIES.get(type(spec))
+            if energies:
+                row[f"{name}.u_metal"], row[f"{name}.u_metal_fit"] = \
+                    energies(spec)
         row["total.loss_tangent"] = total["loss_tangent"]
         if cols is None:
             cols = list(row)
@@ -216,23 +188,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_taper(args) -> int:
-    try:
-        cfg = load_config(args.config, clamp_slope=True)
-    except ValidationError as exc:
-        for p in exc.problems:
-            print(f"error[{EXIT_CONFIG}]: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config, clamp_slope=True)
     for w in cfg.warnings:
         print(f"warning: {w}", file=sys.stderr)
     wires = [(n, s) for n, s in cfg.structures
-             if isinstance(s, (StraightWire, TaperedWire))]
+             if type(s) in analytic.WIRE_ENERGIES]
     if not wires:
         return _fail(EXIT_CONFIG, "taper needs a wire structure in the config")
     name, spec = wires[0]
-    if isinstance(spec, TaperedWire):
-        r0, d, t = spec.r0, spec.d, spec.t
-    else:
-        r0, d, t = spec.half_width, spec.d, spec.t
+    r0, d, t = spec.r0, spec.d, spec.t
     try:
         opt = analytic.optimize_taper_slope(r0, d, t)
     except ValueError as exc:
@@ -260,13 +224,8 @@ def cmd_taper(args) -> int:
 
 
 def cmd_tls(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        design, rows, total = _analysis_rows(cfg)
-    except ValidationError as exc:
-        for p in exc.problems:
-            print(f"error[{EXIT_CONFIG}]: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    design, rows, total = _analysis_rows(cfg)
     span_hz = args.span_ghz * GHZ if args.span_ghz else cfg.span_hz
     out = Path(args.out) if args.out else None
     if out:
@@ -277,10 +236,8 @@ def cmd_tls(args) -> int:
     c_total = design.capacitance
     for name, spec in cfg.structures:
         if isinstance(spec, Ribbon):
-            spec_l = spec
-            spectrum = tls.ribbon_tls_profile(spec_l, cfg.stack, c_total,
-                                              span_hz)
-        elif isinstance(spec, (StraightWire, TaperedWire)):
+            spectrum = tls.ribbon_tls_profile(spec, cfg.stack, c_total)
+        elif type(spec) in analytic.WIRE_ENERGIES:
             spectrum = tls.wire_tls_spectrum(spec, c_total, cfg.stack,
                                              sections=args.sections)
         elif isinstance(spec, ParallelPlate):
@@ -361,6 +318,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ValidationError as exc:
+        for p in exc.problems:
+            _fail(EXIT_CONFIG, p)
+        return EXIT_CONFIG
     except (MeshCapError, SolverError) as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
 

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from .constants import FF, GHZ, NM, UM
-from .geometry import (Coplanar, DielectricStack, ParallelPlate, Ribbon,
-                       RibbonWithGround, StraightWire, StructureSpec,
-                       TaperedWire, ValidationError, validate_design)
+from .geometry import (MAX_TAPER_SLOPE, STRUCTURE_TYPES, DielectricStack,
+                       ValidationError, validate_design)
 
 _STACK_KEYS = {
     "eps_substrate": ("eps_s", 1.0),
@@ -46,27 +45,6 @@ _STACK_KEYS = {
     "tan_ms": ("tan_ms", 1.0),
     "tan_sa": ("tan_sa", 1.0),
 }
-
-_STRUCTURE_KEYS = {
-    "parallel_plate": {"s_um": "s", "w_um": "w", "length_um": "length"},
-    "ribbon": {"a_um": "a", "b_um": "b", "length_um": "length", "t_um": "t"},
-    "coplanar": {"a_um": "a", "b_um": "b", "length_um": "length", "t_um": "t",
-                 "single_ended": "single_ended"},
-    "ribbon_with_ground": {"a_um": "a", "b_um": "b", "c_um": "c",
-                           "length_um": "length", "t_um": "t"},
-    "straight_wire": {"half_width_um": "half_width", "d_um": "d", "t_um": "t"},
-    "tapered_wire": {"r0_um": "r0", "slope": "slope", "d_um": "d", "t_um": "t"},
-}
-
-_STRUCTURE_TYPES = {
-    "parallel_plate": ParallelPlate,
-    "ribbon": Ribbon,
-    "coplanar": Coplanar,
-    "ribbon_with_ground": RibbonWithGround,
-    "straight_wire": StraightWire,
-    "tapered_wire": TaperedWire,
-}
-
 
 @dataclass
 class DesignConfig:
@@ -88,20 +66,27 @@ def _parse_float(raw: str, where: str, problems: list[str]) -> float:
     return val
 
 
+def read_config(path) -> configparser.ConfigParser:
+    """Read an INI file; raises ValidationError if it cannot be read."""
+    cp = configparser.ConfigParser(interpolation=None)
+    if not cp.read(path):
+        raise ValidationError([f"config: cannot read {path}"])
+    return cp
+
+
 def load_config(path, clamp_slope: bool = False) -> DesignConfig:
-    """Parse and validate a design config; raises ValidationError with the
+    """Read, parse and validate a design config (see parse_config)."""
+    return parse_config(read_config(path), clamp_slope)
+
+
+def parse_config(cp: configparser.ConfigParser,
+                 clamp_slope: bool = False) -> DesignConfig:
+    """Parse and validate a read config; raises ValidationError with the
     full problem list on any error.
 
     clamp_slope=True turns an over-cap taper slope into a warning and clamps
     it (the taper command optimizes the slope itself anyway).
     """
-    from .geometry import MAX_TAPER_SLOPE
-
-    cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path)
-    if not read:
-        raise ValidationError([f"config: cannot read {path}"])
-
     problems: list[str] = []
     stack_kwargs = {}
     if cp.has_section("stack"):
@@ -121,7 +106,10 @@ def load_config(path, clamp_slope: bool = False) -> DesignConfig:
                 target_c = _parse_float(raw, "targets.capacitance_ff",
                                         problems) * FF
             elif key == "span_ghz":
-                span_hz = _parse_float(raw, "targets.span_ghz", problems) * GHZ
+                span_ghz = _parse_float(raw, "targets.span_ghz", problems)
+                if math.isfinite(span_ghz) and span_ghz <= 0:
+                    problems.append("targets.span_ghz: must be > 0")
+                span_hz = span_ghz * GHZ
             else:
                 problems.append(f"targets.{key}: unknown key")
 
@@ -136,17 +124,20 @@ def load_config(path, clamp_slope: bool = False) -> DesignConfig:
         name = section.split(".", 1)[1]
         items = dict(cp.items(section))
         stype = items.pop("type", None)
-        if stype not in _STRUCTURE_TYPES:
+        if stype not in STRUCTURE_TYPES:
             problems.append(f"{section}.type: unknown structure type {stype!r}")
             continue
-        keymap = _STRUCTURE_KEYS[stype]
+        cls = STRUCTURE_TYPES[stype]
+        # flags are the fields with a bool default; required, those with none
+        flags = {f.name for f in fields(cls) if isinstance(f.default, bool)}
+        required = {f.name for f in fields(cls) if f.default is MISSING}
         kwargs = {}
         for key, raw in items.items():
-            if key not in keymap:
+            if key not in cls.INI_KEYS:
                 problems.append(f"{section}.{key}: unknown key for {stype}")
                 continue
-            field_name = keymap[key]
-            if field_name == "single_ended":
+            field_name = cls.INI_KEYS[key]
+            if field_name in flags:
                 kwargs[field_name] = raw.strip().lower() in ("1", "true", "yes")
             elif key.endswith("_um"):
                 kwargs[field_name] = _parse_float(raw, f"{section}.{key}",
@@ -154,19 +145,18 @@ def load_config(path, clamp_slope: bool = False) -> DesignConfig:
             else:
                 kwargs[field_name] = _parse_float(raw, f"{section}.{key}",
                                                   problems)
-        missing = set(keymap.values()) - set(kwargs) - {"single_ended"}
+        missing = required - set(kwargs)
         if missing:
             problems.append(f"[{section}]: missing keys for {stype}: "
                             f"{', '.join(sorted(missing))}")
             continue
         kwargs["label"] = name
-        if (stype == "tapered_wire" and clamp_slope
-                and kwargs.get("slope", 0.0) > MAX_TAPER_SLOPE):
+        if clamp_slope and kwargs.get("slope", 0.0) > MAX_TAPER_SLOPE:
             warnings_.append(
                 f"{section}.slope: {kwargs['slope']} exceeds the {MAX_TAPER_SLOPE} "
                 "cap (steeper tapers no longer reduce the edge field); clamped")
             kwargs["slope"] = MAX_TAPER_SLOPE
-        structures.append((name, _STRUCTURE_TYPES[stype](**kwargs)))
+        structures.append((name, cls(**kwargs)))
 
     if problems:
         raise ValidationError(problems)

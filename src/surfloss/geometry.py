@@ -65,10 +65,16 @@ def capacitance_to_length(c: float) -> float:
 
 # --------------------------------------------------------------------------
 # structure geometries (all lengths in meters)
+#
+# INI_KEYS maps each INI key of a structure section to its field; *_um keys
+# are read in micrometers.  Fields without a default are required keys, and
+# a field with a bool default is a true/false flag.
 
 @dataclass(frozen=True)
 class ParallelPlate:
     """Differential pair of plates, each w x length at spacing s to ground."""
+
+    INI_KEYS = {"s_um": "s", "w_um": "w", "length_um": "length"}
 
     s: float
     w: float
@@ -88,6 +94,8 @@ class ParallelPlate:
 @dataclass(frozen=True)
 class Ribbon:
     """Two differential strips spanning a..b from the centerline."""
+
+    INI_KEYS = {"a_um": "a", "b_um": "b", "length_um": "length", "t_um": "t"}
 
     a: float
     b: float
@@ -109,6 +117,9 @@ class Ribbon:
 class Coplanar:
     """Strip of half-width a against a ground plane beyond b."""
 
+    INI_KEYS = {"a_um": "a", "b_um": "b", "length_um": "length",
+                "t_um": "t", "single_ended": "single_ended"}
+
     a: float
     b: float
     length: float
@@ -129,6 +140,9 @@ class Coplanar:
 @dataclass(frozen=True)
 class RibbonWithGround:
     """Differential ribbon with a surrounding ground plane beyond +-c."""
+
+    INI_KEYS = {"a_um": "a", "b_um": "b", "c_um": "c",
+                "length_um": "length", "t_um": "t"}
 
     a: float
     b: float
@@ -152,10 +166,20 @@ class RibbonWithGround:
 class StraightWire:
     """Pair of junction leads, half-width r_bar, length d per side."""
 
+    INI_KEYS = {"half_width_um": "half_width", "d_um": "d", "t_um": "t"}
+
     half_width: float
     d: float
     t: float
     label: str = "straight_wire"
+
+    #: a straight wire is the zero-slope taper, max(r0, (y - 5t)*0) = r0
+    slope = 0.0
+
+    @property
+    def r0(self) -> float:
+        """Half-width at the junction, named as on a TaperedWire."""
+        return self.half_width
 
     def validate(self) -> list[str]:
         bad = []
@@ -176,6 +200,8 @@ MAX_TAPER_SLOPE = 0.45
 class TaperedWire:
     """Junction leads tapering as r(y) = max(r0, (y - 5t)*slope)."""
 
+    INI_KEYS = {"r0_um": "r0", "slope": "slope", "d_um": "d", "t_um": "t"}
+
     r0: float
     slope: float
     d: float
@@ -193,8 +219,18 @@ class TaperedWire:
         return bad
 
 
-StructureSpec = Union[ParallelPlate, Ribbon, Coplanar, RibbonWithGround,
-                      StraightWire, TaperedWire]
+#: INI ``type`` name -> spec class.  A structure type is declared by its
+#: dataclass above, its entry here and its row in ``analytic.CLOSED_FORMS``.
+STRUCTURE_TYPES = {
+    "parallel_plate": ParallelPlate,
+    "ribbon": Ribbon,
+    "coplanar": Coplanar,
+    "ribbon_with_ground": RibbonWithGround,
+    "straight_wire": StraightWire,
+    "tapered_wire": TaperedWire,
+}
+
+StructureSpec = Union[tuple(STRUCTURE_TYPES.values())]
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import EPS0
-from .geometry import (Coplanar, DielectricStack, ParallelPlate, Ribbon,
-                       StraightWire, TaperedWire)
+from .geometry import Coplanar, DielectricStack, ParallelPlate, Ribbon
 from .special import ellipk, ellipkp
 from . import analytic
 
@@ -35,7 +34,6 @@ DENSITY_REF_THICKNESS = 2e-9
 
 #: observability threshold for the default 2 GHz measurement span
 OBSERVABLE_AREA_UM2 = 1.0
-DEFAULT_SPAN_HZ = 2e9
 
 #: fewest wire patches that give a converged spectrum
 MIN_SECTIONS = 10_000
@@ -82,19 +80,13 @@ class TlsSpectrum:
             raise ValueError(f"area {area} um^2 outside the tabulated range")
         return float(np.interp(area, self.area_um2, self.s_hz))
 
-    def largest_observable(self, span_hz: float = DEFAULT_SPAN_HZ) -> float:
-        """Splitting size at the area where one splitting is expected in span."""
-        area = 1.0 / (DENSITY_PER_UM2_GHZ * span_hz / 1e9)
-        return self.s_at_area(area)
-
     def s_at_spacing(self, spacing_hz: float) -> float:
         """Splitting size at which the average spectral spacing equals spacing_hz."""
         area = 1.0 / (DENSITY_PER_UM2_GHZ * spacing_hz / 1e9)
         return self.s_at_area(area)
 
 
-def splitting_density(spectrum: TlsSpectrum, s1: float, s2: float,
-                      span_hz: float = DEFAULT_SPAN_HZ) -> float:
+def splitting_density(spectrum: TlsSpectrum, s1: float, s2: float) -> float:
     """Expected splittings per GHz with sizes between s1 and s2 (s1 < s2)."""
     if not s1 < s2:
         raise ValueError("need s1 < s2")
@@ -113,9 +105,7 @@ def _spectrum_from_patches(s_values, areas_um2, label) -> TlsSpectrum:
 # --------------------------------------------------------------------------
 
 def ribbon_tls_profile(spec: Ribbon, stack: DielectricStack,
-                       capacitance: float, span_hz: float = DEFAULT_SPAN_HZ,
-                       interface_weight: Optional[float] = None,
-                       n: int = 4000) -> TlsSpectrum:
+                       capacitance: float, n: int = 4000) -> TlsSpectrum:
     """S_max map of the ribbon metal-substrate interface near the inner edge.
 
     The field is the conformal strip solution down to the half-thickness
@@ -123,8 +113,7 @@ def ribbon_tls_profile(spec: Ribbon, stack: DielectricStack,
     r_c times both electrode lengths, scaled by the oxide thickness.
     """
     a, b, t, ell = spec.a, spec.b, spec.t, spec.length
-    weight = stack.eps_s / stack.eps_ms if interface_weight is None \
-        else interface_weight
+    weight = stack.eps_s / stack.eps_ms
     pre = s_max_prefactor(capacitance)
     area_per_m = 2.0 * ell * (stack.t_ms / DENSITY_REF_THICKNESS)   # m^2 per m of r_c
 
@@ -143,8 +132,7 @@ def ribbon_tls_profile(spec: Ribbon, stack: DielectricStack,
 
 def wire_tls_spectrum(spec, capacitance: float,
                       stack: Optional[DielectricStack] = None,
-                      sections: int = 100_000,
-                      interface_weight: Optional[float] = None) -> TlsSpectrum:
+                      sections: int = 100_000) -> TlsSpectrum:
     """S_max spectrum of a junction-wire pair's metal-substrate face.
 
     The wire is split into ~`sections` patches: log-spaced slices along the
@@ -154,16 +142,10 @@ def wire_tls_spectrum(spec, capacitance: float,
     """
     if stack is None:
         stack = DielectricStack()
-    weight = stack.eps_s / stack.eps_ms if interface_weight is None \
-        else interface_weight
-    if isinstance(spec, StraightWire):
-        r0, d, t = spec.half_width, spec.d, spec.t
-        halfwidth = lambda y: np.full_like(y, r0)
-    elif isinstance(spec, TaperedWire):
-        r0, d, t = spec.r0, spec.d, spec.t
-        halfwidth = lambda y: analytic.taper_halfwidth(y, r0, spec.slope, t)
-    else:
+    weight = stack.eps_s / stack.eps_ms
+    if type(spec) not in analytic.WIRE_ENERGIES:
         raise TypeError("wire spectrum needs a StraightWire or TaperedWire")
+    r0, d, t = spec.r0, spec.d, spec.t
     if sections < MIN_SECTIONS:
         raise ValueError(f"use at least {MIN_SECTIONS} sections for a "
                          "converged spectrum")
@@ -175,7 +157,7 @@ def wire_tls_spectrum(spec, capacitance: float,
     y_edges = np.geomspace(2 * r0, d, n_y + 1)
     y = 0.5 * (y_edges[:-1] + y_edges[1:])
     dy = np.diff(y_edges)
-    rb = halfwidth(y)
+    rb = analytic.taper_halfwidth(y, r0, spec.slope, t)
     pre = s_max_prefactor(capacitance)
     e_env = analytic.wire_field(y, rb, flat=True)
 

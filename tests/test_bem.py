@@ -2,6 +2,7 @@
 verification suites (the full sweeps run in the acceptance module)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,16 +107,18 @@ def test_too_coarse_meshes_rejected():
                           y0=0.02 * UM, n=0)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_matrix_reported(monkeypatch):
-    # rcond = 0 must be reported, not turned into a 1/rcond division
+    # rcond = 0 must be reported, not turned into a 1/rcond division, and
+    # the SolverError is the only report: no warning reaches stderr
     from surfloss.bem import solver as solver_mod
     monkeypatch.setattr(solver_mod, "assemble",
                         lambda mesh, mirror=False: np.ones((2, 2)))
     m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int),
                     np.full(2, "x", object))
-    with pytest.raises(SolverError, match="singular"):
-        solve(m, {0: 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="singular"):
+            solve(m, {0: 1.0})
 
 
 def test_coincident_elements_rejected():

@@ -167,6 +167,18 @@ def test_sweep_wire_length(table_config):
     assert res.stdout == res2.stdout
 
 
+def test_sweep_invalid_step_is_config_error(table_config):
+    # d = 0.1 um fails the straight wire's d > 2*half_width at the first step
+    res = run_cli("sweep", "--config", str(table_config),
+                  "--param", "structure.wire.d_um", "--range", "0.1:50",
+                  "--steps", "2")
+    assert res.returncode == 2
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[2]: structure.wire.d_um=0.1: ")
+    assert "need d > 2*half_width" in lines[0]
+
+
 def test_taper_command(table_config):
     res = run_cli("taper", "--config", str(table_config))
     assert res.returncode == 0, res.stderr
@@ -215,6 +227,16 @@ def test_tls_command(table_config, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "s_max_hz,cumulative_area_um2"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("span", ["0", "-1"])
+def test_tls_rejects_non_positive_config_span(tmp_path, span):
+    path = tmp_path / "span.ini"
+    path.write_text(TABLE_CONFIG.replace("span_ghz = 2", f"span_ghz = {span}"))
+    res = run_cli("tls", "--config", str(path), "--sections", "20000")
+    assert res.returncode == 2
+    assert res.stderr == "error[2]: targets.span_ghz: must be > 0\n"
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])

@@ -1,0 +1,48 @@
+"""INI config loading: every structure type round-trips to its spec."""
+
+import pytest
+
+from surfloss.config import load_config
+from surfloss.constants import UM
+from surfloss.geometry import (Coplanar, ParallelPlate, Ribbon,
+                               RibbonWithGround, StraightWire, TaperedWire)
+
+#: (INI type, every key of the section, the spec built directly in SI)
+SECTIONS = [
+    ("parallel_plate", {"s_um": "5", "w_um": "100", "length_um": "1130"},
+     ParallelPlate(5 * UM, 100 * UM, 1130 * UM, label="s")),
+    ("ribbon", {"a_um": "50", "b_um": "100", "length_um": "1391",
+                "t_um": "0.1"},
+     Ribbon(50 * UM, 100 * UM, 1391 * UM, 0.1 * UM, label="s")),
+    ("coplanar", {"a_um": "50", "b_um": "100", "length_um": "1138",
+                  "t_um": "0.1", "single_ended": "true"},
+     Coplanar(50 * UM, 100 * UM, 1138 * UM, 0.1 * UM, single_ended=True,
+              label="s")),
+    ("ribbon_with_ground", {"a_um": "50", "b_um": "100", "c_um": "300",
+                            "length_um": "1000", "t_um": "0.1"},
+     RibbonWithGround(50 * UM, 100 * UM, 300 * UM, 1000 * UM, 0.1 * UM,
+                      label="s")),
+    ("straight_wire", {"half_width_um": "0.1", "d_um": "50", "t_um": "0.1"},
+     StraightWire(0.1 * UM, 50 * UM, 0.1 * UM, label="s")),
+    ("tapered_wire", {"r0_um": "0.1", "slope": "0.4", "d_um": "50",
+                      "t_um": "0.1"},
+     TaperedWire(0.1 * UM, 0.4, 50 * UM, 0.1 * UM, label="s")),
+]
+
+
+@pytest.mark.parametrize("stype, keys, expected", SECTIONS,
+                         ids=[s[0] for s in SECTIONS])
+def test_structure_section_round_trip(tmp_path, stype, keys, expected):
+    lines = ["[structure.s]", f"type = {stype}"]
+    lines += [f"{k} = {v}" for k, v in keys.items()]
+    path = tmp_path / "design.ini"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = load_config(path)
+    assert cfg.structures == [("s", expected)]
+
+
+def test_every_structure_type_is_covered():
+    from surfloss.analytic import CLOSED_FORMS
+    from surfloss.geometry import STRUCTURE_TYPES
+    assert {s[0] for s in SECTIONS} == set(STRUCTURE_TYPES)
+    assert set(STRUCTURE_TYPES.values()) <= set(CLOSED_FORMS)
