@@ -42,15 +42,20 @@ NEAR_FACTOR = 2.5
 def planar_matrix(x, y, w):
     """2-D logarithmic potential matrix for line-charge strip elements.
 
-    Off-diagonal entries use the point kernel ln(1/rho)/(2 pi eps); the
-    diagonal is the uniform-strip self term (ln(2/w) + 3/2)/(2 pi eps).
+    Off-diagonal entries use the point kernel ln(1/rho)/(2 pi eps),
+    evaluated in place as ln(rho^2)/(-4 pi eps) in the buffer that held
+    rho^2; the diagonal is the uniform-strip self term
+    (ln(2/w) + 3/2)/(2 pi eps).
     """
     x = np.asarray(x, float); y = np.asarray(y, float); w = np.asarray(w, float)
-    dx = x[:, None] - x[None, :]
+    m = x[:, None] - x[None, :]
+    m *= m
     dy = y[:, None] - y[None, :]
-    rho = np.hypot(dx, dy)
+    dy *= dy
+    m += dy
     with np.errstate(divide="ignore"):
-        m = np.log(1.0 / rho) / _TWO_PI_EPS
+        np.log(m, out=m)
+    m /= -2.0 * _TWO_PI_EPS
     np.fill_diagonal(m, (np.log(2.0 / w) + 1.5) / _TWO_PI_EPS)
     return m
 
@@ -106,6 +111,23 @@ def ring_mutual(z1, r1, z2, r2):
     return _ring_kernel(rho, r1[:, None], r2[None, :])
 
 
+def ring_image(z, r):
+    """ring_mutual(z, r, -z, r): the rings against their mirror image in z = 0.
+
+    The image distance hypot(z_i + z_j, r_i - r_j) and the product
+    4 r_i r_j are exact under i <-> j, so only the pairs i <= j are
+    evaluated and mirrored; every entry equals ring_mutual's bit for bit.
+    """
+    z = np.asarray(z, float); r = np.asarray(r, float)
+    ii, jj = np.triu_indices(len(z))
+    ri, rj = r[ii], r[jj]
+    upper = _ring_kernel(np.hypot(z[ii] + z[jj], ri - rj), ri, rj)
+    m = np.empty((len(z), len(z)))
+    m[ii, jj] = upper
+    m[jj, ii] = upper
+    return m
+
+
 def _flat_kernel(ydist, rbar):
     return _ellipk_nonpositive(-((rbar / ydist) ** 2)) / (_RING_NORM * ydist)
 
@@ -154,7 +176,11 @@ def segment_field(px, py, mx, my, tx, ty, w, q):
     """E at points (px, py) from uniformly charged 2-D segments.
 
     Segments have midpoints (mx, my), unit tangents (tx, ty), lengths w,
-    and total line charges q.  Closed form per segment, summed.
+    and total line charges q.  Closed form per segment: the along-segment
+    part is the log of the end-distance ratio, the normal part the angle
+    the segment subtends, taken as one arctan2 of the cross and dot
+    products of the two end vectors.  The segments are summed by
+    matrix-vector products.
     """
     px = np.asarray(px, float); py = np.asarray(py, float)
     lam = np.asarray(q, float) / np.asarray(w, float)
@@ -162,14 +188,14 @@ def segment_field(px, py, mx, my, tx, ty, w, q):
     rx = px[:, None] - ax[None, :]
     ry = py[:, None] - ay[None, :]
     u = rx * tx[None, :] + ry * ty[None, :]
-    v = -rx * ty[None, :] + ry * tx[None, :]
+    v = ry * tx[None, :] - rx * ty[None, :]
     u2 = u - w[None, :]
-    r1s = u * u + v * v
-    r2s = u2 * u2 + v * v
+    vv = v * v
     with np.errstate(divide="ignore", invalid="ignore"):
-        e_u = lam[None, :] / (4.0 * np.pi * EPS0) * np.log(r1s / r2s)
-        e_v = lam[None, :] / (_TWO_PI_EPS) * np.sign(v) \
-            * (np.arctan2(u, np.abs(v)) - np.arctan2(u2, np.abs(v)))
-    ex = np.sum(e_u * tx[None, :] - e_v * ty[None, :], axis=1)
-    ey = np.sum(e_u * ty[None, :] + e_v * tx[None, :], axis=1)
+        log_ratio = np.log((u * u + vv) / (u2 * u2 + vv))
+        angle = np.sign(v) * np.arctan2(w[None, :] * np.abs(v), vv + u * u2)
+    lam_u = lam / (4.0 * np.pi * EPS0)
+    lam_v = lam / _TWO_PI_EPS
+    ex = log_ratio @ (lam_u * tx) - angle @ (lam_v * ty)
+    ey = log_ratio @ (lam_u * ty) + angle @ (lam_v * tx)
     return ex, ey

@@ -2,7 +2,8 @@
 
 Three potential kernels: planar 2-D line charges, axisymmetric rings,
 and flat thin-film wire strips.  Meshes grade geometrically into edges;
-solves are dense LU with condition estimates.  The suites module
+solves are dense, Cholesky for the symmetric planar and ring kinds and LU
+for flatwire, with condition estimates.  The suites module
 cross-verifies every closed form in `surfloss.analytic`.
 """
 

@@ -3,8 +3,11 @@ fields, energies, capacitances, and corner constants.
 
 The solves run in vacuum; substrate weighting happens in the analytic
 layer ((eps_s+1)/2 for effective capacitance, eps factors in the
-participations).  Dense LU with a reciprocal-condition estimate; systems
-are capped at 20k unknowns.
+participations).  Dense factorizations with a reciprocal-condition
+estimate: Cholesky for the symmetric kinds (planar, and ring with or
+without its mirror image), whose single-layer log kernel is positive
+definite on domains this small; LU for flatwire, whose matrix is not
+symmetric.  Systems are capped at 20k unknowns.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def assemble(mesh: Mesh, mirror: bool = False) -> np.ndarray:
         z, r = mesh.pos[:, 0], mesh.pos[:, 1]
         m = kern.ring_matrix(z, r, mesh.width)
         if mirror:
-            m = m - kern.ring_mutual(z, r, -z, r)
+            m -= kern.ring_image(z, r)
     elif mesh.kind == "flatwire":
         y = mesh.pos[:, 0]
         m = kern.flatwire_matrix(y, mesh.halfwidth, mesh.width)
@@ -105,6 +108,41 @@ class ChargeSolution:
                              self.mesh.side[i]])
 
 
+def _check_rcond(rcond: float) -> None:
+    if rcond == 0.0:
+        raise SolverError("potential matrix is singular: condition estimate "
+                          "rcond = 0")
+    if rcond < RCOND_LIMIT:
+        raise SolverError(
+            f"potential matrix ill-conditioned: condition estimate {1.0 / rcond:.2e}")
+
+
+def _solve_cholesky(m, v, anorm):
+    from scipy.linalg import cho_solve, lapack
+
+    # upper factor; m is symmetric, and its F-ordered view m.T is copied
+    # into the factor's buffer as it lies, without a transpose
+    c, info = lapack.dpotrf(m.T, clean=False)
+    if info > 0:
+        raise SolverError("potential matrix is singular or indefinite: "
+                          f"Cholesky factorization failed at pivot {info}")
+    rcond = float(lapack.dpocon(c, anorm)[0])
+    _check_rcond(rcond)
+    return cho_solve((c, False), v, check_finite=False), rcond
+
+
+def _solve_lu(m, v, anorm):
+    from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
+
+    with warnings.catch_warnings():
+        # a singular matrix is reported by the rcond check below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(m)
+    rcond = float(lapack.dgecon(lu, anorm, norm="1")[0])
+    _check_rcond(rcond)
+    return lu_solve((lu, piv), v), rcond
+
+
 def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
     """Solve M q = V for the element charges.
 
@@ -112,26 +150,15 @@ def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
     electrode at +V/2 faces an implicit image at -V/2, so the differential
     drive is twice the set potential.
     """
-    from scipy.linalg import lapack as _lapack
-    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-
     m = assemble(mesh, mirror=mirror)
     v = np.empty(mesh.n)
     for eid, volt in voltages.items():
         v[mesh.electrode == eid] = volt
     anorm = np.linalg.norm(m, 1)
-    with warnings.catch_warnings():
-        # a singular matrix is reported by the rcond check below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(m)
-    rcond = float(_lapack.dgecon(lu, anorm, norm="1")[0])
-    if rcond == 0.0:
-        raise SolverError("potential matrix is singular: condition estimate "
-                          "rcond = 0")
-    if rcond < RCOND_LIMIT:
-        raise SolverError(
-            f"potential matrix ill-conditioned: condition estimate {1.0 / rcond:.2e}")
-    q = lu_solve((lu, piv), v)
+    if mesh.kind == "flatwire":     # column j uses rbar[j]: not symmetric
+        q, rcond = _solve_lu(m, v, anorm)
+    else:
+        q, rcond = _solve_cholesky(m, v, anorm)
     resid = np.linalg.norm(m @ q - v) / np.linalg.norm(v)
     if resid > RESIDUAL_LIMIT:
         raise SolverError(f"solve residual {resid:.2e} exceeds {RESIDUAL_LIMIT}")

@@ -9,10 +9,11 @@ import pytest
 
 from surfloss.constants import EPS0
 from surfloss import analytic
-from surfloss.bem import MeshCapError, SolverError, solve
+from surfloss.bem import MeshCapError, SolverError, assemble, solve
 from surfloss.bem import mesh as meshes
-from surfloss.bem.suites import (extract_corner_constants, ribbon_ground_point,
-                                 run_suite, suite_coax, wire_field_profile)
+from surfloss.bem.suites import (_rwg_mesh, extract_corner_constants,
+                                 ribbon_ground_point, run_suite, suite_coax,
+                                 wire_field_profile)
 
 UM = 1e-6
 
@@ -113,6 +114,57 @@ def test_singular_matrix_reported(monkeypatch):
     from surfloss.bem import solver as solver_mod
     monkeypatch.setattr(solver_mod, "assemble",
                         lambda mesh, mirror=False: np.ones((2, 2)))
+    m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int),
+                    np.full(2, "x", object))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="singular"):
+            solve(m, {0: 1.0})
+
+
+def _dense_cases():
+    coax = meshes.concat("planar", [
+        meshes.circle(10 * UM, 80, electrode=0, side="inner"),
+        meshes.circle(100 * UM, 240, electrode=1, side="shield")])
+    ribbon = _rwg_mesh(50 * UM, 100 * UM, 130 * UM, 0.1 * UM, 20e-9, 2 * UM,
+                       2000 * UM)
+    rings = meshes.wire_rings(50 * UM, lambda y: np.full_like(y, 0.1 * UM),
+                              y0=0.02 * UM, n=200)
+    strip = meshes.wire_strip(50 * UM, lambda y: np.full_like(y, 0.1 * UM),
+                              y0=0.02 * UM, n=200)
+    return {
+        "coax": (coax, {0: 1.0, 1: 0.0}, False),
+        "ribbon-ground": (ribbon, {0: 0.5, 1: -0.5, 2: 0.0, 3: 0.0}, False),
+        "ring-mirror": (rings, {0: 0.5}, True),
+        "flatwire-mirror": (strip, {0: 0.5}, True),
+    }
+
+
+@pytest.mark.parametrize("case", ["coax", "ribbon-ground", "ring-mirror",
+                                  "flatwire-mirror"])
+def test_solve_matches_dense_solve(case):
+    # Cholesky (planar, ring) and LU (flatwire) against a plain dense solve
+    # of the same assembled system
+    mesh, volts, mirror = _dense_cases()[case]
+    v = np.empty(mesh.n)
+    for eid, volt in volts.items():
+        v[mesh.electrode == eid] = volt
+    want = np.linalg.solve(assemble(mesh, mirror=mirror), v)
+    sol = solve(mesh, volts, mirror=mirror)
+    # normwise: ground elements far from the ribbon carry charges many
+    # orders below the largest, and those agree only to the condition
+    # number times the rounding error
+    assert np.linalg.norm(sol.charge - want) <= 1e-12 * np.linalg.norm(want)
+    assert 0.0 < sol.rcond < 1.0
+
+
+def test_indefinite_matrix_reported(monkeypatch):
+    # a symmetric matrix that is not positive definite has no Cholesky
+    # factor: one SolverError, no warning and no fallback solve
+    from surfloss.bem import solver as solver_mod
+    monkeypatch.setattr(solver_mod, "assemble",
+                        lambda mesh, mirror=False: np.array([[1.0, 2.0],
+                                                             [2.0, 1.0]]))
     m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int),
                     np.full(2, "x", object))
     with warnings.catch_warnings():

@@ -290,9 +290,15 @@ def test_analyze_rejects_non_finite_value(tmp_path, section, key, value):
     assert res.stdout == ""
 
 
-@pytest.mark.parametrize("suite", ["coax", "corner", "flat-wire"])
-def test_verify_too_coarse_mesh_is_numerical_error(suite):
-    res = run_cli("verify", "--suite", suite, "--mesh-scale", "0.001")
+@pytest.mark.parametrize("suite, scale", [
+    pytest.param("coax", "0.001", id="coax"),
+    pytest.param("corner", "0.001", id="corner"),
+    pytest.param("flat-wire", "0.001", id="flat-wire"),
+    # one element: meshes and solves, but no element lies in the check window
+    pytest.param("flat-wire", "0.005", id="flat-wire-0.005"),
+])
+def test_verify_too_coarse_mesh_is_numerical_error(suite, scale):
+    res = run_cli("verify", "--suite", suite, "--mesh-scale", scale)
     assert res.returncode == 3
     assert "Traceback" not in res.stderr
     assert res.stderr.count("error[3]:") == 1

@@ -128,3 +128,53 @@ def test_frozen_kernel_values():
     for name, want in _FROZEN.items():
         np.testing.assert_allclose(got[name], want, rtol=1e-12, atol=0,
                                    err_msg=name)
+
+
+def test_ring_image_equals_mirrored_mutual():
+    # the image half of a mirrored solve, evaluated on i <= j and mirrored
+    from surfloss.bem.mesh import wire_rings
+    mesh = wire_rings(20e-6, lambda y: 0.2 * y, y0=0.02e-6, n=120)
+    z, r = mesh.pos[:, 0], mesh.pos[:, 1]
+    assert np.array_equal(kern.ring_image(z, r), kern.ring_mutual(z, r, -z, r))
+    assert np.array_equal(kern.ring_image(_FROZEN_Z, _FROZEN_R),
+                          kern.ring_mutual(_FROZEN_Z, _FROZEN_R, -_FROZEN_Z,
+                                           _FROZEN_R))
+
+
+def test_planar_matrix_matches_hypot_form():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1e-4, 1e-4, 300)
+    y = rng.uniform(-1e-4, 1e-4, 300)
+    w = rng.uniform(1e-9, 1e-6, 300)
+    m = kern.planar_matrix(x, y, w)
+    off = ~np.eye(300, dtype=bool)
+    rho = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])[off]
+    np.testing.assert_allclose(m[off], np.log(1.0 / rho) / (2 * math.pi * EPS0),
+                               rtol=1e-15, atol=0)
+    assert np.array_equal(m, m.T)
+
+
+# Three charged segments (along x, along y, at 45 degrees) and field points
+# off every segment's line, on segment 0's line inside it and beyond both
+# of its ends, and on segment 1's line inside it and beyond its end.  The
+# values were given by the form with two arctan2 per segment and summed
+# per point.
+_SEG_MX = np.array([0.0, 3e-6, -2e-6])
+_SEG_MY = np.array([0.0, 1e-6, 2e-6])
+_SEG_TX = np.array([1.0, 0.0, math.sqrt(0.5)])
+_SEG_TY = np.array([0.0, 1.0, math.sqrt(0.5)])
+_SEG_W = np.array([2e-6, 1e-6, 0.5e-6])
+_SEG_Q = np.array([1e-12, -2e-12, 0.5e-12])
+_SEG_PX = np.array([0.5e-6, 0.3e-6, -3e-6, 4e-6, 3e-6, 3e-6])
+_SEG_PY = np.array([-1.5e-6, 0.0, 0.0, 0.0, 1.2e-6, 5e-6])
+_SEG_EX = [11092.634367649714, 19430.67181135406, -2206.028264848469,
+           -12724.814344138249, 6987.172527454262, 2878.7307963451453]
+_SEG_EY = [-4507.112983442783, 2297.731580616473, -2646.2452076420786,
+           16725.619012349005, -28504.67162357526, -5597.290897699407]
+
+
+def test_segment_field_frozen_values():
+    ex, ey = kern.segment_field(_SEG_PX, _SEG_PY, _SEG_MX, _SEG_MY, _SEG_TX,
+                                _SEG_TY, _SEG_W, _SEG_Q)
+    np.testing.assert_allclose(ex, _SEG_EX, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(ey, _SEG_EY, rtol=1e-14, atol=0)
