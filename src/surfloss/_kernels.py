@@ -1,9 +1,9 @@
 """Hot solver kernels: potential matrices and fields, vectorized in NumPy.
 
 Everything takes SI inputs and returns potential-matrix entries in volts
-per coulomb (per unit length for the planar kernel).  The ring and
-flat-wire kernels evaluate K(m) at m <= 0 through the Cephes routine of
-scipy.special (see surfloss.special).
+per coulomb (per unit length for the planar kernel).  The ring kernel
+evaluates K(m) at m <= 0 through the Cephes routine of scipy.special (see
+surfloss.special); the flat-wire kernel is the ring kernel at half radius.
 """
 
 from __future__ import annotations
@@ -128,30 +128,20 @@ def ring_image(z, r):
     return m
 
 
-def _flat_kernel(ydist, rbar):
-    return _ellipk_nonpositive(-((rbar / ydist) ** 2)) / (_RING_NORM * ydist)
-
-
-def _flat_self(rb, w):
-    asym = (np.log(4.0 * rb / w) + 1.5) / (_RING_NORM * rb)
-    u = 0.5 * w[:, None] * (_GAUSS_X[None, :] + 1.0)
-    rem = _flat_kernel(u, rb[:, None]) \
-        - np.log(4.0 * rb[:, None] / u) / (_RING_NORM * rb[:, None])
-    integral = 0.5 * w * np.sum(_GAUSS_W[None, :] * (w[:, None] - u) * rem, axis=1)
-    return asym + 2.0 * integral / w**2
-
-
 def flatwire_matrix(y, rbar, w):
     """Thin-strip wire potential matrix (edge-loaded transverse profile).
 
-    Not symmetric: column j uses the source half-width rbar[j].
+    A flat strip of half-width rbar has the potential of a ring of radius
+    rbar/2, so every entry is the ring kernel at half radius.  Not
+    symmetric: column j uses the source half-width rbar[j].
     """
-    y = np.asarray(y, float); rbar = np.asarray(rbar, float); w = np.asarray(w, float)
+    y = np.asarray(y, float); w = np.asarray(w, float)
+    rh = np.asarray(rbar, float) / 2.0
     n = len(y)
     dy = np.abs(y[:, None] - y[None, :])
     np.fill_diagonal(dy, 1.0)
-    m = _flat_kernel(dy, rbar[None, :])
-    m[np.diag_indices(n)] = _flat_self(rbar, w)
+    m = _ring_kernel(dy, rh[None, :], rh[None, :])
+    m[np.diag_indices(n)] = _ring_self(rh, w)
     ii, jj = np.nonzero(dy < NEAR_FACTOR * (w[:, None] + w[None, :]))
     off = ii != jj
     ii, jj = ii[off], jj[off]
@@ -159,17 +149,19 @@ def flatwire_matrix(y, rbar, w):
         yi = y[ii][:, None] + 0.5 * w[ii][:, None] * _GAUSS_X[None, :]
         yj = y[jj][:, None] + 0.5 * w[jj][:, None] * _GAUSS_X[None, :]
         dd = np.abs(yi[:, :, None] - yj[:, None, :])
-        kv = _flat_kernel(dd, rbar[jj][:, None, None])
+        rj = rh[jj][:, None, None]
+        kv = _ring_kernel(dd, rj, rj)
         m[ii, jj] = np.einsum("i,j,pij->p", _GAUSS_W, _GAUSS_W, kv) / 4.0
     return m
 
 
 def flatwire_mutual(y1, y2, rbar2):
-    """Plain flat-wire kernel between two element sets (image terms)."""
+    """Plain flat-wire kernel between two element sets (image terms): the
+    ring kernel at the source's half radius."""
     y1 = np.asarray(y1, float); y2 = np.asarray(y2, float)
-    rbar2 = np.asarray(rbar2, float)
+    rh = np.asarray(rbar2, float)[None, :] / 2.0
     dy = np.abs(y1[:, None] - y2[None, :])
-    return _flat_kernel(dy, rbar2[None, :])
+    return _ring_kernel(dy, rh, rh)
 
 
 def segment_field(px, py, mx, my, tx, ty, w, q):

@@ -216,16 +216,6 @@ def strip_field(x, a: float, b: float, kprime: bool = False):
     return out if out.shape else float(out)
 
 
-def _strip_profiles(a: float, b: float, t: float, kprime: bool):
-    xi = np.geomspace(t / 2, a - t / 2, 120)
-    xc = a + np.geomspace(t / 2, b - a - t / 2, 160)
-    xo = b + np.geomspace(t / 2, 40 * b, 160)
-    inner = FieldProfile(a - xi[::-1], strip_field(a - xi[::-1], a, b, kprime), "inner")
-    center = FieldProfile(xc, strip_field(xc, a, b, kprime), "center")
-    outer = FieldProfile(xo, strip_field(xo, a, b, kprime), "outer")
-    return [inner, center, outer]
-
-
 # --------------------------------------------------------------------------
 # the structures
 
@@ -271,18 +261,16 @@ def parallel_plate(spec: ParallelPlate, stack: DielectricStack,
 
 
 def ribbon(spec: Ribbon, stack: DielectricStack, length: float,
-           corner_split: bool = False,
-           c_m: float = C_M_DEFAULT, c_s: float = C_S_DEFAULT):
-    """Differential ribbon -> (breakdown, energies, field profiles)."""
+           corner_split: bool = False, c_m: float = C_M_DEFAULT,
+           c_s: float = C_S_DEFAULT) -> ParticipationBreakdown:
+    """Differential ribbon participations."""
     a, b, t, ell = spec.a, spec.b, spec.t, spec.length
     k = ellipk((a / b) ** 2)
     u_m = lambda c: ell * surface_sum(a, b, t, c) / (2.0 * k * k * a)
     u_s = ell * surface_sum(a, b, t, c_s) / (4.0 * k * k * a)
-    bd = _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
-                                  ribbon_capacitance(spec, stack),
-                                  c_m=c_m, corner_split=corner_split)
-    pair = SurfaceEnergyPair(u_m(c_m) / ell, u_s / ell, c_m, c_s)
-    return bd, pair, _strip_profiles(a, b, t, kprime=False)
+    return _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
+                                    ribbon_capacitance(spec, stack),
+                                    c_m=c_m, corner_split=corner_split)
 
 
 def ribbon_self_capacitance_participation(spec: Ribbon, stack: DielectricStack,
@@ -295,25 +283,22 @@ def ribbon_self_capacitance_participation(spec: Ribbon, stack: DielectricStack,
     form then appears in every interface.
     """
     length = ribbon_capacitance(spec, stack) / EPS0
-    bd, _, _ = ribbon(spec, stack, length, corner_split=corner_split,
-                      c_m=c_m, c_s=c_s)
-    return bd
+    return ribbon(spec, stack, length, corner_split=corner_split,
+                  c_m=c_m, c_s=c_s)
 
 
 def coplanar(spec: Coplanar, stack: DielectricStack, length: float,
-             corner_split: bool = False,
-             c_m: float = C_M_DEFAULT, c_s: float = C_S_DEFAULT):
-    """Differential (or single-ended) coplanar -> (breakdown, energies, profiles)."""
+             corner_split: bool = False, c_m: float = C_M_DEFAULT,
+             c_s: float = C_S_DEFAULT) -> ParticipationBreakdown:
+    """Differential (or single-ended) coplanar participations."""
     a, b, t, ell = spec.a, spec.b, spec.t, spec.length
     kp = ellipkp((a / b) ** 2)
     mult = 2.0 if spec.single_ended else 1.0
     u_m = lambda c: mult * ell * surface_sum(a, b, t, c) / (kp * kp * a)
     u_s = mult * ell * surface_sum(a, b, t, c_s) / (2.0 * kp * kp * a)
-    bd = _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
-                                  coplanar_capacitance(spec, stack),
-                                  c_m=c_m, corner_split=corner_split)
-    pair = SurfaceEnergyPair(u_m(c_m) / ell, u_s / ell, c_m, c_s)
-    return bd, pair, _strip_profiles(a, b, t, kprime=True)
+    return _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
+                                    coplanar_capacitance(spec, stack),
+                                    c_m=c_m, corner_split=corner_split)
 
 
 def ribbon_ground_field(x, a: float, b: float, c: float):
@@ -343,17 +328,15 @@ def ribbon_ground_energies(a: float, b: float, c: float, t: float,
 
 def ribbon_with_ground(spec: RibbonWithGround, stack: DielectricStack,
                        length: float, corner_split: bool = False,
-                       c_m: float = C_M_DEFAULT, c_s: float = C_S_DEFAULT):
-    """Fitted ribbon-with-ground -> (breakdown, profiles)."""
+                       c_m: float = C_M_DEFAULT,
+                       c_s: float = C_S_DEFAULT) -> ParticipationBreakdown:
+    """Fitted ribbon-with-ground participations."""
     a, b, c, t, ell = spec.a, spec.b, spec.c, spec.t, spec.length
     u_m = lambda cc: ell * ribbon_ground_energies(a, b, c, t, cc, c_s).u_metal
     u_s = ell * ribbon_ground_energies(a, b, c, t, c_m, c_s).u_substrate
-    bd = _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
-                                  ribbon_ground_capacitance(spec, stack),
-                                  c_m=c_m, corner_split=corner_split)
-    xs = a + np.geomspace(t / 2, b - a - t / 2, 160)
-    prof = FieldProfile(xs, ribbon_ground_field(xs, a, b, c), "center")
-    return bd, prof
+    return _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
+                                    ribbon_ground_capacitance(spec, stack),
+                                    c_m=c_m, corner_split=corner_split)
 
 
 # --------------------------------------------------------------------------
@@ -391,7 +374,15 @@ def taper_halfwidth(y, r0: float, slope: float, t: float):
 
 def tapered_wire_energy_quadrature(r0: float, slope: float, d: float, t: float,
                                    c: float = C_M_DEFAULT) -> float:
-    """U/(eps0 V^2) of both tapered wires; the line integral starts at y = 5t."""
+    """U/(eps0 V^2) of both tapered wires; the line integral starts at y = 5t.
+
+    Raises ValueError when the pole of 1/ln(4y/r0)^2 at y = r0/4 lies in
+    [5t, d], that is for r0 >= 20t (and r0 <= 4d): the integral diverges.
+    """
+    if 5.0 * t <= r0 / 4.0 <= d:
+        raise ValueError(
+            f"tapered-wire energy diverges: the integrand has a pole at "
+            f"y = r0/4 = {r0 / 4.0:.4g} m inside [5t, d]; need r0 < 20*t")
     from scipy.integrate import quad
 
     def integrand(y: float) -> float:
@@ -406,29 +397,27 @@ def tapered_wire_energy_quadrature(r0: float, slope: float, d: float, t: float,
 
 def straight_wire(spec: StraightWire, stack: DielectricStack, length: float,
                   corner_split: bool = False, c_m: float = C_M_DEFAULT,
-                  c_s: float = C_S_DEFAULT):
-    """Straight junction wires -> (breakdown, capacitance)."""
+                  c_s: float = C_S_DEFAULT) -> ParticipationBreakdown:
+    """Straight junction-wire participations (fit formulas)."""
     rb, d, t = spec.half_width, spec.d, spec.t
     u_m = lambda c: straight_wire_energy_fit(rb, d, t, c)
     u_s = 0.25 * (math.log(4 * rb / t) + c_s) * (d / rb) / math.log(d / rb) ** 2
-    cap = straight_wire_capacitance(spec, stack)
-    bd = _breakdown_from_energies(spec.label, stack, length, u_m, u_s, cap,
-                                  c_m=c_m, corner_split=corner_split)
-    return bd, cap
+    return _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
+                                    straight_wire_capacitance(spec, stack),
+                                    c_m=c_m, corner_split=corner_split)
 
 
 def tapered_wire(spec: TaperedWire, stack: DielectricStack, length: float,
                  corner_split: bool = False, c_m: float = C_M_DEFAULT,
-                 c_s: float = C_S_DEFAULT):
-    """Tapered junction wires (fit formulas) -> (breakdown, capacitance)."""
+                 c_s: float = C_S_DEFAULT) -> ParticipationBreakdown:
+    """Tapered junction-wire participations (fit formulas)."""
     r0, s, d, t = spec.r0, spec.slope, spec.d, spec.t
     u_m = lambda c: tapered_wire_energy_fit(r0, s, d, t, c)
     u_s = 0.29 * (math.log(d / r0) / s) * (math.log(4 * s * d / t) + c_s) \
         / math.log(4.0 / s) ** 2
-    cap = tapered_wire_capacitance(spec, stack)
-    bd = _breakdown_from_energies(spec.label, stack, length, u_m, u_s, cap,
-                                  c_m=c_m, corner_split=corner_split)
-    return bd, cap
+    return _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
+                                    tapered_wire_capacitance(spec, stack),
+                                    c_m=c_m, corner_split=corner_split)
 
 
 def tapered_wire_energy_fit(r0: float, slope: float, d: float, t: float,
@@ -528,14 +517,11 @@ CLOSED_FORMS = {
     ParallelPlate: (lambda spec, stack: parallel_plate_capacitance(spec),
                     lambda spec, stack, length, *_:
                         parallel_plate(spec, stack, length)),
-    Ribbon: (ribbon_capacitance, lambda *args: ribbon(*args)[0]),
-    Coplanar: (coplanar_capacitance, lambda *args: coplanar(*args)[0]),
-    RibbonWithGround: (ribbon_ground_capacitance,
-                       lambda *args: ribbon_with_ground(*args)[0]),
-    StraightWire: (straight_wire_capacitance,
-                   lambda *args: straight_wire(*args)[0]),
-    TaperedWire: (tapered_wire_capacitance,
-                  lambda *args: tapered_wire(*args)[0]),
+    Ribbon: (ribbon_capacitance, ribbon),
+    Coplanar: (coplanar_capacitance, coplanar),
+    RibbonWithGround: (ribbon_ground_capacitance, ribbon_with_ground),
+    StraightWire: (straight_wire_capacitance, straight_wire),
+    TaperedWire: (tapered_wire_capacitance, tapered_wire),
 }
 
 #: junction-wire types: spec class -> (quadrature, closed form) metal energy

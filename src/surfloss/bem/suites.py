@@ -106,8 +106,7 @@ def suite_flat_coax(mesh_scale: float = 1.0) -> list[Check]:
                        0.0, 0.03))
 
     u_bem = metal_surface_energy(sol, cutoff=t / 2, electrodes=[0])
-    ef = analytic.flat_coax_center_field(rbar, shield)
-    u_th = EPS0 * ef**2 * rbar * math.log(4 * rbar / t)   # thin film: c = 0
+    u_th = EPS0 * analytic.flat_coax_energies(rbar, shield, t, 0.0, 0.0).u_metal
     checks.append(_rel("metal surface energy vs log form (c=0)",
                        u_bem / EPS0, u_th / EPS0, 0.03))
 
@@ -262,9 +261,14 @@ def suite_ribbon_ground(mesh_scale: float = 1.0) -> list[Check]:
     cap, u_m, u_s = ribbon_ground_point(a, b, None, t, mesh_scale)
     c_exact = EPS0 / ck_ratio(a / b)      # vacuum convention
     checks.append(_rel("plain ribbon capacitance vs conformal", cap, c_exact, 0.01))
-    k = analytic.ellipk((a / b) ** 2)
-    u_m_th = EPS0 * analytic.surface_sum(a, b, t, 0.0) / (2 * k * k * a)
-    u_s_th = EPS0 * analytic.surface_sum(a, b, t, 0.0) / (4 * k * k * a)
+    # at unit lengths, weights and oxides, p_MA is the metal energy and
+    # p_SA/2 the substrate energy, both as U/(eps0 V^2) per unit length
+    unit = analytic.DielectricStack(eps_s=1.0, eps_ma=1.0, eps_ms=1.0,
+                                    eps_sa=1.0, t_ma=1.0, t_ms=1.0, t_sa=1.0)
+    plain = analytic.ribbon(analytic.Ribbon(a, b, 1.0, t), unit, 1.0,
+                            c_m=0.0, c_s=0.0)
+    u_m_th = EPS0 * plain.p_ma
+    u_s_th = EPS0 * plain.p_sa / 2.0
     checks.append(_rel("plain ribbon metal energy vs conformal", u_m, u_m_th, 0.02))
     checks.append(_rel("plain ribbon substrate energy vs conformal", u_s, u_s_th,
                        0.02))

@@ -165,8 +165,11 @@ def cmd_sweep(args) -> int:
                 row[f"{name}.{c}"] = bd[c]
             energies = analytic.WIRE_ENERGIES.get(type(spec))
             if energies:
-                row[f"{name}.u_metal"], row[f"{name}.u_metal_fit"] = \
-                    energies(spec)
+                try:
+                    row[f"{name}.u_metal"], row[f"{name}.u_metal_fit"] = \
+                        energies(spec)
+                except ValueError as exc:
+                    return _fail(EXIT_NUMERICAL, f"{args.param}={val}: {exc}")
         row["total.loss_tangent"] = total["loss_tangent"]
         if cols is None:
             cols = list(row)

@@ -270,6 +270,20 @@ def test_taper_optimum_slope():
     assert u16 > u28 > opt.energy
 
 
+def test_tapered_quadrature_rejects_pole_in_domain():
+    # r0 >= 20t puts the pole of 1/ln(4y/r0)^2 at y = r0/4 inside [5t, d]
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="pole"):
+            analytic.tapered_wire_energy_quadrature(2 * UM, 0.28, 50 * UM,
+                                                    0.02 * UM)
+        # just below 20t the pole sits under the lower limit 5t
+        u = analytic.tapered_wire_energy_quadrature(0.39 * UM, 0.28, 50 * UM,
+                                                    0.02 * UM)
+    assert math.isfinite(u) and u > 0
+
+
 def test_taper_optimum_small_distance():
     # d = 5 um: straight and tapered closed forms within 15%
     u_s = analytic.straight_wire_energy_fit(0.1 * UM, 5 * UM, 0.1 * UM)

@@ -216,6 +216,35 @@ t_um = 0.1
     assert res.returncode == 2
 
 
+POLE_WIRE = """
+[structure.taper]
+type = tapered_wire
+r0_um = 2
+slope = 0.4
+d_um = 50
+t_um = 0.02
+"""
+
+
+@pytest.mark.parametrize("cmd", [
+    pytest.param(["taper"], id="taper"),
+    pytest.param(["sweep", "--param", "structure.taper.d_um",
+                  "--range", "40:50", "--steps", "2"], id="sweep"),
+])
+def test_wire_energy_pole_is_numerical_error(tmp_path, cmd):
+    # r0 >= 20t: the pole of the line-energy integrand at y = r0/4 lies in
+    # [5t, d], so the quadrature diverges
+    path = tmp_path / "pole.ini"
+    path.write_text(POLE_WIRE)
+    res = run_cli(cmd[0], "--config", str(path), *cmd[1:])
+    assert res.returncode == 3
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[3]: ") and "pole" in lines[0]
+    assert res.stdout == ""
+
+
 def test_tls_command(table_config, tmp_path):
     out = tmp_path / "tlsout"
     res = run_cli("tls", "--config", str(table_config), "--out", str(out),

@@ -18,6 +18,8 @@ RIBBON = Ribbon(50 * UM, 100 * UM, 1391 * UM, 0.1 * UM)
 COPLANAR = Coplanar(50 * UM, 100 * UM, 1138 * UM, 0.1 * UM)
 WIRE = StraightWire(0.1 * UM, 50 * UM, 0.1 * UM)
 TAPER = TaperedWire(0.1 * UM, 0.4, 50 * UM, 0.1 * UM)
+RWG = RibbonWithGround(50 * UM, 100 * UM, 150 * UM, 1000 * UM, 0.1 * UM)
+SINGLE = Coplanar(50 * UM, 100 * UM, 1138 * UM, 0.1 * UM, single_ended=True)
 
 
 def test_capacitance_to_length_anchor():
@@ -179,9 +181,53 @@ def test_slope_cap_rejected():
 
 
 def test_metal_energy_exceeds_substrate():
-    # u_metal >= u_substrate for like geometry (higher corner constant,
-    # and the substrate integral carries an extra 1/2)
-    _, pair, _ = analytic.ribbon(RIBBON, STACK, 11.3e-3)
-    assert pair.u_metal > pair.u_substrate
-    _, pair_c, _ = analytic.coplanar(COPLANAR, STACK, 11.3e-3)
-    assert pair_c.u_metal > pair_c.u_substrate
+    # u_metal > u_substrate for like geometry (higher corner constant, and
+    # the substrate integral carries an extra 1/2).  With unit weights and
+    # oxides p_MA is the metal energy and p_SA/2 the substrate energy.
+    unit = DielectricStack(eps_s=1, eps_ma=1, eps_ms=1, eps_sa=1,
+                           t_ma=1, t_ms=1, t_sa=1)
+    for spec in (RIBBON, COPLANAR):
+        bd = analytic.participation(spec, unit, 11.3e-3)
+        assert bd.p_ma > bd.p_sa / 2
+
+
+# (p_ma, p_ms, p_sa, capacitance) at L = 11.3 mm on the default stack,
+# recorded before the per-type functions were reduced to their breakdown
+FROZEN_PARTICIPATIONS = {
+    ("plate", False): (8.16326530612245e-05, 0.0, 0.0, 1.0005232228463998e-13),
+    ("plate", True): (8.16326530612245e-05, 0.0, 0.0, 1.0005232228463998e-13),
+    ("ribbon", False): (1.037260199570475e-06, 0.00014199054871920233,
+                        2.7434359200102946e-05, 1.0004812158273419e-13),
+    ("ribbon", True): (1.258267233276751e-06, 0.00011173689587515018,
+                       2.7434359200102946e-05, 1.0004812158273419e-13),
+    ("coplanar", False): (1.0370844771078056e-06, 0.0001419664940712875,
+                          2.7429711539696816e-05, 1.0003117240998345e-13),
+    ("coplanar", True): (1.2580540699672754e-06, 0.00011171796650475461,
+                         2.7429711539696816e-05, 1.0003117240998345e-13),
+    ("single", False): (2.074168954215611e-06, 0.000283932988142575,
+                        5.485942307939363e-05, 2.000623448199669e-13),
+    ("single", True): (2.516108139934551e-06, 0.00022343593300950922,
+                       5.485942307939363e-05, 2.000623448199669e-13),
+    ("rwg", False): (1.0174399309673646e-06, 0.00013927735215012255,
+                     2.813676550216704e-05, 8.066792428884892e-14),
+    ("rwg", True): (1.2366484415673444e-06, 0.00010926989913409137,
+                    2.813676550216704e-05, 8.066792428884892e-14),
+    ("wire", False): (7.465981755470705e-07, 0.00010220182425063849,
+                      1.3001105377799563e-05, 1.854652586739731e-15),
+    ("wire", True): (1.0388639768591748e-06, 6.219355870902458e-05,
+                     1.3001105377799563e-05, 1.854652586739731e-15),
+    ("taper", False): (4.205048921549961e-07, 5.756291468709742e-05,
+                       9.47016791595026e-06, 6.222866720976107e-15),
+    ("taper", True): (5.104746964488104e-07, 4.524694817731719e-05,
+                      9.47016791595026e-06, 6.222866720976107e-15),
+}
+FROZEN_SPECS = {"plate": PLATE, "ribbon": RIBBON, "coplanar": COPLANAR,
+                "single": SINGLE, "rwg": RWG, "wire": WIRE, "taper": TAPER}
+
+
+@pytest.mark.parametrize("name, corner_split", list(FROZEN_PARTICIPATIONS))
+def test_participation_frozen_values(name, corner_split):
+    bd = analytic.participation(FROZEN_SPECS[name], STACK, 11.3e-3,
+                                corner_split=corner_split)
+    assert (bd.p_ma, bd.p_ms, bd.p_sa, bd.capacitance) \
+        == FROZEN_PARTICIPATIONS[name, corner_split]

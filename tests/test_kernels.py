@@ -55,6 +55,18 @@ def test_flat_vs_ring_factor_four():
     assert np.allclose(flat, ring, rtol=1e-13)
 
 
+def test_flat_strip_matrix_is_ring_matrix_at_half_radius():
+    # a constant-width strip: every entry, near-field averages and self
+    # terms included, is the ring entry at radius rbar/2
+    from surfloss.bem.mesh import wire_strip
+    mesh = wire_strip(20e-6, lambda y: np.full_like(y, 0.2e-6), y0=0.04e-6,
+                      n=150)
+    y, rb, w = mesh.pos[:, 0], mesh.halfwidth, mesh.width
+    np.testing.assert_allclose(kern.flatwire_matrix(y, rb, w),
+                               kern.ring_matrix(y, rb / 2, w),
+                               rtol=1e-14, atol=0)
+
+
 def test_matrix_symmetry():
     rng = np.random.default_rng(7)
     z = np.sort(rng.uniform(1e-6, 5e-5, 40))
