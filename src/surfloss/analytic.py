@@ -38,17 +38,6 @@ class SurfaceEnergyPair:
 
     u_metal: float
     u_substrate: float
-    c_m: float = C_M_DEFAULT
-    c_s: float = C_S_DEFAULT
-
-
-@dataclass(frozen=True)
-class FieldProfile:
-    """|E|/V samples along a surface section."""
-
-    position: np.ndarray
-    e_over_v: np.ndarray
-    side: str
 
 
 def corner_split_mode(c_m: float) -> tuple[float, float]:
@@ -96,17 +85,14 @@ def _breakdown_from_energies(label: str, stack: DielectricStack, length: float,
 def coax_fields_and_energies(r: float, R: float):
     """Round coax: center field and metal/substrate surface energies.
 
-    Returns (E_c/V, [metal, substrate] field profiles, SurfaceEnergyPair).
+    Returns (E_c/V, SurfaceEnergyPair).
     """
     if not 0 < r < R:
         raise ValueError(f"coax requires 0 < r < R, got r={r}, R={R}")
     e_c = 1.0 / (r * math.log(R / r))        # |E| at the inner surface, per volt
-    x = np.geomspace(r, R, 200)
-    prof_m = FieldProfile(np.array([r]), np.array([e_c]), "metal")
-    prof_s = FieldProfile(x, e_c * r / x, "substrate")
     u_m = e_c**2 * r * math.pi
     u_s = e_c**2 * r * (1.0 - r / R)
-    return e_c, [prof_m, prof_s], SurfaceEnergyPair(u_m, u_s, math.pi, 0.0)
+    return e_c, SurfaceEnergyPair(u_m, u_s)
 
 
 def flat_coax_center_field(rbar: float, R: float) -> float:
@@ -138,7 +124,7 @@ def flat_coax_energies(rbar: float, R: float, t: float,
         raise ValueError("cutoff degenerate: ln(4*rbar/t) + c must be > 0")
     u_m = ef**2 * rbar * (log_term + c_m)
     u_s = ef**2 * (rbar / 2.0) * (log_term + c_s - 2.0 * rbar / R)
-    return SurfaceEnergyPair(u_m, u_s, c_m, c_s)
+    return SurfaceEnergyPair(u_m, u_s)
 
 
 def corner_field(e_at_cutoff: float, r_c: float, t: float) -> float:
@@ -301,14 +287,6 @@ def coplanar(spec: Coplanar, stack: DielectricStack, length: float,
                                     c_m=c_m, corner_split=corner_split)
 
 
-def ribbon_ground_field(x, a: float, b: float, c: float):
-    """|E(x)|/V for the ribbon-with-ground: ribbon field times the ground factor."""
-    x = np.asarray(x, dtype=float)
-    extra = c * c / np.abs(x * x - c * c)
-    out = strip_field(x, a, b) * np.sqrt(extra)
-    return out if out.shape else float(out)
-
-
 def ribbon_ground_energies(a: float, b: float, c: float, t: float,
                            c_m: float = C_M_DEFAULT,
                            c_s: float = C_S_DEFAULT) -> SurfaceEnergyPair:
@@ -323,7 +301,7 @@ def ribbon_ground_energies(a: float, b: float, c: float, t: float,
            + 1.70 * surface_sum_outer(b, c, t, c_m) / (2 * kp_bc * kp_bc * b))
     u_s = (0.95 * surface_sum(a, b, t, c_s) / (4 * k * k * a)
            + 0.80 * surface_sum(b, c, t, c_s) / (4 * kp_bc * kp_bc * b))
-    return SurfaceEnergyPair(u_m, u_s, c_m, c_s)
+    return SurfaceEnergyPair(u_m, u_s)
 
 
 def ribbon_with_ground(spec: RibbonWithGround, stack: DielectricStack,
@@ -481,19 +459,18 @@ class TaperOptimum:
 
 
 def optimize_taper_slope(r0: float, d: float, t: float,
-                         c_m: float = C_M_DEFAULT,
-                         s_lo: float = 0.05, s_hi: float = MAX_TAPER_SLOPE,
-                         samples: int = 41) -> TaperOptimum:
-    """Minimize the numerically integrated tapered metal line energy over S."""
+                         c_m: float = C_M_DEFAULT) -> TaperOptimum:
+    """Minimize the numerically integrated tapered metal line energy over
+    S, sampled at 41 slopes from 0.05 to the slope cap and then refined."""
     if d <= 5 * t:
         raise ValueError("taper optimization needs d > 5*t")
     f = lambda s: tapered_wire_energy_quadrature(r0, s, d, t, c_m)
-    slopes = np.linspace(s_lo, s_hi, samples)
+    slopes = np.linspace(0.05, MAX_TAPER_SLOPE, 41)
     energies = np.array([f(s) for s in slopes])
     # refine around the best sample, honoring the slope cap
     i = int(np.argmin(energies))
     lo = slopes[max(i - 1, 0)]
-    hi = slopes[min(i + 1, samples - 1)]
+    hi = slopes[min(i + 1, len(slopes) - 1)]
     s_opt, u_opt = golden_section_min(f, lo, hi)
     if u_opt > energies[i]:
         s_opt, u_opt = float(slopes[i]), float(energies[i])

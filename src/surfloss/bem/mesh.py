@@ -1,7 +1,7 @@
 """Surface-charge meshes for the planar, ring, and flat-wire solvers.
 
-Elements are graded geometrically toward edges and corners (ratio 1.15
-by default, minimum size set from the film thickness or gap) so that the
+Elements are graded geometrically toward edges and corners (ratio 1.15,
+minimum size set from the film thickness or gap) so that the
 square-root and corner power-law field divergences are resolved.
 """
 
@@ -68,26 +68,24 @@ def concat(kind: str, parts: list[Mesh]) -> Mesh:
                 thin_sheet=parts[0].thin_sheet)
 
 
-def graded_widths(total: float, h_min: float, h_max: float,
-                  ratio: float = GRADE_RATIO, grade_start: bool = True,
-                  grade_end: bool = True) -> np.ndarray:
-    """Element widths summing to total, geometric growth away from graded ends."""
+def graded_widths(total: float, h_min: float, h_max: float) -> np.ndarray:
+    """Element widths summing to total, geometric growth away from both ends."""
     if total <= 0:
         raise ValueError("segment length must be > 0")
     h_min = min(h_min, total / 4)
     h_max = max(h_max, h_min)
-    start = [h_min if grade_start else h_max]
-    end = [h_min if grade_end else h_max]
+    start = [h_min]
+    end = [h_min]
     while sum(start) + sum(end) < total:
         if sum(start) <= sum(end):
-            start.append(min(start[-1] * ratio, h_max))
+            start.append(min(start[-1] * GRADE_RATIO, h_max))
         else:
-            end.append(min(end[-1] * ratio, h_max))
+            end.append(min(end[-1] * GRADE_RATIO, h_max))
     w = np.array(start + end[::-1])
     return w * (total / w.sum())
 
 
-def _segment(p0, p1, widths, electrode, side, ends=(True, True)) -> Mesh:
+def _segment(p0, p1, widths, electrode, side) -> Mesh:
     p0 = np.asarray(p0, float); p1 = np.asarray(p1, float)
     length = float(np.hypot(*(p1 - p0)))
     s = np.concatenate([[0.0], np.cumsum(widths)])
@@ -96,30 +94,25 @@ def _segment(p0, p1, widths, electrode, side, ends=(True, True)) -> Mesh:
     pos = p0[None, :] + mid[:, None] * t[None, :]
     tan = np.tile(t, (len(widths), 1))
     n = len(widths)
-    d0 = mid if ends[0] else np.full(n, np.inf)
-    d1 = (length - mid) if ends[1] else np.full(n, np.inf)
     return Mesh("planar", pos, np.asarray(widths, float),
                 np.full(n, electrode, int), np.full(n, side, object),
-                tangent=tan, end_distance=np.minimum(d0, d1), thin_sheet=True)
+                tangent=tan, end_distance=np.minimum(mid, length - mid),
+                thin_sheet=True)
 
 
-def line(p0, p1, h_min, h_max, electrode=0, side="metal",
-         grade=(True, True)) -> Mesh:
-    """Straight graded planar segment from p0 to p1."""
+def line(p0, p1, h_min, h_max, electrode=0, side="metal") -> Mesh:
+    """Straight planar segment from p0 to p1, graded at both ends."""
     length = float(np.hypot(*(np.asarray(p1, float) - np.asarray(p0, float))))
-    w = graded_widths(length, h_min, h_max, grade_start=grade[0], grade_end=grade[1])
-    return _segment(p0, p1, w, electrode, side, ends=grade)
+    return _segment(p0, p1, graded_widths(length, h_min, h_max), electrode, side)
 
 
-def circle(radius: float, n: int, electrode=0, side="shield",
-           center=(0.0, 0.0)) -> Mesh:
-    """Closed circular contour (solid conductor boundary)."""
+def circle(radius: float, n: int, electrode=0, side="shield") -> Mesh:
+    """Closed circular contour about the origin (solid conductor boundary)."""
     if n < 3:
         raise MeshCapError(f"circle needs at least 3 elements, got {n}; "
                            "increase mesh_scale")
     th = (np.arange(n) + 0.5) * 2.0 * np.pi / n
-    pos = np.stack([center[0] + radius * np.cos(th),
-                    center[1] + radius * np.sin(th)], axis=1)
+    pos = np.stack([radius * np.cos(th), radius * np.sin(th)], axis=1)
     tan = np.stack([-np.sin(th), np.cos(th)], axis=1)
     w = np.full(n, 2.0 * np.pi * radius / n)
     return Mesh("planar", pos, w, np.full(n, electrode, int),
@@ -186,10 +179,10 @@ def film_cross_section(rbar: float, t: float, h_min: float, h_max: float,
     return mesh
 
 
-def wire_rings(d: float, radius_fn, y0: float, n: int = 320,
-               end_refine: float = 0.08) -> Mesh:
-    """Axisymmetric wire surface from y0 to d, log-spaced with a refined end."""
-    d1 = d * (1.0 - end_refine)
+def wire_rings(d: float, radius_fn, y0: float, n: int = 320) -> Mesh:
+    """Axisymmetric wire surface from y0 to d, log-spaced with the last 8%
+    refined toward the end."""
+    d1 = d * (1.0 - 0.08)
     e1 = np.geomspace(y0, d1, max(int(n * 0.8), 16) + 1)
     m = max(int(n * 0.2), 8)
     e2 = d - np.geomspace(d - d1, 1e-3 * (d - d1), m + 1)

@@ -63,8 +63,6 @@ class ChargeSolution:
 
     mesh: Mesh
     charge: np.ndarray
-    voltages: dict
-    mirror: bool
     rcond: float
     capacitance: float
 
@@ -171,7 +169,7 @@ def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
     else:
         dv = vals[-1] - vals[0] if len(vals) > 1 else vals[-1]
     cap = q_pos / dv if dv else math.nan
-    return ChargeSolution(mesh, q, dict(voltages), mirror, rcond, cap)
+    return ChargeSolution(mesh, q, rcond, cap)
 
 
 # --------------------------------------------------------------------------
@@ -197,25 +195,25 @@ def metal_surface_energy(sol: ChargeSolution, cutoff: float = 0.0,
     return float(np.sum((sigma[keep] ** 2) * mesh.width[keep]) / (2.0 * EPS0))
 
 
-def substrate_line_energy(sol: ChargeSolution, spans, cutoff: float = 0.0,
-                          n_samples: int = 400) -> float:
+def substrate_line_energy(sol: ChargeSolution, spans,
+                          cutoff: float = 0.0) -> float:
     """(eps0/2) * integral of E^2 along y=0 over the given (x0, x1) gaps.
 
     Half-open spans (x1 = inf) integrate out to where the field has decayed.
-    Sampling is geometric from each end; the cutoff trims the approach to
-    metal edges.
+    Sampling is geometric from each end, 400 points per span; the cutoff
+    trims the approach to metal edges.
     """
     mesh = sol.mesh
     total = 0.0
     scale = float(np.max(np.abs(mesh.pos)))
     for x0, x1 in spans:
         if math.isinf(x1):
-            s = np.geomspace(max(cutoff, 1e-12), 50.0 * scale, n_samples)
+            s = np.geomspace(max(cutoff, 1e-12), 50.0 * scale, 400)
             xs = x0 + s
         else:
             half = 0.5 * (x1 - x0)
             lo = min(max(cutoff, 1e-6 * half), 0.5 * half)
-            s = np.geomspace(lo, half, n_samples // 2)
+            s = np.geomspace(lo, half, 200)
             xs = np.unique(np.concatenate([x0 + s, x1 - s[::-1]]))
         ex, ey = sol.field_at(xs, np.zeros_like(xs))
         total += float(np.trapezoid(ex**2 + ey**2, xs))

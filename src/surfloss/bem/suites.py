@@ -36,9 +36,9 @@ class Check:
     note: str = ""
 
 
-def _rel(name, computed, target, tol, note="") -> Check:
+def _rel(name, computed, target, tol) -> Check:
     err = abs(computed / target - 1.0)
-    return Check(name, target, computed, tol, err <= tol, note)
+    return Check(name, target, computed, tol, err <= tol)
 
 
 def _abs(name, computed, target, tol, note="") -> Check:
@@ -58,7 +58,6 @@ def suite_coax(mesh_scale: float = 1.0) -> list[Check]:
         m = meshes.concat("planar", [meshes.circle(r, ni, electrode=0, side="inner"),
                                      meshes.circle(radius_out, no, electrode=1,
                                                    side="shield")])
-        m.thin_sheet = False
         return solve(m, {0: 1.0, 1: 0.0})
 
     sol = solve_coax(n_in, n_out)
@@ -83,9 +82,8 @@ def suite_flat_coax(mesh_scale: float = 1.0) -> list[Check]:
     strip = meshes.thin_strip(-rbar, rbar, t / (20 * mesh_scale), 1e-6,
                               electrode=0, side="metal")
     outer = meshes.circle(shield, int(1000 * mesh_scale), electrode=1)
+    # thin_sheet comes from the strip; only the strip's metal energy is read
     m = meshes.concat("planar", [strip, outer])
-    m.thin_sheet = True
-    # the shield is a closed solid contour; keep only the strip thin
     sol = solve(m, {0: 1.0, 1: 0.0})
 
     n_strip = strip.n
@@ -131,7 +129,6 @@ def _film_solve(rbar, shield, t, edge, mesh_scale, hfac):
                                      electrode=0)
     outer = meshes.circle(shield, int(900 * mesh_scale), electrode=1)
     m = meshes.concat("planar", [film, outer])
-    m.thin_sheet = False
     sol = solve(m, {0: 1.0, 1: 0.0})
     ef = analytic.flat_coax_center_field(rbar, shield)
     u_m = metal_surface_energy(sol, electrodes=[0])
@@ -223,9 +220,7 @@ def _rwg_mesh(a, b, c_gnd, t, h_edge, h_max, extent):
         strips.append(meshes.thin_strip(-c_gnd - extent, -c_gnd, h_edge,
                                         extent / 30, electrode=3, side="ground",
                                         cutoff=t / 2))
-    m = meshes.concat("planar", strips)
-    m.thin_sheet = True
-    return m
+    return meshes.concat("planar", strips)
 
 
 def ribbon_ground_point(a, b, c_gnd, t, mesh_scale: float = 1.0):

@@ -58,6 +58,12 @@ def _sections(text: str) -> int:
 
 # --------------------------------------------------------------------------
 
+#: columns of the analyze table and its csv/jsonl rows; sweep takes the
+#: numeric ones per structure
+_COLUMNS = ("structure", "capacitance_ff", "p_ma", "p_ms", "p_sa",
+            "loss_tangent")
+
+
 def _analysis_rows(cfg: DesignConfig, corner_split: bool = False):
     names = [n for n, _ in cfg.structures]
     design = assemble_design([s for _, s in cfg.structures], cfg.stack,
@@ -78,30 +84,29 @@ def _analysis_rows(cfg: DesignConfig, corner_split: bool = False):
 
 
 def _print_table(rows, total):
-    cols = ["structure", "capacitance_ff", "p_ma", "p_ms", "p_sa", "loss_tangent"]
-    widths = {c: max(len(c), 12) for c in cols}
+    widths = {c: max(len(c), 12) for c in _COLUMNS}
     widths["structure"] = max([len(r["structure"]) for r in rows + [total]]
                               + [len("structure")])
-    head = "  ".join(c.ljust(widths[c]) for c in cols)
+    head = "  ".join(c.ljust(widths[c]) for c in _COLUMNS)
     print(head)
     print("-" * len(head))
     for r in rows + [total]:
         cells = [r["structure"].ljust(widths["structure"])]
-        cells += [_fmt(r[c]).ljust(widths[c]) for c in cols[1:]]
+        cells += [_fmt(r[c]).ljust(widths[c]) for c in _COLUMNS[1:]]
         print("  ".join(cells))
 
 
 def _write_rows(path: Path, rows, fmt: str):
-    cols = ["structure", "capacitance_ff", "p_ma", "p_ms", "p_sa", "loss_tangent"]
     with open(path, "w", newline="") as fh:
         if fmt == "jsonl":
             for r in rows:
                 fh.write(json.dumps(r, sort_keys=True) + "\n")
         else:
             wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(cols)
+            wr.writerow(_COLUMNS)
             for r in rows:
-                wr.writerow([r["structure"]] + [f"{r[c]:.12e}" for c in cols[1:]])
+                wr.writerow([r["structure"]]
+                            + [f"{r[c]:.12e}" for c in _COLUMNS[1:]])
 
 
 def cmd_analyze(args) -> int:
@@ -161,7 +166,7 @@ def cmd_sweep(args) -> int:
         row = {"param": float(val)}
         for name, spec in cfg_i.structures:
             bd = next(r for r in rows if r["structure"] == name)
-            for c in ("capacitance_ff", "p_ma", "p_ms", "p_sa", "loss_tangent"):
+            for c in _COLUMNS[1:]:
                 row[f"{name}.{c}"] = bd[c]
             energies = analytic.WIRE_ENERGIES.get(type(spec))
             if energies:
@@ -230,6 +235,9 @@ def cmd_tls(args) -> int:
     cfg = load_config(args.config)
     design, rows, total = _analysis_rows(cfg)
     span_hz = args.span_ghz * GHZ if args.span_ghz else cfg.span_hz
+    if math.isinf(span_hz):
+        return _fail(EXIT_CONFIG, f"--span-ghz: {args.span_ghz:g} GHz "
+                                  "overflows in Hz")
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -256,7 +264,12 @@ def cmd_tls(args) -> int:
             s_spaced = spectrum.s_at_spacing(200e6)
         except ValueError as exc:
             return _fail(EXIT_NUMERICAL, f"{name}: {exc}")
-        count = tls.DENSITY_PER_UM2_GHZ * spectrum.area_um2[-1] * span_hz / 1e9
+        # a Python float overflows to inf without a NumPy RuntimeWarning
+        count = tls.DENSITY_PER_UM2_GHZ * float(spectrum.area_um2[-1]) \
+            * span_hz / 1e9
+        if math.isinf(count):
+            return _fail(EXIT_NUMERICAL, f"{name}: expected count over the "
+                                         "span overflows")
         print(f"{name}: largest observable splitting {_fmt(s_first)} Hz "
               f"(A = 1 um^2); {_fmt(s_spaced)} Hz at one-per-200-MHz spacing; "
               f"expected count over span ~ {count:.0f}")
@@ -282,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="participation table for a design config")
     pa.add_argument("--config", required=True)
     pa.add_argument("--out", default=None)
-    pa.add_argument("--format", choices=("table", "csv", "jsonl"), default="csv")
+    pa.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     pa.add_argument("--corner-split", action="store_true",
                     help="split the film corner energy 1.5/0.5 between air "
                          "and substrate sides")
@@ -327,6 +340,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (MeshCapError, SolverError) as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
+    except OverflowError as exc:
+        return _fail(EXIT_NUMERICAL, f"floating-point overflow: {exc}")
 
 
 if __name__ == "__main__":

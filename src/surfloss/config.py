@@ -52,7 +52,7 @@ class DesignConfig:
     structures: list            # [(name, StructureSpec)]
     target_capacitance: Optional[float]   # F, or None
     span_hz: float
-    warnings: list = None       # type: ignore[assignment]
+    warnings: list
 
 
 def _parse_float(raw: str, where: str, problems: list[str]) -> float:
@@ -107,9 +107,12 @@ def parse_config(cp: configparser.ConfigParser,
                                         problems) * FF
             elif key == "span_ghz":
                 span_ghz = _parse_float(raw, "targets.span_ghz", problems)
+                span_hz = span_ghz * GHZ
                 if math.isfinite(span_ghz) and span_ghz <= 0:
                     problems.append("targets.span_ghz: must be > 0")
-                span_hz = span_ghz * GHZ
+                elif math.isfinite(span_ghz) and math.isinf(span_hz):
+                    problems.append(f"targets.span_ghz: {raw.strip()} GHz "
+                                    "overflows in Hz")
             else:
                 problems.append(f"targets.{key}: unknown key")
 

@@ -254,7 +254,6 @@ class ParticipationBreakdown:
 class DesignAssembly:
     """A multi-structure design resolved at a shared qubit capacitance."""
 
-    structures: tuple
     breakdowns: tuple
     capacitance: float
     length: float            # L = C/eps0
@@ -266,9 +265,10 @@ def validate_design(structures, stack: DielectricStack) -> list[str]:
     if not structures:
         problems.append("structures: list must not be empty")
     for s in structures:
-        problems.extend(s.validate())
+        own = s.validate()
+        problems.extend(own)
         t_metal = getattr(s, "t", None)
-        if t_metal is not None and not s.validate():
+        if t_metal is not None and not own:
             for name, tox in (("t_ma", stack.t_ma), ("t_ms", stack.t_ms),
                               ("t_sa", stack.t_sa)):
                 if tox >= t_metal:
@@ -304,5 +304,4 @@ def assemble_design(structures, stack: DielectricStack,
         bd = analytic.participation(s, stack, length, corner_split=corner_split)
         breakdowns.append(bd.with_loss(stack))
     total_loss = sum(b.loss_tangent for b in breakdowns)
-    return DesignAssembly(tuple(structures), tuple(breakdowns),
-                          c_total, length, total_loss)
+    return DesignAssembly(tuple(breakdowns), c_total, length, total_loss)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .constants import EPS0
 from .geometry import Coplanar, DielectricStack, ParallelPlate, Ribbon
-from .special import ellipk, ellipkp
+from .special import ellipkp
 from . import analytic
 
 #: measured reference: S_max = 74 MHz at C = 2 pF across a 2 nm junction gap
@@ -66,7 +65,6 @@ class TlsSpectrum:
 
     s_hz: np.ndarray          # descending
     area_um2: np.ndarray      # increasing
-    label: str = ""
 
     def area_at(self, s: float) -> float:
         """Cumulative area carrying splittings of at least s."""
@@ -95,17 +93,17 @@ def splitting_density(spectrum: TlsSpectrum, s1: float, s2: float) -> float:
     return DENSITY_PER_UM2_GHZ * abs(a1 - a2)
 
 
-def _spectrum_from_patches(s_values, areas_um2, label) -> TlsSpectrum:
+def _spectrum_from_patches(s_values, areas_um2) -> TlsSpectrum:
     order = np.argsort(-np.asarray(s_values))
     s_sorted = np.asarray(s_values)[order]
     a_sorted = np.cumsum(np.asarray(areas_um2)[order])
-    return TlsSpectrum(s_sorted, a_sorted, label)
+    return TlsSpectrum(s_sorted, a_sorted)
 
 
 # --------------------------------------------------------------------------
 
 def ribbon_tls_profile(spec: Ribbon, stack: DielectricStack,
-                       capacitance: float, n: int = 4000) -> TlsSpectrum:
+                       capacitance: float) -> TlsSpectrum:
     """S_max map of the ribbon metal-substrate interface near the inner edge.
 
     The field is the conformal strip solution down to the half-thickness
@@ -119,7 +117,7 @@ def ribbon_tls_profile(spec: Ribbon, stack: DielectricStack,
 
     r_lo = 0.02 / (area_per_m * 1e12)           # start around A ~ 0.02 um^2
     r_hi = 0.45 * (b - a)
-    r_c = np.geomspace(r_lo, r_hi, n)
+    r_c = np.geomspace(r_lo, r_hi, 4000)
     e_cut = analytic.strip_field(a + t / 2, a, b)
     e = np.where(r_c >= t / 2,
                  analytic.strip_field(a + np.maximum(r_c, t / 2), a, b),
@@ -127,11 +125,10 @@ def ribbon_tls_profile(spec: Ribbon, stack: DielectricStack,
     s = pre * weight * e
     area = area_per_m * r_c * 1e12              # um^2
     # already monotone: S decreasing with r_c, area increasing
-    return TlsSpectrum(s, area, spec.label)
+    return TlsSpectrum(s, area)
 
 
-def wire_tls_spectrum(spec, capacitance: float,
-                      stack: Optional[DielectricStack] = None,
+def wire_tls_spectrum(spec, capacitance: float, stack: DielectricStack,
                       sections: int = 100_000) -> TlsSpectrum:
     """S_max spectrum of a junction-wire pair's metal-substrate face.
 
@@ -140,8 +137,6 @@ def wire_tls_spectrum(spec, capacitance: float,
     each edge, and corner sub-bins below.  Patches are sorted by descending
     S_max and their areas accumulated.
     """
-    if stack is None:
-        stack = DielectricStack()
     weight = stack.eps_s / stack.eps_ms
     if type(spec) not in analytic.WIRE_ENERGIES:
         raise TypeError("wire spectrum needs a StraightWire or TaperedWire")
@@ -186,7 +181,7 @@ def wire_tls_spectrum(spec, capacitance: float,
     s_all = np.concatenate([s_face.ravel(), s_corner.ravel()])
     a_all = np.concatenate([a_face.ravel(), a_corner.ravel()]) \
         * thickness_scale * 1e12
-    return _spectrum_from_patches(s_all, a_all, spec.label)
+    return _spectrum_from_patches(s_all, a_all)
 
 
 def parallel_plate_splitting(spec: ParallelPlate, stack: DielectricStack,
@@ -214,44 +209,32 @@ class SaturationCurve:
     marker: tuple = ()           # (E_s, energy) characteristic crossover
 
 
-def _coplanar_field_fn(spec: Coplanar, volts: float):
-    """|E(x)| on the plane for a single-ended coplanar at `volts`."""
-    kp = ellipkp((spec.a / spec.b) ** 2)
-    b = spec.b
-
-    def f(x):
-        return volts * b / (kp * np.sqrt(np.abs((x**2 - spec.a**2)
-                                                * (x**2 - b**2))))
-    return f
-
-
 def coplanar_saturated_surface_energy(spec: Coplanar, e_s: float,
-                                      volts: float = 1.0,
-                                      n: int = 1200) -> float:
+                                      volts: float = 1.0) -> float:
     """(eps0/2) * saturated E^2 over the metal surfaces, per unit length."""
     a, b, t = spec.a, spec.b, spec.t
-    f = _coplanar_field_fn(spec, volts)
-    xi = a - np.geomspace(t / 2, a * (1 - 1e-9), n // 2)
-    xo = b + np.geomspace(t / 2, 200 * b, n // 2)
+    xi = a - np.geomspace(t / 2, a * (1 - 1e-9), 600)
+    xo = b + np.geomspace(t / 2, 200 * b, 600)
     total = 0.0
     for xs in (np.sort(xi), xo):
-        e2 = saturate(f(xs) ** 2, e_s)
+        # strip_field is per differential volt; single-ended is twice that
+        e = 2.0 * volts * analytic.strip_field(xs, a, b, kprime=True)
+        e2 = saturate(e**2, e_s)
         total += float(np.trapezoid(e2, xs))
     # 2 faces and the +-x symmetry
     return 0.5 * EPS0 * 4.0 * total
 
 
 def coplanar_saturated_volume_energy(spec: Coplanar, e_s: float,
-                                     volts: float = 1.0,
-                                     n: int = 160) -> float:
+                                     volts: float = 1.0) -> float:
     """(eps0/2) * saturated E^2 over the whole plane, per unit length."""
     a, b = spec.a, spec.b
     kp = ellipkp((a / b) ** 2)
-    y = np.geomspace(1e-5 * a, 100 * b, n)
+    y = np.geomspace(1e-5 * a, 100 * b, 160)
     x = np.unique(np.concatenate([
-        np.linspace(0, 1.2 * b, n),
-        a + np.geomspace(1e-5 * a, b, n // 2), a - np.geomspace(1e-5 * a, a, n // 2),
-        b + np.geomspace(1e-5 * a, 100 * b, n), b - np.geomspace(1e-5 * a, b - a, n // 2),
+        np.linspace(0, 1.2 * b, 160),
+        a + np.geomspace(1e-5 * a, b, 80), a - np.geomspace(1e-5 * a, a, 80),
+        b + np.geomspace(1e-5 * a, 100 * b, 160), b - np.geomspace(1e-5 * a, b - a, 80),
     ]))
     x = x[x >= 0]
     zz = x[None, :] + 1j * y[:, None]

@@ -18,14 +18,14 @@ STACK = DielectricStack()
 # ---------------------------------------------------------------- coax
 
 def test_coax_center_field():
-    e_c, _, _ = analytic.coax_fields_and_energies(10 * UM, 100 * UM)
+    e_c, _ = analytic.coax_fields_and_energies(10 * UM, 100 * UM)
     assert e_c * 10 * UM == pytest.approx(1.0 / math.log(10.0), rel=1e-12)
 
 
 def test_coax_substrate_energy_limit():
     # U_s -> eps * E^2 * r as R/r -> infinity
     r = 10 * UM
-    _, _, pair1 = analytic.coax_fields_and_energies(r, 1e3 * r)
+    _, pair1 = analytic.coax_fields_and_energies(r, 1e3 * r)
     e1 = 1.0 / (r * math.log(1e3))
     assert pair1.u_substrate == pytest.approx(e1**2 * r, rel=1e-3)
 

@@ -94,6 +94,40 @@ def test_analyze_csv_output(table_config, tmp_path):
     assert lines[-1].startswith("TOTAL,")
 
 
+def test_analyze_jsonl_output_matches_csv(table_config, tmp_path):
+    out = tmp_path / "out"
+    for fmt in ("csv", "jsonl"):
+        res = run_cli("analyze", "--config", str(table_config),
+                      "--out", str(out), "--format", fmt)
+        assert res.returncode == 0, res.stderr
+    csv_lines = (out / "analyze.csv").read_text().splitlines()
+    header = csv_lines[0].split(",")
+    json_lines = (out / "analyze.jsonl").read_text().splitlines()
+    assert len(json_lines) == len(csv_lines) - 1
+    objs = [json.loads(line) for line in json_lines]
+    # one object per structure in config order, then TOTAL; keys sorted
+    assert [o["structure"] for o in objs] == ["plate", "pads", "wire",
+                                              "taper", "TOTAL"]
+    for line, obj in zip(json_lines, objs):
+        assert list(obj) == sorted(header)
+        assert line == json.dumps(obj, sort_keys=True)
+    for row, obj in zip(csv_lines[1:], objs):
+        cells = row.split(",")
+        assert cells[0] == obj["structure"]
+        for key, cell in zip(header[1:], cells[1:]):
+            assert float(cell) == pytest.approx(obj[key], rel=1e-12)
+
+
+def test_analyze_rejects_table_format(table_config, tmp_path):
+    out = tmp_path / "out"
+    res = run_cli("analyze", "--config", str(table_config),
+                  "--out", str(out), "--format", "table")
+    assert res.returncode == 2
+    assert "--format" in res.stderr
+    assert res.stdout == ""
+    assert not out.exists()
+
+
 def test_analyze_empty_structures(tmp_path):
     path = tmp_path / "empty.ini"
     path.write_text("[stack]\neps_ma = 9.8\n")
@@ -265,6 +299,55 @@ def test_tls_rejects_non_positive_config_span(tmp_path, span):
     res = run_cli("tls", "--config", str(path), "--sections", "20000")
     assert res.returncode == 2
     assert res.stderr == "error[2]: targets.span_ghz: must be > 0\n"
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_tls_rejects_span_overflowing_in_hz(tmp_path, where):
+    # 1e300 GHz is finite, but 1e309 Hz is not
+    path = tmp_path / "span.ini"
+    if where == "config":
+        path.write_text(TABLE_CONFIG.replace("span_ghz = 2", "span_ghz = 1e300"))
+        flags = []
+    else:
+        path.write_text(TABLE_CONFIG)
+        flags = ["--span-ghz", "1e300"]
+    res = run_cli("tls", "--config", str(path), "--sections", "20000", *flags)
+    assert res.returncode == 2
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[2]: ") and "overflows" in lines[0]
+    assert res.stdout == ""
+
+
+def test_tls_count_overflow_is_numerical_error(table_config):
+    # the span fits in Hz, the expected splitting count over it does not
+    res = run_cli("tls", "--config", str(table_config), "--sections", "20000",
+                  "--span-ghz", "1e299")
+    assert res.returncode == 3
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0] == "error[3]: pads: expected count over the span overflows"
+    assert "inf" not in res.stdout
+
+
+@pytest.mark.parametrize("cmd", [
+    pytest.param(["analyze"], id="analyze"),
+    pytest.param(["sweep", "--param", "structure.pads.a_um",
+                  "--range", "40:50", "--steps", "2"], id="sweep"),
+])
+def test_permittivity_overflow_is_numerical_error(tmp_path, cmd):
+    # eps_s^2 in the metal-substrate weight overflows a float
+    path = tmp_path / "eps.ini"
+    path.write_text(TABLE_CONFIG.replace("eps_substrate = 11.7",
+                                         "eps_substrate = 1e200"))
+    res = run_cli(cmd[0], "--config", str(path), *cmd[1:])
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[3]: floating-point overflow")
     assert res.stdout == ""
 
 
