@@ -293,27 +293,28 @@ def suite_ribbon_ground(mesh_scale: float = 1.0) -> list[Check]:
 
 # --------------------------------------------------------------------------
 
+def _wire_pair(d, r0, slope, mesh_scale, flat):
+    """Mesh and mirrored solve of a differential wire pair at +-0.5 V.  A
+    straight wire has radius or half-width r0; a tapered flat wire widens
+    from r0 at slope S, and a tapered round one is the cone r = S*y."""
+    if not slope:
+        rf = lambda y: np.full_like(y, r0)
+    elif flat:
+        rf = lambda y: analytic.taper_halfwidth(y, r0, slope, r0)
+    else:
+        rf = lambda y: slope * y
+    mesh, n = (meshes.wire_strip, 280) if flat else (meshes.wire_rings, 340)
+    m = mesh(d, rf, y0=r0 / 5, n=int(n * mesh_scale))
+    return m, solve(m, {0: 0.5}, mirror=True)
+
+
 def wire_field_profile(d: float, r0: float, slope: float = 0.0,
                        mesh_scale: float = 1.0, flat: bool = False):
     """Solve a differential wire pair; returns (y, E/V, E_formula/V)."""
-    if flat:
-        rf = (lambda y: analytic.taper_halfwidth(y, r0, slope, r0))  \
-            if slope else (lambda y: np.full_like(y, r0))
-        m = meshes.wire_strip(d, rf, y0=r0 / 5, n=int(280 * mesh_scale))
-        sol = solve(m, {0: 0.5}, mirror=True)
-        y = m.pos[:, 0]
-        e = sol.surface_field()
-        e_th = analytic.wire_field(y, m.halfwidth, flat=True)
-        return y, e, e_th
-    # round wire: straight radius r0, or the pure cone r = S*y of the
-    # tapered-field verification
-    rf = (lambda y: slope * y) if slope else (lambda y: np.full_like(y, r0))
-    m = meshes.wire_rings(d, rf, y0=r0 / 5, n=int(340 * mesh_scale))
-    sol = solve(m, {0: 0.5}, mirror=True)
+    m, sol = _wire_pair(d, r0, slope, mesh_scale, flat)
     y = m.pos[:, 0]
-    e = sol.surface_field()
-    e_th = analytic.wire_field(y, m.pos[:, 1], flat=False)
-    return y, e, e_th
+    width = m.halfwidth if flat else m.pos[:, 1]
+    return y, sol.surface_field(), analytic.wire_field(y, width, flat=flat)
 
 
 def _window_rel_err(e, e_th, win) -> float:
@@ -338,9 +339,7 @@ def suite_cyl_wire(mesh_scale: float = 1.0) -> list[Check]:
                            0.0, 0.05))
     # capacitance of the straight pair vs the fitted form (vacuum convention)
     d2 = 50e-6
-    m = meshes.wire_rings(d2, lambda y: np.full_like(y, r0), y0=r0 / 5,
-                          n=int(340 * mesh_scale))
-    sol = solve(m, {0: 0.5}, mirror=True)
+    _, sol = _wire_pair(d2, r0, 0.0, mesh_scale, flat=False)
     wire = analytic.StraightWire(half_width=r0, d=d2, t=r0)
     c_fit = analytic.straight_wire_capacitance(
         wire, analytic.DielectricStack(eps_s=1.0))

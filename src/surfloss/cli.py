@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -35,8 +36,29 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2e}"
+def _fmt(x: float, spec: str = ".2e") -> str:
+    """Every printed or written number goes through here; a non-finite one
+    is a numerical failure."""
+    if not math.isfinite(x):
+        raise FloatingPointError("a result is not a finite number; the "
+                                 "inputs are outside the range of a float")
+    return format(x, spec)
+
+
+def _csv(header, rows) -> str:
+    """CSV text of a header and rows of formatted cells."""
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    wr.writerow(header)
+    wr.writerows(rows)
+    return buf.getvalue()
+
+
+def _save(out: str, name: str, text: str) -> None:
+    """Write text to file name in the --out directory, creating it."""
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    (path / name).write_text(text, newline="")
 
 
 def _positive_float(text: str) -> float:
@@ -65,15 +87,12 @@ _COLUMNS = ("structure", "capacitance_ff", "p_ma", "p_ms", "p_sa",
 
 
 def _analysis_rows(cfg: DesignConfig, corner_split: bool = False):
-    names = [n for n, _ in cfg.structures]
-    design = assemble_design([s for _, s in cfg.structures], cfg.stack,
+    design = assemble_design(cfg.structures, cfg.stack,
                              target_capacitance=cfg.target_capacitance,
                              corner_split=corner_split)
-    rows = []
-    for name, bd in zip(names, design.breakdowns):
-        rows.append({"structure": name, "capacitance_ff": bd.capacitance / FF,
-                     "p_ma": bd.p_ma, "p_ms": bd.p_ms, "p_sa": bd.p_sa,
-                     "loss_tangent": bd.loss_tangent})
+    rows = [{"structure": bd.label, "capacitance_ff": bd.capacitance / FF,
+             "p_ma": bd.p_ma, "p_ms": bd.p_ms, "p_sa": bd.p_sa,
+             "loss_tangent": bd.loss_tangent} for bd in design.breakdowns]
     total = {"structure": "TOTAL",
              "capacitance_ff": design.capacitance / FF,
              "p_ma": sum(r["p_ma"] for r in rows),
@@ -83,50 +102,41 @@ def _analysis_rows(cfg: DesignConfig, corner_split: bool = False):
     return design, rows, total
 
 
-def _print_table(rows, total):
+def _table(rows) -> list[str]:
     widths = {c: max(len(c), 12) for c in _COLUMNS}
-    widths["structure"] = max([len(r["structure"]) for r in rows + [total]]
+    widths["structure"] = max([len(r["structure"]) for r in rows]
                               + [len("structure")])
     head = "  ".join(c.ljust(widths[c]) for c in _COLUMNS)
-    print(head)
-    print("-" * len(head))
-    for r in rows + [total]:
+    lines = [head, "-" * len(head)]
+    for r in rows:
         cells = [r["structure"].ljust(widths["structure"])]
         cells += [_fmt(r[c]).ljust(widths[c]) for c in _COLUMNS[1:]]
-        print("  ".join(cells))
-
-
-def _write_rows(path: Path, rows, fmt: str):
-    with open(path, "w", newline="") as fh:
-        if fmt == "jsonl":
-            for r in rows:
-                fh.write(json.dumps(r, sort_keys=True) + "\n")
-        else:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(_COLUMNS)
-            for r in rows:
-                wr.writerow([r["structure"]]
-                            + [f"{r[c]:.12e}" for c in _COLUMNS[1:]])
+        lines.append("  ".join(cells))
+    return lines
 
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
     design, rows, total = _analysis_rows(cfg, corner_split=args.corner_split)
-    _print_table(rows, total)
-    print(f"L = {_fmt(design.length / UM)} um  "
-          f"(C_total = {_fmt(design.capacitance / FF)} fF)")
-    print(f"total loss tangent = {_fmt(design.total_loss_tangent)}")
+    rows.append(total)
+    # formatted in full before printing, so a non-finite value prints nothing
+    lines = _table(rows)
+    lines.append(f"L = {_fmt(design.length / UM)} um  "
+                 f"(C_total = {_fmt(design.capacitance / FF)} fF)")
+    lines.append(f"total loss tangent = {_fmt(design.total_loss_tangent)}")
+    print("\n".join(lines))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_rows(out / f"analyze.{args.format}", rows + [total], args.format)
+        if args.format == "jsonl":
+            text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
+        else:
+            text = _csv(_COLUMNS, [[r["structure"]]
+                                   + [_fmt(r[c], ".12e") for c in _COLUMNS[1:]]
+                                   for r in rows])
+        _save(args.out, f"analyze.{args.format}", text)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        return _fail(EXIT_CONFIG,
-                     f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)}")
     checks = run_suite(args.suite, mesh_scale=args.mesh_scale)
     all_ok = True
     for c in checks:
@@ -154,44 +164,34 @@ def cmd_sweep(args) -> int:
         return _fail(EXIT_CONFIG, f"--param {args.param!r} not found in config")
 
     values = np.linspace(lo, hi, args.steps)
-    cols = None
     out_rows = []
     for val in values:
         cp[sect][key] = repr(float(val))
         try:
             cfg_i = parse_config(cp)
-            design, rows, total = _analysis_rows(cfg_i)
+            _, rows, total = _analysis_rows(cfg_i)
         except ValidationError as exc:
             return _fail(EXIT_CONFIG, f"{args.param}={val}: {exc}")
         row = {"param": float(val)}
-        for name, spec in cfg_i.structures:
-            bd = next(r for r in rows if r["structure"] == name)
+        for spec, bd in zip(cfg_i.structures, rows):
             for c in _COLUMNS[1:]:
-                row[f"{name}.{c}"] = bd[c]
+                row[f"{spec.label}.{c}"] = bd[c]
             energies = analytic.WIRE_ENERGIES.get(type(spec))
             if energies:
                 try:
-                    row[f"{name}.u_metal"], row[f"{name}.u_metal_fit"] = \
-                        energies(spec)
+                    row[f"{spec.label}.u_metal"], \
+                        row[f"{spec.label}.u_metal_fit"] = energies(spec)
                 except ValueError as exc:
                     return _fail(EXIT_NUMERICAL, f"{args.param}={val}: {exc}")
         row["total.loss_tangent"] = total["loss_tangent"]
-        if cols is None:
-            cols = list(row)
         out_rows.append(row)
 
-    wr = csv.writer(sys.stdout, lineterminator="\n")
-    wr.writerow(cols)
-    for row in out_rows:
-        wr.writerow([f"{row[c]:.12e}" for c in cols])
+    cols = list(out_rows[0])
+    text = _csv(cols, [[_fmt(row[c], ".12e") for c in cols]
+                       for row in out_rows])
+    sys.stdout.write(text)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep.csv", "w", newline="") as fh:
-            w2 = csv.writer(fh, lineterminator="\n")
-            w2.writerow(cols)
-            for row in out_rows:
-                w2.writerow([f"{row[c]:.12e}" for c in cols])
+        _save(args.out, "sweep.csv", text)
     return EXIT_OK
 
 
@@ -199,11 +199,10 @@ def cmd_taper(args) -> int:
     cfg = load_config(args.config, clamp_slope=True)
     for w in cfg.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    wires = [(n, s) for n, s in cfg.structures
-             if type(s) in analytic.WIRE_ENERGIES]
+    wires = [s for s in cfg.structures if type(s) in analytic.WIRE_ENERGIES]
     if not wires:
         return _fail(EXIT_CONFIG, "taper needs a wire structure in the config")
-    name, spec = wires[0]
+    spec = wires[0]
     r0, d, t = spec.r0, spec.d, spec.t
     try:
         opt = analytic.optimize_taper_slope(r0, d, t)
@@ -211,41 +210,37 @@ def cmd_taper(args) -> int:
         return _fail(EXIT_NUMERICAL, str(exc))
     u28 = analytic.tapered_wire_energy_quadrature(r0, 0.28, d, t)
     u16 = analytic.tapered_wire_energy_quadrature(r0, 0.16, d, t)
-    print(f"wire {name}: optimal slope S* = {opt.slope:.3f}")
+    print(f"wire {spec.label}: optimal slope S* = {_fmt(opt.slope, '.3f')}")
     print(f"metal line energy at S*: {_fmt(opt.energy)} (units U/(eps0 V^2))")
-    print(f"energy at S=0.28: {u28 / opt.energy:.4f} x minimum")
-    print(f"energy at S=0.16: {u16 / opt.energy:.4f} x minimum")
+    print(f"energy at S=0.28: {_fmt(u28 / opt.energy, '.4f')} x minimum")
+    print(f"energy at S=0.16: {_fmt(u16 / opt.energy, '.4f')} x minimum")
     u_straight = analytic.straight_wire_energy_fit(r0, d, t)
     u_tapered = analytic.tapered_wire_energy_fit(r0, opt.slope, d, t)
     if d <= 5e-6:
         print("note: at this wire length the straight and tapered energies "
               f"are similar (closed forms {_fmt(u_straight)} vs {_fmt(u_tapered)})")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "taper_curve.csv", "w", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["slope", "u_metal"])
-            for s, u in zip(opt.slopes, opt.energies):
-                wr.writerow([f"{s:.6f}", f"{u:.12e}"])
+        _save(args.out, "taper_curve.csv",
+              _csv(["slope", "u_metal"],
+                   [[_fmt(s, ".6f"), _fmt(u, ".12e")]
+                    for s, u in zip(opt.slopes, opt.energies)]))
     return EXIT_OK
 
 
 def cmd_tls(args) -> int:
     cfg = load_config(args.config)
-    design, rows, total = _analysis_rows(cfg)
+    design = assemble_design(cfg.structures, cfg.stack,
+                             target_capacitance=cfg.target_capacitance)
     span_hz = args.span_ghz * GHZ if args.span_ghz else cfg.span_hz
     if math.isinf(span_hz):
         return _fail(EXIT_CONFIG, f"--span-ghz: {args.span_ghz:g} GHz "
                                   "overflows in Hz")
-    out = Path(args.out) if args.out else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
 
-    print(f"span = {span_hz / GHZ:g} GHz; observability threshold "
+    print(f"span = {_fmt(span_hz / GHZ, 'g')} GHz; observability threshold "
           f"{tls.OBSERVABLE_AREA_UM2:g} um^2")
     c_total = design.capacitance
-    for name, spec in cfg.structures:
+    for spec in cfg.structures:
+        name = spec.label
         if isinstance(spec, Ribbon):
             spectrum = tls.ribbon_tls_profile(spec, cfg.stack, c_total)
         elif type(spec) in analytic.WIRE_ENERGIES:
@@ -272,14 +267,12 @@ def cmd_tls(args) -> int:
                                          "span overflows")
         print(f"{name}: largest observable splitting {_fmt(s_first)} Hz "
               f"(A = 1 um^2); {_fmt(s_spaced)} Hz at one-per-200-MHz spacing; "
-              f"expected count over span ~ {count:.0f}")
-        if out:
-            path = out / f"tls_{name}.csv"
-            with open(path, "w", newline="") as fh:
-                wr = csv.writer(fh, lineterminator="\n")
-                wr.writerow(["s_max_hz", "cumulative_area_um2"])
-                for s, a in zip(spectrum.s_hz, spectrum.area_um2):
-                    wr.writerow([f"{s:.10e}", f"{a:.10e}"])
+              f"expected count over span ~ {_fmt(count, '.0f')}")
+        if args.out:
+            _save(args.out, f"tls_{name}.csv",
+                  _csv(["s_max_hz", "cumulative_area_um2"],
+                       [[_fmt(s, ".10e"), _fmt(a, ".10e")]
+                        for s, a in zip(spectrum.s_hz, spectrum.area_um2)]))
     return EXIT_OK
 
 
@@ -302,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(fn=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run a formula-vs-solver suite")
-    pv.add_argument("--suite", required=True,
-                    help=f"one of: {', '.join(SUITES)}")
+    pv.add_argument("--suite", required=True, choices=SUITES)
     pv.add_argument("--mesh-scale", type=_positive_float, default=1.0)
     pv.set_defaults(fn=cmd_verify)
 
@@ -338,7 +330,7 @@ def main(argv=None) -> int:
         for p in exc.problems:
             _fail(EXIT_CONFIG, p)
         return EXIT_CONFIG
-    except (MeshCapError, SolverError) as exc:
+    except (MeshCapError, SolverError, FloatingPointError) as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
     except OverflowError as exc:
         return _fail(EXIT_NUMERICAL, f"floating-point overflow: {exc}")

@@ -1,7 +1,8 @@
 """INI design configs.
 
 Units are fixed per key suffix: *_um (micrometers), *_nm (nanometers),
-*_ff (femtofarads), *_ghz (gigahertz); bare keys are dimensionless.
+*_ff (femtofarads), *_ghz (gigahertz); bare keys are dimensionless.  The
+[stack] keys follow the same rule as the structure keys.
 Unknown sections or keys are rejected, and all validation problems are
 collected before reporting.
 
@@ -33,23 +34,15 @@ from .constants import FF, GHZ, NM, UM
 from .geometry import (MAX_TAPER_SLOPE, STRUCTURE_TYPES, DielectricStack,
                        ValidationError, validate_design)
 
-_STACK_KEYS = {
-    "eps_substrate": ("eps_s", 1.0),
-    "eps_ma": ("eps_ma", 1.0),
-    "eps_ms": ("eps_ms", 1.0),
-    "eps_sa": ("eps_sa", 1.0),
-    "t_ma_nm": ("t_ma", NM),
-    "t_ms_nm": ("t_ms", NM),
-    "t_sa_nm": ("t_sa", NM),
-    "tan_ma": ("tan_ma", 1.0),
-    "tan_ms": ("tan_ms", 1.0),
-    "tan_sa": ("tan_sa", 1.0),
-}
+#: key suffix -> the unit a key's value is given in; any other key is read
+#: as is
+_UNITS = {"_um": UM, "_nm": NM}
+
 
 @dataclass
 class DesignConfig:
     stack: DielectricStack
-    structures: list            # [(name, StructureSpec)]
+    structures: list            # [StructureSpec], labelled by section
     target_capacitance: Optional[float]   # F, or None
     span_hz: float
     warnings: list
@@ -66,11 +59,36 @@ def _parse_float(raw: str, where: str, problems: list[str]) -> float:
     return val
 
 
+def _section_fields(items, cls, section: str, unknown: str,
+                    problems: list[str]) -> dict:
+    """Field values of one section's (key, raw) items, keyed through
+    ``cls.INI_KEYS``; a field with a bool default is a true/false flag."""
+    flags = {f.name for f in fields(cls) if isinstance(f.default, bool)}
+    kwargs = {}
+    for key, raw in items:
+        if key not in cls.INI_KEYS:
+            problems.append(f"{section}.{key}: {unknown}")
+            continue
+        field_name = cls.INI_KEYS[key]
+        if field_name in flags:
+            kwargs[field_name] = raw.strip().lower() in ("1", "true", "yes")
+        else:
+            scale = _UNITS.get("_" + key.rpartition("_")[2], 1.0)
+            kwargs[field_name] = _parse_float(raw, f"{section}.{key}",
+                                              problems) * scale
+    return kwargs
+
+
 def read_config(path) -> configparser.ConfigParser:
     """Read an INI file; raises ValidationError if it cannot be read."""
     cp = configparser.ConfigParser(interpolation=None)
-    if not cp.read(path):
-        raise ValidationError([f"config: cannot read {path}"])
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        # one line, although the parser's messages span several
+        raise ValidationError([f"config: cannot read {path}: "
+                               + " ".join(str(exc).split())]) from None
     return cp
 
 
@@ -90,13 +108,8 @@ def parse_config(cp: configparser.ConfigParser,
     problems: list[str] = []
     stack_kwargs = {}
     if cp.has_section("stack"):
-        for key, raw in cp.items("stack"):
-            if key not in _STACK_KEYS:
-                problems.append(f"stack.{key}: unknown key")
-                continue
-            field_name, scale = _STACK_KEYS[key]
-            stack_kwargs[field_name] = _parse_float(raw, f"stack.{key}",
-                                                    problems) * scale
+        stack_kwargs = _section_fields(cp.items("stack"), DielectricStack,
+                                       "stack", "unknown key", problems)
 
     target_c = None
     span_hz = 2.0 * GHZ
@@ -131,23 +144,9 @@ def parse_config(cp: configparser.ConfigParser,
             problems.append(f"{section}.type: unknown structure type {stype!r}")
             continue
         cls = STRUCTURE_TYPES[stype]
-        # flags are the fields with a bool default; required, those with none
-        flags = {f.name for f in fields(cls) if isinstance(f.default, bool)}
         required = {f.name for f in fields(cls) if f.default is MISSING}
-        kwargs = {}
-        for key, raw in items.items():
-            if key not in cls.INI_KEYS:
-                problems.append(f"{section}.{key}: unknown key for {stype}")
-                continue
-            field_name = cls.INI_KEYS[key]
-            if field_name in flags:
-                kwargs[field_name] = raw.strip().lower() in ("1", "true", "yes")
-            elif key.endswith("_um"):
-                kwargs[field_name] = _parse_float(raw, f"{section}.{key}",
-                                                  problems) * UM
-            else:
-                kwargs[field_name] = _parse_float(raw, f"{section}.{key}",
-                                                  problems)
+        kwargs = _section_fields(items.items(), cls, section,
+                                 f"unknown key for {stype}", problems)
         missing = required - set(kwargs)
         if missing:
             problems.append(f"[{section}]: missing keys for {stype}: "
@@ -159,13 +158,13 @@ def parse_config(cp: configparser.ConfigParser,
                 f"{section}.slope: {kwargs['slope']} exceeds the {MAX_TAPER_SLOPE} "
                 "cap (steeper tapers no longer reduce the edge field); clamped")
             kwargs["slope"] = MAX_TAPER_SLOPE
-        structures.append((name, cls(**kwargs)))
+        structures.append(cls(**kwargs))
 
     if problems:
         raise ValidationError(problems)
 
     stack = DielectricStack(**stack_kwargs)
-    problems = validate_design([s for _, s in structures], stack)
+    problems = validate_design(structures, stack)
     if problems:
         raise ValidationError(problems)
     return DesignConfig(stack, structures, target_c, span_hz, warnings_)

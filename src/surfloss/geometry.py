@@ -26,6 +26,11 @@ class ValidationError(ValueError):
 class DielectricStack:
     """Substrate and interface-oxide dielectric parameters (SI)."""
 
+    INI_KEYS = {"eps_substrate": "eps_s", "eps_ma": "eps_ma",
+                "eps_ms": "eps_ms", "eps_sa": "eps_sa", "t_ma_nm": "t_ma",
+                "t_ms_nm": "t_ms", "t_sa_nm": "t_sa", "tan_ma": "tan_ma",
+                "tan_ms": "tan_ms", "tan_sa": "tan_sa"}
+
     eps_s: float = 11.7
     eps_ma: float = 9.8
     eps_ms: float = 9.8
@@ -66,9 +71,9 @@ def capacitance_to_length(c: float) -> float:
 # --------------------------------------------------------------------------
 # structure geometries (all lengths in meters)
 #
-# INI_KEYS maps each INI key of a structure section to its field; *_um keys
-# are read in micrometers.  Fields without a default are required keys, and
-# a field with a bool default is a true/false flag.
+# INI_KEYS maps each INI key of a structure section to its field (the key's
+# suffix gives its unit, see ``config``).  Fields without a default are
+# required keys, and a field with a bool default is a true/false flag.
 
 @dataclass(frozen=True)
 class ParallelPlate:

@@ -351,6 +351,59 @@ def test_permittivity_overflow_is_numerical_error(tmp_path, cmd):
     assert res.stdout == ""
 
 
+#: files configparser cannot parse, or that are not text
+MALFORMED_INI = {
+    "no-section-header": b"type = ribbon\n",
+    "duplicate-section": b"[stack]\neps_ma = 9.8\n[stack]\neps_ms = 9.8\n",
+    "duplicate-key": b"[stack]\neps_ma = 9.8\neps_ma = 9.7\n",
+    "junk-line": b"[stack]\neps_ma = 9.8\njunk line here\n",
+    "utf16-bom": b"\xff\xfe[\x00s\x00",
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_INI.values(),
+                         ids=MALFORMED_INI.keys())
+def test_malformed_ini_is_config_error(tmp_path, content):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(content)
+    res = run_cli("analyze", "--config", str(path))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error[2]: config: cannot read {path}: ")
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("cmd, replace", [
+    # tan_MA * p_MA overflows once C = 1e-300 fF inflates p_MA
+    pytest.param(["analyze"], {"capacitance_ff = 100": "capacitance_ff = 1e-300",
+                               "tan_ma = 0.005": "tan_ma = 1e11"},
+                 id="analyze"),
+    pytest.param(["sweep", "--param", "stack.tan_ms", "--range", "0.001:0.01",
+                  "--steps", "2"],
+                 {"capacitance_ff = 100": "capacitance_ff = 1e-300",
+                  "tan_ma = 0.005": "tan_ma = 1e11"}, id="sweep"),
+    # a subnormal capacitance makes the splittings overflow
+    pytest.param(["tls", "--sections", "20000"],
+                 {"capacitance_ff = 100": "capacitance_ff = 4e-309"}, id="tls"),
+])
+def test_non_finite_result_is_numerical_error(tmp_path, cmd, replace):
+    text = TABLE_CONFIG
+    for old, new in replace.items():
+        text = text.replace(old, new)
+    path = tmp_path / "tiny_c.ini"
+    path.write_text(text)
+    res = run_cli(cmd[0], "--config", str(path), *cmd[1:])
+    assert res.returncode == 3
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[3]: ")
+    assert "inf" not in res.stdout and "nan" not in res.stdout
+    if cmd[0] != "tls":
+        assert res.stdout == ""
+
+
 @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
 def test_verify_rejects_bad_mesh_scale(scale):
     res = run_cli("verify", "--suite", "coax", "--mesh-scale", scale)

@@ -1,11 +1,15 @@
-"""INI config loading: every structure type round-trips to its spec."""
+"""INI config loading: the stack and every structure type round-trip to
+their specs."""
+
+from dataclasses import fields
 
 import pytest
 
 from surfloss.config import load_config
-from surfloss.constants import UM
-from surfloss.geometry import (Coplanar, ParallelPlate, Ribbon,
-                               RibbonWithGround, StraightWire, TaperedWire)
+from surfloss.constants import NM, UM
+from surfloss.geometry import (STRUCTURE_TYPES, Coplanar, DielectricStack,
+                               ParallelPlate, Ribbon, RibbonWithGround,
+                               StraightWire, TaperedWire)
 
 #: (INI type, every key of the section, the spec built directly in SI)
 SECTIONS = [
@@ -38,11 +42,34 @@ def test_structure_section_round_trip(tmp_path, stype, keys, expected):
     path = tmp_path / "design.ini"
     path.write_text("\n".join(lines) + "\n")
     cfg = load_config(path)
-    assert cfg.structures == [("s", expected)]
+    assert cfg.structures == [expected]
+
+
+def test_stack_section_round_trip(tmp_path):
+    keys = {"eps_substrate": "11.9", "eps_ma": "9.5", "eps_ms": "9.7",
+            "eps_sa": "4.1", "t_ma_nm": "3", "t_ms_nm": "1.5",
+            "t_sa_nm": "2.5", "tan_ma": "1e-3", "tan_ms": "2e-3",
+            "tan_sa": "3e-3"}
+    lines = ["[stack]"] + [f"{k} = {v}" for k, v in keys.items()]
+    lines += ["[structure.s]", "type = parallel_plate", "s_um = 5",
+              "w_um = 100", "length_um = 1130"]
+    path = tmp_path / "design.ini"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = load_config(path)
+    assert cfg.stack == DielectricStack(
+        eps_s=11.9, eps_ma=9.5, eps_ms=9.7, eps_sa=4.1, t_ma=3 * NM,
+        t_ms=1.5 * NM, t_sa=2.5 * NM, tan_ma=1e-3, tan_ms=2e-3, tan_sa=3e-3)
+
+
+@pytest.mark.parametrize("cls", [DielectricStack, *STRUCTURE_TYPES.values()],
+                         ids=["stack", *STRUCTURE_TYPES])
+def test_ini_keys_map_to_fields(cls):
+    # every field but the label (the section name) has exactly one key
+    names = [f.name for f in fields(cls) if f.name != "label"]
+    assert sorted(cls.INI_KEYS.values()) == sorted(names)
 
 
 def test_every_structure_type_is_covered():
     from surfloss.analytic import CLOSED_FORMS
-    from surfloss.geometry import STRUCTURE_TYPES
     assert {s[0] for s in SECTIONS} == set(STRUCTURE_TYPES)
     assert set(STRUCTURE_TYPES.values()) <= set(CLOSED_FORMS)
