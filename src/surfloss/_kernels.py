@@ -2,8 +2,10 @@
 
 Everything takes SI inputs and returns potential-matrix entries in volts
 per coulomb (per unit length for the planar kernel).  The ring kernel
-evaluates K(m) at m <= 0 through the Cephes routine of scipy.special (see
-surfloss.special); the flat-wire kernel is the ring kernel at half radius.
+evaluates K(m) at m <= 0 through the Cephes routine of scipy.special,
+special._ellipk_nonpositive (the closed forms use the scalar AGM
+special.ellipk instead); the flat-wire kernel is the ring kernel at half
+radius.  The wire matrices subtract a mirror image in the same pass.
 """
 
 from __future__ import annotations
@@ -75,17 +77,20 @@ def _ring_self(r, w):
     return asym + 2.0 * integral / w**2
 
 
-def ring_matrix(z, r, w):
+def ring_matrix(z, r, w, mirror=False):
     """Axisymmetric ring-charge potential matrix with self/near treatment.
 
     The kernel and its near-field average are symmetric in (i, j), so only
-    the pairs i < j are evaluated and the result is mirrored.
+    the pairs i < j are evaluated and the result is mirrored.  mirror
+    subtracts each ring's image in z = 0, K(hypot(z_i + z_j, r_i - r_j)),
+    which is also symmetric, on the same pairs and on the diagonal.
     """
     z = np.asarray(z, float); r = np.asarray(r, float); w = np.asarray(w, float)
     n = len(z)
     ii, jj = np.triu_indices(n, 1)
+    ri, rj = r[ii], r[jj]
     dz = z[ii] - z[jj]
-    upper = _ring_kernel(np.hypot(dz, r[ii] - r[jj]), r[ii], r[jj])
+    upper = _ring_kernel(np.hypot(dz, ri - rj), ri, rj)
     # near pairs: average the kernel over both element extents
     near = np.nonzero(np.abs(dz) < NEAR_FACTOR * (w[ii] + w[jj]))[0]
     if len(near):
@@ -96,10 +101,14 @@ def ring_matrix(z, r, w):
         rr = np.hypot(du, (r[ni] - r[nj])[:, None, None])
         kv = _ring_kernel(rr, r[ni][:, None, None], r[nj][:, None, None])
         upper[near] = np.einsum("i,j,pij->p", _GAUSS_W, _GAUSS_W, kv) / 4.0
+    diag = _ring_self(r, w)
+    if mirror:
+        upper -= _ring_kernel(np.hypot(z[ii] + z[jj], ri - rj), ri, rj)
+        diag -= _ring_kernel(np.abs(z + z), r, r)
     m = np.empty((n, n))
     m[ii, jj] = upper
     m[jj, ii] = upper
-    m[np.diag_indices(n)] = _ring_self(r, w)
+    m[np.diag_indices(n)] = diag
     return m
 
 
@@ -111,29 +120,13 @@ def ring_mutual(z1, r1, z2, r2):
     return _ring_kernel(rho, r1[:, None], r2[None, :])
 
 
-def ring_image(z, r):
-    """ring_mutual(z, r, -z, r): the rings against their mirror image in z = 0.
-
-    The image distance hypot(z_i + z_j, r_i - r_j) and the product
-    4 r_i r_j are exact under i <-> j, so only the pairs i <= j are
-    evaluated and mirrored; every entry equals ring_mutual's bit for bit.
-    """
-    z = np.asarray(z, float); r = np.asarray(r, float)
-    ii, jj = np.triu_indices(len(z))
-    ri, rj = r[ii], r[jj]
-    upper = _ring_kernel(np.hypot(z[ii] + z[jj], ri - rj), ri, rj)
-    m = np.empty((len(z), len(z)))
-    m[ii, jj] = upper
-    m[jj, ii] = upper
-    return m
-
-
-def flatwire_matrix(y, rbar, w):
+def flatwire_matrix(y, rbar, w, mirror=False):
     """Thin-strip wire potential matrix (edge-loaded transverse profile).
 
     A flat strip of half-width rbar has the potential of a ring of radius
     rbar/2, so every entry is the ring kernel at half radius.  Not
-    symmetric: column j uses the source half-width rbar[j].
+    symmetric: column j uses the source half-width rbar[j].  mirror
+    subtracts each element's image in y = 0, K(|y_i + y_j|).
     """
     y = np.asarray(y, float); w = np.asarray(w, float)
     rh = np.asarray(rbar, float) / 2.0
@@ -152,6 +145,9 @@ def flatwire_matrix(y, rbar, w):
         rj = rh[jj][:, None, None]
         kv = _ring_kernel(dd, rj, rj)
         m[ii, jj] = np.einsum("i,j,pij->p", _GAUSS_W, _GAUSS_W, kv) / 4.0
+    if mirror:
+        m -= _ring_kernel(np.abs(y[:, None] + y[None, :]), rh[None, :],
+                          rh[None, :])
     return m
 
 

@@ -333,14 +333,23 @@ def wire_field(y, half_width, flat: bool = True):
     return out if out.shape else float(out)
 
 
+def _quad(f, a: float, b: float, **kwargs) -> float:
+    """scipy's quad, raising ValueError where it would warn that the
+    integral did not converge."""
+    from scipy.integrate import quad
+    val, _, _, *msg = quad(f, a, b, full_output=1, **kwargs)
+    if msg:
+        raise ValueError("wire line-energy quadrature did not converge: "
+                         + msg[0].splitlines()[0])
+    return val
+
+
 def straight_wire_energy_quadrature(rbar: float, d: float, t: float,
                                     c: float = C_M_DEFAULT) -> float:
     """U/(eps0 V^2) of both straight wires by direct quadrature from 2*rbar."""
-    from scipy.integrate import quad
     coef = (math.log(4 * rbar / t) + c) / (2.0 * rbar)
-    val, _ = quad(lambda y: 1.0 / math.log(4 * y / rbar) ** 2, 2 * rbar, d,
-                  limit=200)
-    return coef * val
+    return coef * _quad(lambda y: 1.0 / math.log(4 * y / rbar) ** 2,
+                        2 * rbar, d, limit=200)
 
 
 def taper_halfwidth(y, r0: float, slope: float, t: float):
@@ -361,16 +370,13 @@ def tapered_wire_energy_quadrature(r0: float, slope: float, d: float, t: float,
         raise ValueError(
             f"tapered-wire energy diverges: the integrand has a pole at "
             f"y = r0/4 = {r0 / 4.0:.4g} m inside [5t, d]; need r0 < 20*t")
-    from scipy.integrate import quad
-
     def integrand(y: float) -> float:
         r = max(r0, (y - 5.0 * t) * slope)
         return 2.0 * (math.log(4 * r / t) + c) / (4.0 * r * math.log(4 * y / r) ** 2)
 
     y_kink = 5.0 * t + r0 / slope
     pts = [y_kink] if 5.0 * t < y_kink < d else None
-    val, _ = quad(integrand, 5.0 * t, d, points=pts, limit=400)
-    return val
+    return _quad(integrand, 5.0 * t, d, points=pts, limit=400)
 
 
 def straight_wire(spec: StraightWire, stack: DielectricStack, length: float,

@@ -58,11 +58,12 @@ class Mesh:
         return len(self.width)
 
 
-def concat(kind: str, parts: list[Mesh]) -> Mesh:
+def concat(parts: list[Mesh]) -> Mesh:
+    """One mesh from parts of one kind; thin_sheet comes from the first."""
     def cat(attr):
         vals = [getattr(p, attr) for p in parts]
         return None if vals[0] is None else np.concatenate(vals)
-    return Mesh(kind, np.vstack([p.pos for p in parts]), cat("width"),
+    return Mesh(parts[0].kind, np.vstack([p.pos for p in parts]), cat("width"),
                 cat("electrode"), cat("side"), tangent=cat("tangent"),
                 halfwidth=cat("halfwidth"), end_distance=cat("end_distance"),
                 thin_sheet=parts[0].thin_sheet)
@@ -162,18 +163,17 @@ def film_cross_section(rbar: float, t: float, h_min: float, h_max: float,
         w = np.full(n_arc, np.pi * (t / 2) / n_arc)
         pos = np.stack([flat + (t / 2) * np.cos(th), (t / 2) * np.sin(th)], axis=1)
         tan = np.stack([-np.sin(th), np.cos(th)], axis=1)
-        parts.append(Mesh("planar", pos, w, np.full(n_arc, electrode, int),
-                          np.full(n_arc, "edge", object), tangent=tan))
+        right = Mesh("planar", pos, w, np.full(n_arc, electrode, int),
+                     np.full(n_arc, "edge", object), tangent=tan)
+        parts.append(right)
         parts.append(line((flat, -t / 2), (-flat, -t / 2), h_min, h_max,
                           electrode, "bottom"))
-        pos2 = np.stack([-flat - (t / 2) * np.cos(th), -(t / 2) * np.sin(th)], axis=1)
-        tan2 = np.stack([np.sin(th), -np.cos(th)], axis=1)
-        parts.append(Mesh("planar", pos2, w.copy(),
-                          np.full(n_arc, electrode, int),
-                          np.full(n_arc, "edge", object), tangent=tan2))
+        # the left end is the right one reflected through the origin
+        parts.append(Mesh("planar", -right.pos, w, right.electrode,
+                          right.side, tangent=-right.tangent))
     else:
         raise ValueError(f"unknown edge style {edge!r}")
-    mesh = concat("planar", parts)
+    mesh = concat(parts)
     mesh.thin_sheet = False
     mesh.end_distance = np.full(mesh.n, np.inf)  # closed contour
     return mesh
@@ -194,8 +194,7 @@ def wire_rings(d: float, radius_fn, y0: float, n: int = 320) -> Mesh:
     arc = wz * np.sqrt(1.0 + slope**2)
     nel = len(z)
     return Mesh("ring", np.stack([z, r], axis=1), arc,
-                np.zeros(nel, int), np.full(nel, "wire", object),
-                end_distance=np.minimum(z - y0, d - z))
+                np.zeros(nel, int), np.full(nel, "wire", object))
 
 
 def wire_strip(d: float, halfwidth_fn, y0: float, n: int = 280) -> Mesh:
@@ -207,5 +206,4 @@ def wire_strip(d: float, halfwidth_fn, y0: float, n: int = 280) -> Mesh:
     nel = len(y)
     return Mesh("flatwire", np.stack([y, np.zeros(nel)], axis=1), w,
                 np.zeros(nel, int), np.full(nel, "wire", object),
-                halfwidth=rb, end_distance=np.minimum(y - y0, d - y),
-                thin_sheet=True)
+                halfwidth=rb, thin_sheet=True)

@@ -40,15 +40,10 @@ def assemble(mesh: Mesh, mirror: bool = False) -> np.ndarray:
             raise ValueError("mirror solves are for wire kinds only")
         m = kern.planar_matrix(mesh.pos[:, 0], mesh.pos[:, 1], mesh.width)
     elif mesh.kind == "ring":
-        z, r = mesh.pos[:, 0], mesh.pos[:, 1]
-        m = kern.ring_matrix(z, r, mesh.width)
-        if mirror:
-            m -= kern.ring_image(z, r)
+        m = kern.ring_matrix(mesh.pos[:, 0], mesh.pos[:, 1], mesh.width, mirror)
     elif mesh.kind == "flatwire":
-        y = mesh.pos[:, 0]
-        m = kern.flatwire_matrix(y, mesh.halfwidth, mesh.width)
-        if mirror:
-            m = m - kern.flatwire_mutual(y, -y, mesh.halfwidth)
+        m = kern.flatwire_matrix(mesh.pos[:, 0], mesh.halfwidth, mesh.width,
+                                 mirror)
     else:
         raise ValueError(f"unknown mesh kind {mesh.kind!r}")
     if not np.isfinite(m).all():

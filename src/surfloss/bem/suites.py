@@ -23,9 +23,6 @@ from . import mesh as meshes
 from .mesh import MeshCapError
 from .solver import metal_surface_energy, solve, substrate_line_energy
 
-SUITES = ("coax", "flat-coax", "corner", "ribbon-ground", "cyl-wire", "flat-wire")
-
-
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -55,9 +52,9 @@ def suite_coax(mesh_scale: float = 1.0) -> list[Check]:
     c_exact = 2.0 * math.pi * EPS0 / math.log(radius_out / r)
 
     def solve_coax(ni, no):
-        m = meshes.concat("planar", [meshes.circle(r, ni, electrode=0, side="inner"),
-                                     meshes.circle(radius_out, no, electrode=1,
-                                                   side="shield")])
+        m = meshes.concat([meshes.circle(r, ni, electrode=0, side="inner"),
+                           meshes.circle(radius_out, no, electrode=1,
+                                         side="shield")])
         return solve(m, {0: 1.0, 1: 0.0})
 
     sol = solve_coax(n_in, n_out)
@@ -83,7 +80,7 @@ def suite_flat_coax(mesh_scale: float = 1.0) -> list[Check]:
                               electrode=0, side="metal")
     outer = meshes.circle(shield, int(1000 * mesh_scale), electrode=1)
     # thin_sheet comes from the strip; only the strip's metal energy is read
-    m = meshes.concat("planar", [strip, outer])
+    m = meshes.concat([strip, outer])
     sol = solve(m, {0: 1.0, 1: 0.0})
 
     n_strip = strip.n
@@ -128,7 +125,7 @@ def _film_solve(rbar, shield, t, edge, mesh_scale, hfac):
     film = meshes.film_cross_section(rbar, t, h_min, rbar / 40, edge=edge,
                                      electrode=0)
     outer = meshes.circle(shield, int(900 * mesh_scale), electrode=1)
-    m = meshes.concat("planar", [film, outer])
+    m = meshes.concat([film, outer])
     sol = solve(m, {0: 1.0, 1: 0.0})
     ef = analytic.flat_coax_center_field(rbar, shield)
     u_m = metal_surface_energy(sol, electrodes=[0])
@@ -220,7 +217,7 @@ def _rwg_mesh(a, b, c_gnd, t, h_edge, h_max, extent):
         strips.append(meshes.thin_strip(-c_gnd - extent, -c_gnd, h_edge,
                                         extent / 30, electrode=3, side="ground",
                                         cutoff=t / 2))
-    return meshes.concat("planar", strips)
+    return meshes.concat(strips)
 
 
 def ribbon_ground_point(a, b, c_gnd, t, mesh_scale: float = 1.0):
@@ -295,11 +292,9 @@ def suite_ribbon_ground(mesh_scale: float = 1.0) -> list[Check]:
 
 def _wire_pair(d, r0, slope, mesh_scale, flat):
     """Mesh and mirrored solve of a differential wire pair at +-0.5 V.  A
-    straight wire has radius or half-width r0; a tapered flat wire widens
-    from r0 at slope S, and a tapered round one is the cone r = S*y."""
-    if not slope:
-        rf = lambda y: np.full_like(y, r0)
-    elif flat:
+    flat wire follows taper_halfwidth from r0 at slope S (straight at
+    S = 0); a round one is straight of radius r0 or the cone r = S*y."""
+    if flat or not slope:
         rf = lambda y: analytic.taper_halfwidth(y, r0, slope, r0)
     else:
         rf = lambda y: slope * y
@@ -382,6 +377,7 @@ _SUITE_FN = {
     "cyl-wire": suite_cyl_wire,
     "flat-wire": suite_flat_wire,
 }
+SUITES = tuple(_SUITE_FN)
 
 
 def run_suite(name: str, mesh_scale: float = 1.0) -> list[Check]:

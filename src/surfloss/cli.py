@@ -204,10 +204,7 @@ def cmd_taper(args) -> int:
         return _fail(EXIT_CONFIG, "taper needs a wire structure in the config")
     spec = wires[0]
     r0, d, t = spec.r0, spec.d, spec.t
-    try:
-        opt = analytic.optimize_taper_slope(r0, d, t)
-    except ValueError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
+    opt = analytic.optimize_taper_slope(r0, d, t)
     u28 = analytic.tapered_wire_energy_quadrature(r0, 0.28, d, t)
     u16 = analytic.tapered_wire_energy_quadrature(r0, 0.16, d, t)
     print(f"wire {spec.label}: optimal slope S* = {_fmt(opt.slope, '.3f')}")
@@ -325,15 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # a NumPy overflow, invalid value or division by zero raises
+        # FloatingPointError instead of warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.fn(args)
     except ValidationError as exc:
         for p in exc.problems:
             _fail(EXIT_CONFIG, p)
         return EXIT_CONFIG
-    except (MeshCapError, SolverError, FloatingPointError) as exc:
+    # past validation, a ValueError is a formula or quadrature leaving its
+    # domain
+    except (MeshCapError, SolverError, FloatingPointError, ValueError) as exc:
         return _fail(EXIT_NUMERICAL, str(exc))
     except OverflowError as exc:
         return _fail(EXIT_NUMERICAL, f"floating-point overflow: {exc}")
+    except ZeroDivisionError:
+        return _fail(EXIT_NUMERICAL, "a denominator underflowed to zero; the "
+                                     "inputs are outside the range of a float")
 
 
 if __name__ == "__main__":

@@ -221,6 +221,9 @@ class TaperedWire:
             bad.append(f"{self.label}.slope: need 0 < slope <= {MAX_TAPER_SLOPE}")
         if self.d <= 5 * self.t:
             bad.append(f"{self.label}.d: need d > 5*t")
+        if self.t > 0 and self.r0 >= 20 * self.t:
+            bad.append(f"{self.label}.r0: need r0 < 20*t; beyond it the line "
+                       "energy the wire fits stand for diverges")
         return bad
 
 

@@ -68,7 +68,7 @@ def test_antisymmetric_charge_on_symmetric_mesh():
     # differential strips produce an antisymmetric charge vector
     strips = [meshes.thin_strip(50 * UM, 100 * UM, 5e-9, 2 * UM, electrode=0),
               meshes.thin_strip(-100 * UM, -50 * UM, 5e-9, 2 * UM, electrode=1)]
-    m = meshes.concat("planar", strips)
+    m = meshes.concat(strips)
     sol = solve(m, {0: 0.5, 1: -0.5})
     n = strips[0].n
     q_pos = sol.charge[:n]
@@ -123,7 +123,7 @@ def test_singular_matrix_reported(monkeypatch):
 
 
 def _dense_cases():
-    coax = meshes.concat("planar", [
+    coax = meshes.concat([
         meshes.circle(10 * UM, 80, electrode=0, side="inner"),
         meshes.circle(100 * UM, 240, electrode=1, side="shield")])
     ribbon = _rwg_mesh(50 * UM, 100 * UM, 130 * UM, 0.1 * UM, 20e-9, 2 * UM,
@@ -183,7 +183,7 @@ def test_coincident_elements_rejected():
 
 
 def test_solution_csv_dump(tmp_path):
-    m = meshes.concat("planar", [
+    m = meshes.concat([
         meshes.circle(10 * UM, 60, electrode=0, side="inner"),
         meshes.circle(100 * UM, 120, electrode=1, side="shield")])
     sol = solve(m, {0: 1.0, 1: 0.0})

@@ -250,32 +250,48 @@ t_um = 0.1
     assert res.returncode == 2
 
 
-POLE_WIRE = """
+#: r0 >= 20t: the pole of the line-energy integrand 1/ln(4y/r0)^2 at
+#: y = r0/4 lies in [5t, d], so the integral the wire fits stand for
+#: diverges.  Validation rejects a tapered wire this wide; taper still
+#: integrates the tapered energy of a straight one.
+POLE_WIRES = {
+    "tapered": """
 [structure.taper]
 type = tapered_wire
 r0_um = 2
 slope = 0.4
 d_um = 50
 t_um = 0.02
-"""
+""",
+    "straight": """
+[structure.wire]
+type = straight_wire
+half_width_um = 2
+d_um = 50
+t_um = 0.02
+""",
+}
 
 
-@pytest.mark.parametrize("cmd", [
-    pytest.param(["taper"], id="taper"),
+@pytest.mark.parametrize("cmd, wire, code", [
+    pytest.param(["taper"], "straight", 3, id="taper"),
     pytest.param(["sweep", "--param", "structure.taper.d_um",
-                  "--range", "40:50", "--steps", "2"], id="sweep"),
+                  "--range", "40:50", "--steps", "2"], "tapered", 2, id="sweep"),
+    pytest.param(["analyze"], "tapered", 2, id="analyze"),
+    pytest.param(["tls", "--sections", "20000"], "tapered", 2, id="tls"),
 ])
-def test_wire_energy_pole_is_numerical_error(tmp_path, cmd):
-    # r0 >= 20t: the pole of the line-energy integrand at y = r0/4 lies in
-    # [5t, d], so the quadrature diverges
+def test_wire_energy_pole_is_numerical_error(tmp_path, cmd, wire, code):
     path = tmp_path / "pole.ini"
-    path.write_text(POLE_WIRE)
+    path.write_text(POLE_WIRES[wire])
     res = run_cli(cmd[0], "--config", str(path), *cmd[1:])
-    assert res.returncode == 3
+    assert res.returncode == code
     assert "Warning" not in res.stderr and "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error[3]: ") and "pole" in lines[0]
+    if code == 3:
+        assert lines[0].startswith("error[3]: ") and "pole" in lines[0]
+    else:
+        assert lines[0].startswith("error[2]: taper.r0: need r0 < 20*t")
     assert res.stdout == ""
 
 
@@ -348,6 +364,35 @@ def test_permittivity_overflow_is_numerical_error(tmp_path, cmd):
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error[3]: floating-point overflow")
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "tls"])
+def test_plate_denominator_underflow_is_numerical_error(tmp_path, cmd):
+    # s^2 underflows to zero in the plate's metal-air participation
+    path = tmp_path / "plate.ini"
+    path.write_text("[structure.plate]\ntype = parallel_plate\n"
+                    "s_um = 1e-300\nw_um = 100\nlength_um = 1e-300\n")
+    res = run_cli(cmd, "--config", str(path))
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[3]: ")
+    assert res.stdout == ""
+
+
+def test_taper_quadrature_failure_is_numerical_error(tmp_path):
+    # r0 = 1e-300 um: the taper starts from a point and the line-energy
+    # quadrature does not converge
+    path = tmp_path / "thin.ini"
+    path.write_text("[structure.taper]\ntype = tapered_wire\nr0_um = 1e-300\n"
+                    "slope = 0.2\nd_um = 1e6\nt_um = 2\n")
+    res = run_cli("taper", "--config", str(path))
+    assert res.returncode == 3
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[3]: wire line-energy quadrature")
     assert res.stdout == ""
 
 

@@ -7,12 +7,12 @@ import pytest
 
 from surfloss import _kernels as kern
 from surfloss.constants import EPS0
-from surfloss.special import ellipk_grid
+from surfloss.special import _ellipk_nonpositive
 
 
-def test_ellipk_grid_negative_and_positive():
-    m = np.array([-1e4, -1.0, -1e-8, 0.0, 0.5, 0.999999])
-    vals = ellipk_grid(m)
+def test_ellipk_nonpositive_matches_cephes():
+    m = np.array([-1e4, -1.0, -1e-8, 0.0])
+    vals = _ellipk_nonpositive(m)
     from scipy.special import ellipk as scipy_ellipk
     assert np.allclose(vals, scipy_ellipk(m), rtol=1e-12)
 
@@ -142,15 +142,25 @@ def test_frozen_kernel_values():
                                    err_msg=name)
 
 
-def test_ring_image_equals_mirrored_mutual():
-    # the image half of a mirrored solve, evaluated on i <= j and mirrored
-    from surfloss.bem.mesh import wire_rings
-    mesh = wire_rings(20e-6, lambda y: 0.2 * y, y0=0.02e-6, n=120)
-    z, r = mesh.pos[:, 0], mesh.pos[:, 1]
-    assert np.array_equal(kern.ring_image(z, r), kern.ring_mutual(z, r, -z, r))
-    assert np.array_equal(kern.ring_image(_FROZEN_Z, _FROZEN_R),
-                          kern.ring_mutual(_FROZEN_Z, _FROZEN_R, -_FROZEN_Z,
-                                           _FROZEN_R))
+def test_mirror_subtracts_image_in_one_pass():
+    # the image half of a mirrored solve, subtracted inside the matrix
+    # build, equals the plain matrix minus the mutual matrix to the image
+    from surfloss.analytic import taper_halfwidth
+    from surfloss.bem.mesh import wire_rings, wire_strip
+    rings = wire_rings(20e-6, lambda y: 0.2 * y, y0=0.02e-6, n=120)
+    strip = wire_strip(20e-6, lambda y: taper_halfwidth(y, 0.1e-6, 0.2, 0.1e-6),
+                       y0=0.02e-6, n=120)
+    cases = [(rings.pos[:, 0], rings.pos[:, 1], rings.width, strip.pos[:, 0],
+              strip.halfwidth, strip.width),
+             (_FROZEN_Z, _FROZEN_R, _FROZEN_W, _FROZEN_Z, _FROZEN_R, _FROZEN_W)]
+    for z, r, w, y, rb, wy in cases:
+        ring = kern.ring_matrix(z, r, w, mirror=True)
+        assert np.array_equal(ring, kern.ring_matrix(z, r, w)
+                              - kern.ring_mutual(z, r, -z, r))
+        assert np.array_equal(ring, ring.T)
+        flat = kern.flatwire_matrix(y, rb, wy, mirror=True)
+        assert np.array_equal(flat, kern.flatwire_matrix(y, rb, wy)
+                              - kern.flatwire_mutual(y, -y, rb))
 
 
 def test_planar_matrix_matches_hypot_form():
