@@ -1,12 +1,15 @@
 """Closed-form fields, surface energies, capacitances, and participations.
 
 Surface energies are reported normalized as u = U/(eps0 V^2): per unit
-length for the translationally invariant capacitor structures, total for
-the junction wires.  The metal-air and metal-substrate interfaces each see
-half of a structure's metal surface energy; the substrate-air interface
-sees the full substrate-line energy.  That split is centralized in
-_breakdown_from_energies, together with the optional corner-split
-refinement that re-weights the air/substrate sides of the film corners.
+length for the coax references, over the whole structure for the design
+structures (the per-length forms times the length, totals for the junction
+wires).  Each film structure has one energy function,
+``<type>_energies(spec, c_m)``, whose metal energy carries the corner
+constant c_m in its edge logarithm.  ``participation`` applies the one
+interface split: the metal-air and metal-substrate interfaces each see half
+of the metal surface energy, the substrate-air interface the full
+substrate-line energy, with the optional corner split re-weighting the
+air/substrate sides of the film corners.
 """
 
 from __future__ import annotations
@@ -50,33 +53,6 @@ def corner_split_mode(c_m: float) -> tuple[float, float]:
     if c_m < 0:
         raise ValueError("c_m must be >= 0")
     return 1.5 * c_m, 0.5 * c_m
-
-
-def _breakdown_from_energies(label: str, stack: DielectricStack, length: float,
-                             u_metal_of_c: Callable[[float], float],
-                             u_substrate: float, cap: float,
-                             c_m: float = C_M_DEFAULT,
-                             corner_split: bool = False) -> ParticipationBreakdown:
-    """Assemble p_MA/p_MS/p_SA from normalized surface energies.
-
-    s_i below is the bare geometry integral of |E0/V|^2 over interface i;
-    the MA and MS brackets each take U/2, SA takes the full substrate U.
-    """
-    if corner_split:
-        c_air, c_sub = corner_split_mode(c_m)
-        s_ma = u_metal_of_c(c_air)
-        s_ms = u_metal_of_c(c_sub)
-    else:
-        s_ma = s_ms = u_metal_of_c(c_m)
-    s_sa = 2.0 * u_substrate
-    w_ma, w_ms, w_sa = interface_weights(stack)
-    return ParticipationBreakdown(
-        label=label,
-        p_ma=w_ma * stack.t_ma * s_ma / length,
-        p_ms=w_ms * stack.t_ms * s_ms / length,
-        p_sa=w_sa * stack.t_sa * s_sa / length,
-        capacitance=cap,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -205,8 +181,10 @@ def strip_field(x, a: float, b: float, kprime: bool = False):
 # --------------------------------------------------------------------------
 # the structures
 
-def parallel_plate_capacitance(spec: ParallelPlate) -> float:
-    # the 1/2 is the series pair of the differential design
+def parallel_plate_capacitance(spec: ParallelPlate,
+                               stack: DielectricStack) -> float:
+    # a vacuum gap, so the stack does not enter; the 1/2 is the series pair
+    # of the differential design
     return 0.5 * EPS0 * spec.length * spec.w / spec.s
 
 
@@ -237,84 +215,52 @@ def tapered_wire_capacitance(spec: TaperedWire, stack: DielectricStack) -> float
     return 3.5 * eps_eff * EPS0 * math.sqrt(spec.slope) * spec.d
 
 
-def parallel_plate(spec: ParallelPlate, stack: DielectricStack,
-                   length: float) -> ParticipationBreakdown:
-    """Vacuum-gap plate pair: only the metal-air interface participates."""
-    w_ma, _, _ = interface_weights(stack)
-    p_ma = w_ma * stack.t_ma * spec.length * spec.w / (spec.s**2 * length)
-    return ParticipationBreakdown(spec.label, p_ma, 0.0, 0.0,
-                                  parallel_plate_capacitance(spec))
-
-
-def ribbon(spec: Ribbon, stack: DielectricStack, length: float,
-           corner_split: bool = False, c_m: float = C_M_DEFAULT,
-           c_s: float = C_S_DEFAULT) -> ParticipationBreakdown:
-    """Differential ribbon participations."""
+def ribbon_energies(spec: Ribbon, c_m: float,
+                    c_s: float = C_S_DEFAULT) -> SurfaceEnergyPair:
+    """Differential ribbon surface energies over its length."""
     a, b, t, ell = spec.a, spec.b, spec.t, spec.length
     k = ellipk((a / b) ** 2)
-    u_m = lambda c: ell * surface_sum(a, b, t, c) / (2.0 * k * k * a)
-    u_s = ell * surface_sum(a, b, t, c_s) / (4.0 * k * k * a)
-    return _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
-                                    ribbon_capacitance(spec, stack),
-                                    c_m=c_m, corner_split=corner_split)
+    return SurfaceEnergyPair(ell * surface_sum(a, b, t, c_m) / (2.0 * k * k * a),
+                             ell * surface_sum(a, b, t, c_s) / (4.0 * k * k * a))
 
 
 def ribbon_self_capacitance_participation(spec: Ribbon, stack: DielectricStack,
-                                          corner_split: bool = False,
-                                          c_m: float = C_M_DEFAULT,
-                                          c_s: float = C_S_DEFAULT) -> ParticipationBreakdown:
+                                          corner_split: bool = False
+                                          ) -> ParticipationBreakdown:
     """Participations when the ribbon supplies all the qubit capacitance.
 
     Equivalent to evaluating at L = C_ribbon/eps0; the K*K' geometric-mean
     form then appears in every interface.
     """
-    length = ribbon_capacitance(spec, stack) / EPS0
-    return ribbon(spec, stack, length, corner_split=corner_split,
-                  c_m=c_m, c_s=c_s)
+    return participation(spec, stack, ribbon_capacitance(spec, stack) / EPS0,
+                         corner_split)
 
 
-def coplanar(spec: Coplanar, stack: DielectricStack, length: float,
-             corner_split: bool = False, c_m: float = C_M_DEFAULT,
-             c_s: float = C_S_DEFAULT) -> ParticipationBreakdown:
-    """Differential (or single-ended) coplanar participations."""
+def coplanar_energies(spec: Coplanar, c_m: float) -> SurfaceEnergyPair:
+    """Differential (or single-ended) coplanar surface energies."""
     a, b, t, ell = spec.a, spec.b, spec.t, spec.length
     kp = ellipkp((a / b) ** 2)
     mult = 2.0 if spec.single_ended else 1.0
-    u_m = lambda c: mult * ell * surface_sum(a, b, t, c) / (kp * kp * a)
-    u_s = mult * ell * surface_sum(a, b, t, c_s) / (2.0 * kp * kp * a)
-    return _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
-                                    coplanar_capacitance(spec, stack),
-                                    c_m=c_m, corner_split=corner_split)
+    return SurfaceEnergyPair(
+        mult * ell * surface_sum(a, b, t, c_m) / (kp * kp * a),
+        mult * ell * surface_sum(a, b, t, C_S_DEFAULT) / (2.0 * kp * kp * a))
 
 
-def ribbon_ground_energies(a: float, b: float, c: float, t: float,
-                           c_m: float = C_M_DEFAULT,
+def ribbon_ground_energies(spec: RibbonWithGround, c_m: float,
                            c_s: float = C_S_DEFAULT) -> SurfaceEnergyPair:
-    """Fitted ribbon-with-ground surface energies per unit length.
+    """Fitted ribbon-with-ground surface energies over its length.
 
     Fit model: ribbon-like inner term plus a coplanar-like term between the
     ribbon outer edge b and the ground at c.
     """
+    a, b, c, t, ell = spec.a, spec.b, spec.c, spec.t, spec.length
     k = ellipk((a / b) ** 2)
     kp_bc = ellipkp((b / c) ** 2)
     u_m = (0.98 * surface_sum(a, b, t, c_m) / (2 * k * k * a)
            + 1.70 * surface_sum_outer(b, c, t, c_m) / (2 * kp_bc * kp_bc * b))
     u_s = (0.95 * surface_sum(a, b, t, c_s) / (4 * k * k * a)
            + 0.80 * surface_sum(b, c, t, c_s) / (4 * kp_bc * kp_bc * b))
-    return SurfaceEnergyPair(u_m, u_s)
-
-
-def ribbon_with_ground(spec: RibbonWithGround, stack: DielectricStack,
-                       length: float, corner_split: bool = False,
-                       c_m: float = C_M_DEFAULT,
-                       c_s: float = C_S_DEFAULT) -> ParticipationBreakdown:
-    """Fitted ribbon-with-ground participations."""
-    a, b, c, t, ell = spec.a, spec.b, spec.c, spec.t, spec.length
-    u_m = lambda cc: ell * ribbon_ground_energies(a, b, c, t, cc, c_s).u_metal
-    u_s = ell * ribbon_ground_energies(a, b, c, t, c_m, c_s).u_substrate
-    return _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
-                                    ribbon_ground_capacitance(spec, stack),
-                                    c_m=c_m, corner_split=corner_split)
+    return SurfaceEnergyPair(ell * u_m, ell * u_s)
 
 
 # --------------------------------------------------------------------------
@@ -379,31 +325,6 @@ def tapered_wire_energy_quadrature(r0: float, slope: float, d: float, t: float,
     return _quad(integrand, 5.0 * t, d, points=pts, limit=400)
 
 
-def straight_wire(spec: StraightWire, stack: DielectricStack, length: float,
-                  corner_split: bool = False, c_m: float = C_M_DEFAULT,
-                  c_s: float = C_S_DEFAULT) -> ParticipationBreakdown:
-    """Straight junction-wire participations (fit formulas)."""
-    rb, d, t = spec.half_width, spec.d, spec.t
-    u_m = lambda c: straight_wire_energy_fit(rb, d, t, c)
-    u_s = 0.25 * (math.log(4 * rb / t) + c_s) * (d / rb) / math.log(d / rb) ** 2
-    return _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
-                                    straight_wire_capacitance(spec, stack),
-                                    c_m=c_m, corner_split=corner_split)
-
-
-def tapered_wire(spec: TaperedWire, stack: DielectricStack, length: float,
-                 corner_split: bool = False, c_m: float = C_M_DEFAULT,
-                 c_s: float = C_S_DEFAULT) -> ParticipationBreakdown:
-    """Tapered junction-wire participations (fit formulas)."""
-    r0, s, d, t = spec.r0, spec.slope, spec.d, spec.t
-    u_m = lambda c: tapered_wire_energy_fit(r0, s, d, t, c)
-    u_s = 0.29 * (math.log(d / r0) / s) * (math.log(4 * s * d / t) + c_s) \
-        / math.log(4.0 / s) ** 2
-    return _breakdown_from_energies(spec.label, stack, length, u_m, u_s,
-                                    tapered_wire_capacitance(spec, stack),
-                                    c_m=c_m, corner_split=corner_split)
-
-
 def tapered_wire_energy_fit(r0: float, slope: float, d: float, t: float,
                             c: float = C_M_DEFAULT) -> float:
     """Closed-form metal energy U/(eps0 V^2) of both tapered wires."""
@@ -415,6 +336,24 @@ def straight_wire_energy_fit(rbar: float, d: float, t: float,
                              c: float = C_M_DEFAULT) -> float:
     """Closed-form metal energy U/(eps0 V^2) of both straight wires."""
     return 0.5 * (math.log(4 * rbar / t) + c) * (d / rbar) / math.log(d / rbar) ** 2
+
+
+def straight_wire_energies(spec: StraightWire, c_m: float) -> SurfaceEnergyPair:
+    """Straight junction-wire surface energies (fit formulas)."""
+    rb, d, t = spec.half_width, spec.d, spec.t
+    return SurfaceEnergyPair(
+        straight_wire_energy_fit(rb, d, t, c_m),
+        0.25 * (math.log(4 * rb / t) + C_S_DEFAULT) * (d / rb)
+        / math.log(d / rb) ** 2)
+
+
+def tapered_wire_energies(spec: TaperedWire, c_m: float) -> SurfaceEnergyPair:
+    """Tapered junction-wire surface energies (fit formulas)."""
+    r0, s, d, t = spec.r0, spec.slope, spec.d, spec.t
+    return SurfaceEnergyPair(
+        tapered_wire_energy_fit(r0, s, d, t, c_m),
+        0.29 * (math.log(d / r0) / s) * (math.log(4 * s * d / t) + C_S_DEFAULT)
+        / math.log(4.0 / s) ** 2)
 
 
 def wire_energy_crossover(r0: float, t: float, slope: float = 0.4,
@@ -495,27 +434,25 @@ def optimal_halfwidth_ratio(y_over_t: float, c_m: float = C_M_DEFAULT) -> float:
 # dispatch
 
 #: closed forms of each structure type: spec class -> (capacitance(spec,
-#: stack), participation(spec, stack, length, corner_split, c_m, c_s))
+#: stack), energies(spec, c_m)).  A plate pair has no film edges and only a
+#: metal-air interface, so it has no energies; ``participation`` states its
+#: metal-air term.
 CLOSED_FORMS = {
-    ParallelPlate: (lambda spec, stack: parallel_plate_capacitance(spec),
-                    lambda spec, stack, length, *_:
-                        parallel_plate(spec, stack, length)),
-    Ribbon: (ribbon_capacitance, ribbon),
-    Coplanar: (coplanar_capacitance, coplanar),
-    RibbonWithGround: (ribbon_ground_capacitance, ribbon_with_ground),
-    StraightWire: (straight_wire_capacitance, straight_wire),
-    TaperedWire: (tapered_wire_capacitance, tapered_wire),
+    ParallelPlate: (parallel_plate_capacitance, None),
+    Ribbon: (ribbon_capacitance, ribbon_energies),
+    Coplanar: (coplanar_capacitance, coplanar_energies),
+    RibbonWithGround: (ribbon_ground_capacitance, ribbon_ground_energies),
+    StraightWire: (straight_wire_capacitance, straight_wire_energies),
+    TaperedWire: (tapered_wire_capacitance, tapered_wire_energies),
 }
 
-#: junction-wire types: spec class -> (quadrature, closed form) metal energy
-#: U/(eps0 V^2) of the wire pair.  The energy functions are looked up when
-#: called, so a wrapper installed on this module sees these calls too.
+#: junction-wire types: spec class -> metal energy U/(eps0 V^2) of the wire
+#: pair by quadrature.  The quadratures are looked up when called, so a
+#: wrapper installed on this module sees these calls too.
 WIRE_ENERGIES = {
-    StraightWire: lambda w: (straight_wire_energy_quadrature(w.r0, w.d, w.t),
-                             straight_wire_energy_fit(w.r0, w.d, w.t)),
-    TaperedWire: lambda w: (
-        tapered_wire_energy_quadrature(w.r0, w.slope, w.d, w.t),
-        tapered_wire_energy_fit(w.r0, w.slope, w.d, w.t)),
+    StraightWire: lambda w: straight_wire_energy_quadrature(w.r0, w.d, w.t),
+    TaperedWire: lambda w: tapered_wire_energy_quadrature(w.r0, w.slope,
+                                                          w.d, w.t),
 }
 
 
@@ -532,8 +469,33 @@ def capacitance(spec: StructureSpec, stack: DielectricStack) -> float:
 
 
 def participation(spec: StructureSpec, stack: DielectricStack, length: float,
-                  corner_split: bool = False,
-                  c_m: float = C_M_DEFAULT, c_s: float = C_S_DEFAULT
-                  ) -> ParticipationBreakdown:
-    """Participation breakdown of any structure at a shared design length."""
-    return _closed_forms(spec)[1](spec, stack, length, corner_split, c_m, c_s)
+                  corner_split: bool = False) -> ParticipationBreakdown:
+    """Participation breakdown of any structure at a shared design length.
+
+    Metal-air and metal-substrate each take the structure's metal energy,
+    substrate-air twice its substrate energy, each times its dielectric
+    weight and oxide thickness over the length.  With corner_split the
+    metal energy is taken at the air- and substrate-side constants of
+    corner_split_mode(C_M_DEFAULT) instead of at C_M_DEFAULT on both.
+    """
+    cap, energies = _closed_forms(spec)
+    w_ma, w_ms, w_sa = interface_weights(stack)
+    if energies is None:
+        p_ma = w_ma * stack.t_ma * spec.length * spec.w / (spec.s**2 * length)
+        return ParticipationBreakdown(spec.label, p_ma, 0.0, 0.0,
+                                      cap(spec, stack))
+    if corner_split:
+        c_air, c_sub = corner_split_mode(C_M_DEFAULT)
+        pair = energies(spec, c_air)
+        s_ms = energies(spec, c_sub).u_metal
+    else:
+        pair = energies(spec, C_M_DEFAULT)
+        s_ms = pair.u_metal
+    s_sa = 2.0 * pair.u_substrate
+    return ParticipationBreakdown(
+        label=spec.label,
+        p_ma=w_ma * stack.t_ma * pair.u_metal / length,
+        p_ms=w_ms * stack.t_ms * s_ms / length,
+        p_sa=w_sa * stack.t_sa * s_sa / length,
+        capacitance=cap(spec, stack),
+    )

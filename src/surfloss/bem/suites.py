@@ -114,10 +114,6 @@ def suite_flat_coax(mesh_scale: float = 1.0) -> list[Check]:
 
 # --------------------------------------------------------------------------
 
-#: film half-width and shield radius of the corner-constant sweeps
-_CURVE_RBAR, _CURVE_SHIELD = 10e-6, 100e-6
-
-
 def _film_solve(rbar, shield, t, edge, mesh_scale, hfac):
     """One film cross-section solve at minimum element t/hfac; returns the
     metal constant c_m it gives on its own and the solution."""
@@ -166,27 +162,20 @@ def extract_corner_constants(rbar: float, shield: float, t: float,
     return c_m, c_s
 
 
-def corner_constant_curves(t_over_rbar, edge: str = "square",
-                           mesh_scale: float = 1.0):
-    """(c_m, c_s) arrays over a film-thickness sweep at rbar=10um, R=100um."""
-    rbar, shield = _CURVE_RBAR, _CURVE_SHIELD
-    out = [extract_corner_constants(rbar, shield, trb * rbar, edge, mesh_scale)
-           for trb in t_over_rbar]
-    arr = np.array(out)
-    return arr[:, 0], arr[:, 1]
-
-
 DEFAULT_T_OVER_RBAR = (0.02, 0.05, 0.1, 0.2, 0.35, 0.5)
 
 
 def suite_corner(mesh_scale: float = 1.0) -> list[Check]:
     """Extract the corner corrections over thickness; compare edge styles."""
-    cm_sq, cs_sq = corner_constant_curves(DEFAULT_T_OVER_RBAR, "square", mesh_scale)
+    rbar, shield = 10e-6, 100e-6      # film half-width, shield radius
+    cm_sq, cs_sq = np.array([
+        extract_corner_constants(rbar, shield, trb * rbar, "square", mesh_scale)
+        for trb in DEFAULT_T_OVER_RBAR]).T
     # only c_m is compared across edge styles, so the rounded edge skips
     # the substrate field evaluation
     cm_semi = np.array([
-        _metal_corner_constant(_CURVE_RBAR, _CURVE_SHIELD, trb * _CURVE_RBAR,
-                               "semicircle", mesh_scale)[0]
+        _metal_corner_constant(rbar, shield, trb * rbar, "semicircle",
+                               mesh_scale)[0]
         for trb in DEFAULT_T_OVER_RBAR])
     worst_cm = cm_sq[np.argmax(np.abs(cm_sq - 5.0))]
     worst_cs = cs_sq[np.argmax(np.abs(cs_sq - 1.6))]
@@ -253,14 +242,10 @@ def suite_ribbon_ground(mesh_scale: float = 1.0) -> list[Check]:
     cap, u_m, u_s = ribbon_ground_point(a, b, None, t, mesh_scale)
     c_exact = EPS0 / ck_ratio(a / b)      # vacuum convention
     checks.append(_rel("plain ribbon capacitance vs conformal", cap, c_exact, 0.01))
-    # at unit lengths, weights and oxides, p_MA is the metal energy and
-    # p_SA/2 the substrate energy, both as U/(eps0 V^2) per unit length
-    unit = analytic.DielectricStack(eps_s=1.0, eps_ma=1.0, eps_ms=1.0,
-                                    eps_sa=1.0, t_ma=1.0, t_ms=1.0, t_sa=1.0)
-    plain = analytic.ribbon(analytic.Ribbon(a, b, 1.0, t), unit, 1.0,
-                            c_m=0.0, c_s=0.0)
-    u_m_th = EPS0 * plain.p_ma
-    u_s_th = EPS0 * plain.p_sa / 2.0
+    # a unit-length ribbon's energies are per unit length
+    plain = analytic.ribbon_energies(analytic.Ribbon(a, b, 1.0, t), 0.0, 0.0)
+    u_m_th = EPS0 * plain.u_metal
+    u_s_th = EPS0 * plain.u_substrate
     checks.append(_rel("plain ribbon metal energy vs conformal", u_m, u_m_th, 0.02))
     checks.append(_rel("plain ribbon substrate energy vs conformal", u_s, u_s_th,
                        0.02))
@@ -273,7 +258,7 @@ def suite_ribbon_ground(mesh_scale: float = 1.0) -> list[Check]:
             spec = analytic.RibbonWithGround(a, b, c_gnd, 1.0, t)
             stack_vac = analytic.DielectricStack(eps_s=1.0)
             c_fit = analytic.ribbon_ground_capacitance(spec, stack_vac)
-            fit = analytic.ribbon_ground_energies(a, b, c_gnd, t, 0.0, 0.0)
+            fit = analytic.ribbon_ground_energies(spec, 0.0, 0.0)
             u_m_fit = EPS0 * fit.u_metal
             u_s_fit = EPS0 * fit.u_substrate
             errs_c.append(abs(cap / c_fit - 1.0))

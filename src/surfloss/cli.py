@@ -176,13 +176,15 @@ def cmd_sweep(args) -> int:
         for spec, bd in zip(cfg_i.structures, rows):
             for c in _COLUMNS[1:]:
                 row[f"{spec.label}.{c}"] = bd[c]
-            energies = analytic.WIRE_ENERGIES.get(type(spec))
-            if energies:
+            quadrature = analytic.WIRE_ENERGIES.get(type(spec))
+            if quadrature:
                 try:
-                    row[f"{spec.label}.u_metal"], \
-                        row[f"{spec.label}.u_metal_fit"] = energies(spec)
+                    row[f"{spec.label}.u_metal"] = quadrature(spec)
                 except ValueError as exc:
                     return _fail(EXIT_NUMERICAL, f"{args.param}={val}: {exc}")
+                fit = analytic.CLOSED_FORMS[type(spec)][1]
+                row[f"{spec.label}.u_metal_fit"] = \
+                    fit(spec, analytic.C_M_DEFAULT).u_metal
         row["total.loss_tangent"] = total["loss_tangent"]
         out_rows.append(row)
 

@@ -221,6 +221,8 @@ class TaperedWire:
             bad.append(f"{self.label}.slope: need 0 < slope <= {MAX_TAPER_SLOPE}")
         if self.d <= 5 * self.t:
             bad.append(f"{self.label}.d: need d > 5*t")
+        if self.t > 2 * self.r0:
+            bad.append(f"{self.label}.t: need t <= 2*r0")
         if self.t > 0 and self.r0 >= 20 * self.t:
             bad.append(f"{self.label}.r0: need r0 < 20*t; beyond it the line "
                        "energy the wire fits stand for diverges")

@@ -246,7 +246,7 @@ def rwg_sweep():
             spec = RibbonWithGround(a, b, c_gnd, 1.0, t)
             c_fit = analytic.ribbon_ground_capacitance(
                 spec, DielectricStack(eps_s=1.0))
-            fit = analytic.ribbon_ground_energies(a, b, c_gnd, t, 0.0, 0.0)
+            fit = analytic.ribbon_ground_energies(spec, 0.0, 0.0)
             u_m_fit = EPS0 * fit.u_metal
             u_s_fit = EPS0 * fit.u_substrate
             rows.append((a / UM, g, cap / c_fit, u_m / u_m_fit, u_s / u_s_fit))

@@ -295,6 +295,26 @@ def test_wire_energy_pole_is_numerical_error(tmp_path, cmd, wire, code):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("cmd", [
+    pytest.param(["analyze"], id="analyze"),
+    pytest.param(["tls", "--sections", "20000"], id="tls"),
+    pytest.param(["taper"], id="taper"),
+    pytest.param(["sweep", "--param", "structure.taper.d_um",
+                  "--range", "40:50", "--steps", "2"], id="sweep"),
+])
+def test_tapered_wire_thicker_than_its_width_is_config_error(tmp_path, cmd):
+    # t > 2*r0: the film is thicker than the wire is wide, as a straight
+    # wire may not be either
+    path = tmp_path / "thick.ini"
+    path.write_text("[structure.taper]\ntype = tapered_wire\nr0_um = 0.1\n"
+                    "slope = 0.4\nd_um = 50\nt_um = 2\n")
+    res = run_cli(cmd[0], "--config", str(path), *cmd[1:])
+    assert res.returncode == 2
+    assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+    assert res.stderr.splitlines() == ["error[2]: taper.t: need t <= 2*r0"]
+    assert res.stdout == ""
+
+
 def test_tls_command(table_config, tmp_path):
     out = tmp_path / "tlsout"
     res = run_cli("tls", "--config", str(table_config), "--out", str(out),
@@ -382,11 +402,12 @@ def test_plate_denominator_underflow_is_numerical_error(tmp_path, cmd):
 
 
 def test_taper_quadrature_failure_is_numerical_error(tmp_path):
-    # r0 = 1e-300 um: the taper starts from a point and the line-energy
-    # quadrature does not converge
-    path = tmp_path / "thin.ini"
-    path.write_text("[structure.taper]\ntype = tapered_wire\nr0_um = 1e-300\n"
-                    "slope = 0.2\nd_um = 1e6\nt_um = 2\n")
+    # r0 just under 20t: the pole of 1/ln(4y/r0)^2 at y = r0/4 sits just
+    # below the lower limit 5t, and the line-energy quadrature does not
+    # converge
+    path = tmp_path / "near_pole.ini"
+    path.write_text("[structure.taper]\ntype = tapered_wire\n"
+                    "r0_um = 1.999999\nslope = 0.2\nd_um = 50\nt_um = 0.1\n")
     res = run_cli("taper", "--config", str(path))
     assert res.returncode == 3
     assert "Warning" not in res.stderr and "Traceback" not in res.stderr

@@ -231,3 +231,23 @@ def test_participation_frozen_values(name, corner_split):
                                 corner_split=corner_split)
     assert (bd.p_ma, bd.p_ms, bd.p_sa, bd.capacitance) \
         == FROZEN_PARTICIPATIONS[name, corner_split]
+
+
+@pytest.mark.parametrize("spec", [RIBBON, COPLANAR, RWG, WIRE, TAPER],
+                         ids=["ribbon", "coplanar", "ribbon_with_ground",
+                              "straight_wire", "tapered_wire"])
+def test_participation_is_the_energy_split(spec):
+    # with unit weights, oxides and length the participations are the
+    # structure's surface energies: the metal energy on MA and MS (at the
+    # corner-split constants 7.5 and 2.5 with corner_split), twice the
+    # substrate energy on SA
+    unit = DielectricStack(eps_s=1.0, eps_ma=1.0, eps_ms=1.0, eps_sa=1.0,
+                           t_ma=1.0, t_ms=1.0, t_sa=1.0)
+    energies = analytic.CLOSED_FORMS[type(spec)][1]
+    bd = analytic.participation(spec, unit, 1.0)
+    assert bd.p_ma == bd.p_ms == energies(spec, 5.0).u_metal
+    assert bd.p_sa == 2 * energies(spec, 5.0).u_substrate
+    split = analytic.participation(spec, unit, 1.0, corner_split=True)
+    assert split.p_ma == energies(spec, 7.5).u_metal
+    assert split.p_ms == energies(spec, 2.5).u_metal
+    assert split.p_sa == bd.p_sa
