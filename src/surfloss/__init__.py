@@ -4,11 +4,11 @@ superconducting transmon capacitors and junction wires.
 Closed-form participation ratios for the standard capacitor geometries
 (parallel plate, ribbon, coplanar, ribbon with ground, straight/tapered
 junction wires), cross-verified by built-in surface-charge solvers, plus
-two-level-state splitting spectra and saturation curves.
+two-level-state splitting spectra.
 
 Importing the package loads NumPy only: SciPy is imported inside the
-functions that call it (quadrature, root finding, BEM solves and the
-vectorized elliptic integral).
+functions that call it (quadrature, BEM solves and the vectorized
+elliptic integral).
 """
 
 from .constants import EPS0

@@ -1,7 +1,7 @@
 """Closed-form fields, surface energies, capacitances, and participations.
 
 Surface energies are reported normalized as u = U/(eps0 V^2): per unit
-length for the coax references, over the whole structure for the design
+length for the flat-coax reference, over the whole structure for the design
 structures (the per-length forms times the length, totals for the junction
 wires).  Each film structure has one energy function,
 ``<type>_energies(spec, c_m)``, whose metal energy carries the corner
@@ -56,20 +56,7 @@ def corner_split_mode(c_m: float) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
-# coax and flat coax (the thickness-correction reference geometries)
-
-def coax_fields_and_energies(r: float, R: float):
-    """Round coax: center field and metal/substrate surface energies.
-
-    Returns (E_c/V, SurfaceEnergyPair).
-    """
-    if not 0 < r < R:
-        raise ValueError(f"coax requires 0 < r < R, got r={r}, R={R}")
-    e_c = 1.0 / (r * math.log(R / r))        # |E| at the inner surface, per volt
-    u_m = e_c**2 * r * math.pi
-    u_s = e_c**2 * r * (1.0 - r / R)
-    return e_c, SurfaceEnergyPair(u_m, u_s)
-
+# flat coax (the thickness-correction reference geometry)
 
 def flat_coax_center_field(rbar: float, R: float) -> float:
     """E_f/V of a flat coax: thin film of width 2*rbar inside radius R."""
@@ -103,49 +90,8 @@ def flat_coax_energies(rbar: float, R: float, t: float,
     return SurfaceEnergyPair(u_m, u_s)
 
 
-def corner_field(e_at_cutoff: float, r_c: float, t: float) -> float:
-    """Corner field below the t/2 matching point, |E| ~ r_c^(-1/3)."""
-    if not 0 < r_c <= t / 2:
-        raise ValueError("corner field is defined for 0 < r_c <= t/2")
-    return e_at_cutoff * (r_c / (t / 2.0)) ** CORNER_EXPONENT
-
-
-def corner_energy_constant(p: float = CORNER_EXPONENT) -> float:
-    """Constant replacing the corner bands in the metal energy; 6 at p=-1/3."""
-    return 2.0 / (1.0 + 2.0 * p)
-
-
-@dataclass(frozen=True)
-class EdgeEnhancement:
-    ratio: float          # flat-film metal energy over round-coax metal energy
-    log_term: float       # ln(4*rbar/t)
-    corner_share: float   # c_m / (ln + c_m)
-
-
-def edge_enhancement(rbar: float, t: float, c_m: float = C_M_DEFAULT) -> EdgeEnhancement:
-    """How much extra metal surface energy a flat film has over a round wire."""
-    log_term = math.log(4.0 * rbar / t)
-    bracket = log_term + c_m
-    return EdgeEnhancement(bracket / math.pi, log_term, c_m / bracket)
-
-
 # --------------------------------------------------------------------------
 # conformal section integrals shared by the strip capacitors
-
-def ribbon_sections(a: float, b: float, t: float) -> tuple[float, float, float]:
-    """(S_i, S_c, S_o): inner / center / outer integrals of the strip field.
-
-    Logarithmic edge divergences are cut off at t/2; S_c = S_i + S_o holds
-    exactly in these forms.
-    """
-    gap_log = math.log((b - a) / (b + a))
-    denom = 2.0 * (1.0 - a * a / (b * b))
-    s_i = (math.log(4 * a / t) / a + gap_log / b) / denom
-    s_o = (gap_log / a + math.log(4 * b / t) / b) / denom
-    s_c = ((math.log(4 * a / t) + gap_log) / a
-           + (math.log(4 * b / t) + gap_log) / b) / denom
-    return s_i, s_c, s_o
-
 
 def surface_sum(a: float, b: float, t: float, c: float) -> float:
     """Dimensionless surface integral S_a(c); S_a(c)/a is the center integral
@@ -163,13 +109,11 @@ def surface_sum_outer(b: float, c_gnd: float, t: float, c: float) -> float:
         / (2.0 * (1.0 - b * b / (c_gnd * c_gnd)))
 
 
-def strip_field(x, a: float, b: float, kprime: bool = False):
-    """|E(x)|/V of the conformal strip solution for a differential volt.
-
-    kprime=False gives the ribbon normalization 1/(2K); True the coplanar
-    1/(2K').  Valid on all three sections of the plane.
+def strip_field(x, a: float, b: float):
+    """|E(x)|/V of the conformal ribbon solution for a differential volt,
+    normalized by 1/(2K).  Valid on all three sections of the plane.
     """
-    k = ellipk(1.0 - (a / b) ** 2) if kprime else ellipk((a / b) ** 2)
+    k = ellipk((a / b) ** 2)
     x = np.asarray(x, dtype=float)
     denom = np.abs((x * x - a * a) * (x * x - b * b))
     if np.any(denom == 0.0):
@@ -222,18 +166,6 @@ def ribbon_energies(spec: Ribbon, c_m: float,
     k = ellipk((a / b) ** 2)
     return SurfaceEnergyPair(ell * surface_sum(a, b, t, c_m) / (2.0 * k * k * a),
                              ell * surface_sum(a, b, t, c_s) / (4.0 * k * k * a))
-
-
-def ribbon_self_capacitance_participation(spec: Ribbon, stack: DielectricStack,
-                                          corner_split: bool = False
-                                          ) -> ParticipationBreakdown:
-    """Participations when the ribbon supplies all the qubit capacitance.
-
-    Equivalent to evaluating at L = C_ribbon/eps0; the K*K' geometric-mean
-    form then appears in every interface.
-    """
-    return participation(spec, stack, ribbon_capacitance(spec, stack) / EPS0,
-                         corner_split)
 
 
 def coplanar_energies(spec: Coplanar, c_m: float) -> SurfaceEnergyPair:
@@ -356,33 +288,21 @@ def tapered_wire_energies(spec: TaperedWire, c_m: float) -> SurfaceEnergyPair:
         / math.log(4.0 / s) ** 2)
 
 
-def wire_energy_crossover(r0: float, t: float, slope: float = 0.4,
-                          c: float = C_M_DEFAULT) -> float:
-    """Wire length d where the tapered closed-form energy drops below straight.
-
-    Bracketed away from d ~ 5t where the taper model degenerates.
-    """
-    from scipy.optimize import brentq
-    f = lambda d: straight_wire_energy_fit(r0, d, t, c) \
-        - tapered_wire_energy_fit(r0, slope, d, t, c)
-    lo, hi = 20.0 * max(t, r0), 1e5 * max(t, r0)
-    return brentq(f, lo, hi)
-
-
 # --------------------------------------------------------------------------
 # taper optimization
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-4) -> tuple[float, float]:
-    """Golden-section minimizer for a unimodal scalar function."""
+def golden_section_min(f: Callable[[float], float], lo: float,
+                       hi: float) -> tuple[float, float]:
+    """Golden-section minimizer for a unimodal scalar function, down to a
+    bracket 1e-4 of its bound."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > tol * max(abs(a), abs(b), 1e-30):
+    while abs(b - a) > 1e-4 * max(abs(a), abs(b), 1e-30):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -420,14 +340,6 @@ def optimize_taper_slope(r0: float, d: float, t: float,
     if u_opt > energies[i]:
         s_opt, u_opt = float(slopes[i]), float(energies[i])
     return TaperOptimum(s_opt, u_opt, slopes, energies)
-
-
-def optimal_halfwidth_ratio(y_over_t: float, c_m: float = C_M_DEFAULT) -> float:
-    """r/y minimizing the wire line-energy integrand at fixed distance y."""
-    f = lambda ratio: (math.log(4 * ratio * y_over_t) + c_m) \
-        / (ratio * math.log(4.0 / ratio) ** 2)
-    r, _ = golden_section_min(f, 1e-3, 0.95, tol=1e-10)
-    return r
 
 
 # --------------------------------------------------------------------------

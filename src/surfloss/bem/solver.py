@@ -12,7 +12,6 @@ symmetric.  Systems are capped at 20k unknowns.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -87,18 +86,6 @@ class ChargeSolution:
                                   mesh.pos[:, 0], mesh.pos[:, 1],
                                   mesh.tangent[:, 0], mesh.tangent[:, 1],
                                   mesh.width, self.charge)
-
-    def to_csv(self, path) -> None:
-        field = self.surface_field()
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(["position", "width", "charge", "field", "side"])
-            for i in range(self.mesh.n):
-                wr.writerow([f"{self.mesh.pos[i, 0]:.9e}",
-                             f"{self.mesh.width[i]:.9e}",
-                             f"{self.charge[i]:.9e}",
-                             f"{field[i]:.9e}",
-                             self.mesh.side[i]])
 
 
 def _check_rcond(rcond: float) -> None:

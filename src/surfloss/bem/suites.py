@@ -177,12 +177,13 @@ def suite_corner(mesh_scale: float = 1.0) -> list[Check]:
         _metal_corner_constant(rbar, shield, trb * rbar, "semicircle",
                                mesh_scale)[0]
         for trb in DEFAULT_T_OVER_RBAR])
-    worst_cm = cm_sq[np.argmax(np.abs(cm_sq - 5.0))]
-    worst_cs = cs_sq[np.argmax(np.abs(cs_sq - 1.6))]
+    c_m, c_s = analytic.C_M_DEFAULT, analytic.C_S_DEFAULT
+    worst_cm = cm_sq[np.argmax(np.abs(cm_sq - c_m))]
+    worst_cs = cs_sq[np.argmax(np.abs(cs_sq - c_s))]
     diff = float(np.max(cm_semi - cm_sq))
     return [
-        _abs("square-edge c_m over t/rbar sweep", float(worst_cm), 5.0, 0.5),
-        _abs("square-edge c_s over t/rbar sweep", float(worst_cs), 1.6, 0.3),
+        _abs("square-edge c_m over t/rbar sweep", float(worst_cm), c_m, 0.5),
+        _abs("square-edge c_s over t/rbar sweep", float(worst_cs), c_s, 0.3),
         _abs("c_m variation across sweep", float(cm_sq.max() - cm_sq.min()),
              0.0, 0.6, note="slowly varying"),
         Check("semicircular-edge c_m strictly below square", 0.0, diff, 0.0,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import FF, GHZ, UM
 from .config import DesignConfig, load_config, parse_config, read_config
-from .geometry import ParallelPlate, Ribbon, ValidationError, assemble_design
+from .geometry import ValidationError, assemble_design
 from . import analytic, tls
 from .bem.mesh import MeshCapError
 from .bem.solver import SolverError
@@ -240,18 +240,15 @@ def cmd_tls(args) -> int:
     c_total = design.capacitance
     for spec in cfg.structures:
         name = spec.label
-        if isinstance(spec, Ribbon):
-            spectrum = tls.ribbon_tls_profile(spec, cfg.stack, c_total)
-        elif type(spec) in analytic.WIRE_ENERGIES:
-            spectrum = tls.wire_tls_spectrum(spec, c_total, cfg.stack,
-                                             sections=args.sections)
-        elif isinstance(spec, ParallelPlate):
-            s_val, area = tls.parallel_plate_splitting(spec, cfg.stack, c_total)
-            print(f"{name}: parallel plate S_max = {_fmt(s_val)} Hz over "
-                  f"effective area {_fmt(area)} um^2")
-            continue
-        else:
+        model = tls.TLS_MODELS.get(type(spec))
+        if model is None:
             print(f"{name}: no TLS model for this structure type; skipped")
+            continue
+        spectrum = model(spec, cfg.stack, c_total, args.sections)
+        if len(spectrum.s_hz) == 1:
+            # only the plate pair's uniform oxide field gives one patch
+            print(f"{name}: parallel plate S_max = {_fmt(spectrum.s_hz[0])} "
+                  f"Hz over effective area {_fmt(spectrum.area_um2[0])} um^2")
             continue
         try:
             s_first = spectrum.s_at_area(tls.OBSERVABLE_AREA_UM2)

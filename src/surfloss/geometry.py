@@ -8,6 +8,7 @@ all structures and interfaces.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -288,6 +289,16 @@ def validate_design(structures, stack: DielectricStack) -> list[str]:
     return problems
 
 
+@contextmanager
+def _labelled(spec):
+    """Prefix the structure's label to a numerical error raised inside,
+    keeping the exception class."""
+    try:
+        yield
+    except (ValueError, FloatingPointError, OverflowError) as exc:
+        raise type(exc)(f"{spec.label}: {exc}") from exc
+
+
 def assemble_design(structures, stack: DielectricStack,
                     target_capacitance: Optional[float] = None,
                     corner_split: bool = False) -> DesignAssembly:
@@ -303,7 +314,10 @@ def assemble_design(structures, stack: DielectricStack,
     if problems:
         raise ValidationError(problems)
 
-    caps = [analytic.capacitance(s, stack) for s in structures]
+    caps = []
+    for s in structures:
+        with _labelled(s):
+            caps.append(analytic.capacitance(s, stack))
     c_total = target_capacitance if target_capacitance is not None else sum(caps)
     if c_total <= 0:
         raise ValidationError(["targets.capacitance: resolved C must be > 0"])
@@ -311,7 +325,9 @@ def assemble_design(structures, stack: DielectricStack,
 
     breakdowns = []
     for s in structures:
-        bd = analytic.participation(s, stack, length, corner_split=corner_split)
-        breakdowns.append(bd.with_loss(stack))
+        with _labelled(s):
+            bd = analytic.participation(s, stack, length,
+                                        corner_split=corner_split)
+            breakdowns.append(bd.with_loss(stack))
     total_loss = sum(b.loss_tangent for b in breakdowns)
     return DesignAssembly(tuple(breakdowns), c_total, length, total_loss)

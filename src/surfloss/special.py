@@ -67,14 +67,3 @@ def ck_ratio(a_over_b: float) -> float:
     m = a_over_b * a_over_b
     return ellipk(m) / ellipk(1.0 - m)
 
-
-def ck_ratio_log_approx(a_over_b: float) -> float:
-    """Logarithmic approximation to ck_ratio.
-
-    Good to better than 1% over a/b in [0.1, 0.9]; the exact elliptic
-    ratio is authoritative everywhere, this form is for cross-checks.
-    """
-    if not 0.0 < a_over_b < 1.0:
-        raise ValueError(f"ck_ratio_log_approx requires 0 < a/b < 1, got {a_over_b}")
-    rk = math.sqrt(a_over_b)
-    return math.log(2.0 * (1.0 + rk) / (1.0 - rk)) / math.pi

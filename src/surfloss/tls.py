@@ -1,11 +1,12 @@
-"""Two-level-state observables: saturation curves, maximum splitting
-spectra, and splitting densities.
+"""Two-level-state observables: maximum splitting spectra per structure.
 
 Splitting sizes follow the measured junction-capacitor reference (74 MHz
 at 2 pF with a 2 nm gap), scaled by 1/sqrt(C) and by the local field per
 volt.  Spectra pair each surface patch's S_max with its area; sorting by
 descending S_max and accumulating area gives the observability curve, with
 one splitting expected per (0.5/um^2/GHz)^-1 of area-bandwidth product.
+``TLS_MODELS`` maps each structure type that has a TLS model to its
+spectrum; the plate pair's uniform oxide field makes its spectrum one patch.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPS0
-from .geometry import Coplanar, DielectricStack, ParallelPlate, Ribbon
-from .special import ellipkp
+from .geometry import (DielectricStack, ParallelPlate, Ribbon, StraightWire,
+                       TaperedWire)
 from . import analytic
 
 #: measured reference: S_max = 74 MHz at C = 2 pF across a 2 nm junction gap
@@ -36,15 +36,6 @@ OBSERVABLE_AREA_UM2 = 1.0
 
 #: fewest wire patches that give a converged spectrum
 MIN_SECTIONS = 10_000
-
-
-def saturate(e_sq, e_s: float):
-    """TLS-saturated field square: E^2 -> E^2/sqrt(1 + E^2/E_s^2)."""
-    if e_s <= 0:
-        raise ValueError("saturation field must be > 0")
-    e_sq = np.asarray(e_sq, dtype=float)
-    out = e_sq / np.sqrt(1.0 + e_sq / e_s**2)
-    return out if out.shape else float(out)
 
 
 def s_max_prefactor(capacitance: float) -> float:
@@ -66,12 +57,6 @@ class TlsSpectrum:
     s_hz: np.ndarray          # descending
     area_um2: np.ndarray      # increasing
 
-    def area_at(self, s: float) -> float:
-        """Cumulative area carrying splittings of at least s."""
-        if not (self.s_hz[-1] <= s <= self.s_hz[0]):
-            raise ValueError(f"splitting {s} Hz outside the tabulated range")
-        return float(np.interp(-s, -self.s_hz, self.area_um2))
-
     def s_at_area(self, area: float) -> float:
         """Splitting size at a given cumulative area."""
         if not (self.area_um2[0] <= area <= self.area_um2[-1]):
@@ -82,15 +67,6 @@ class TlsSpectrum:
         """Splitting size at which the average spectral spacing equals spacing_hz."""
         area = 1.0 / (DENSITY_PER_UM2_GHZ * spacing_hz / 1e9)
         return self.s_at_area(area)
-
-
-def splitting_density(spectrum: TlsSpectrum, s1: float, s2: float) -> float:
-    """Expected splittings per GHz with sizes between s1 and s2 (s1 < s2)."""
-    if not s1 < s2:
-        raise ValueError("need s1 < s2")
-    a1 = spectrum.area_at(s1)
-    a2 = spectrum.area_at(s2)
-    return DENSITY_PER_UM2_GHZ * abs(a1 - a2)
 
 
 def _spectrum_from_patches(s_values, areas_um2) -> TlsSpectrum:
@@ -197,73 +173,27 @@ def parallel_plate_splitting(spec: ParallelPlate, stack: DielectricStack,
     return s_val, area
 
 
+
 # --------------------------------------------------------------------------
-# saturation sweeps (single-ended coplanar resonator test structures)
+# dispatch; each row looks its spectrum function up when called, so a
+# wrapper installed on this module sees these calls too
 
-@dataclass(frozen=True)
-class SaturationCurve:
-    e_s: np.ndarray              # saturation field grid [V/m]
-    energy: np.ndarray           # J/m at the drive voltage
-    kind: str                    # 'surface' | 'volume'
-    label: str
-    marker: tuple = ()           # (E_s, energy) characteristic crossover
+def _wire_spectrum(spec, stack: DielectricStack, capacitance: float,
+                   sections: int) -> TlsSpectrum:
+    return wire_tls_spectrum(spec, capacitance, stack, sections=sections)
 
 
-def coplanar_saturated_surface_energy(spec: Coplanar, e_s: float,
-                                      volts: float = 1.0) -> float:
-    """(eps0/2) * saturated E^2 over the metal surfaces, per unit length."""
-    a, b, t = spec.a, spec.b, spec.t
-    xi = a - np.geomspace(t / 2, a * (1 - 1e-9), 600)
-    xo = b + np.geomspace(t / 2, 200 * b, 600)
-    total = 0.0
-    for xs in (np.sort(xi), xo):
-        # strip_field is per differential volt; single-ended is twice that
-        e = 2.0 * volts * analytic.strip_field(xs, a, b, kprime=True)
-        e2 = saturate(e**2, e_s)
-        total += float(np.trapezoid(e2, xs))
-    # 2 faces and the +-x symmetry
-    return 0.5 * EPS0 * 4.0 * total
+def _plate_spectrum(spec: ParallelPlate, stack: DielectricStack,
+                    capacitance: float, sections: int) -> TlsSpectrum:
+    s_val, area = parallel_plate_splitting(spec, stack, capacitance)
+    return TlsSpectrum(np.array([s_val]), np.array([area]))
 
 
-def coplanar_saturated_volume_energy(spec: Coplanar, e_s: float,
-                                     volts: float = 1.0) -> float:
-    """(eps0/2) * saturated E^2 over the whole plane, per unit length."""
-    a, b = spec.a, spec.b
-    kp = ellipkp((a / b) ** 2)
-    y = np.geomspace(1e-5 * a, 100 * b, 160)
-    x = np.unique(np.concatenate([
-        np.linspace(0, 1.2 * b, 160),
-        a + np.geomspace(1e-5 * a, b, 80), a - np.geomspace(1e-5 * a, a, 80),
-        b + np.geomspace(1e-5 * a, 100 * b, 160), b - np.geomspace(1e-5 * a, b - a, 80),
-    ]))
-    x = x[x >= 0]
-    zz = x[None, :] + 1j * y[:, None]
-    e2 = (volts * b / kp) ** 2 / np.abs((zz**2 - a**2) * (zz**2 - b**2))
-    sat = saturate(e2, e_s)
-    line = np.trapezoid(sat, x, axis=1)
-    integral = np.trapezoid(line, y)
-    # quadrant symmetry in x and y
-    return 0.5 * EPS0 * 4.0 * float(integral)
-
-
-def saturation_sweep(specs, e_s_grid, volts: float = 1.0):
-    """Surface and volume saturation curves for single-ended coplanar specs."""
-    curves = []
-    e_s_grid = np.asarray(e_s_grid, dtype=float)
-    for spec in specs:
-        if not isinstance(spec, Coplanar) or not spec.single_ended:
-            raise ValueError("saturation sweeps take single-ended coplanar specs")
-        surf = np.array([coplanar_saturated_surface_energy(spec, es, volts)
-                         for es in e_s_grid])
-        vol = np.array([coplanar_saturated_volume_energy(spec, es, volts)
-                        for es in e_s_grid])
-        kp = ellipkp((spec.a / spec.b) ** 2)
-        e_center = volts / (2 * spec.a * kp) * 2.0      # single-ended field at x=0
-        u_single = 2.0 * EPS0 * volts**2 \
-            * analytic.surface_sum(spec.a, spec.b, spec.t, analytic.C_M_DEFAULT) \
-            / (kp * kp * spec.a)
-        label = f"{spec.label}(a={spec.a*1e6:g}um)"
-        curves.append(SaturationCurve(e_s_grid, surf, "surface", label,
-                                      marker=(3.0 * e_center, u_single)))
-        curves.append(SaturationCurve(e_s_grid, vol, "volume", label))
-    return curves
+#: TLS models: spec class -> spectrum(spec, stack, capacitance, sections),
+#: with `sections` the wire-patch count
+TLS_MODELS = {
+    Ribbon: lambda spec, stack, c, sections: ribbon_tls_profile(spec, stack, c),
+    StraightWire: _wire_spectrum,
+    TaperedWire: _wire_spectrum,
+    ParallelPlate: _plate_spectrum,
+}

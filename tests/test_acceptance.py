@@ -21,6 +21,9 @@ from surfloss.bem.suites import (RWG_A, RWG_GAPS, ribbon_ground_point,
                                  run_suite, suite_coax, suite_corner,
                                  suite_flat_coax, wire_field_profile)
 
+from paper_forms import (area_at, edge_enhancement, fit_crossover,
+                         ribbon_inner_outer)
+
 UM = 1e-6
 FF = 1e-15
 
@@ -73,13 +76,14 @@ def test_criterion_2_check_data_losses():
                             t_ma=3e-9, t_ms=3e-9, t_sa=3e-9,
                             tan_ma=0.002, tan_ms=0.002, tan_sa=0.002)
     spec = Ribbon(2.5 * UM, 4.5 * UM, 1e-3, 0.1 * UM)
-    bd = analytic.ribbon_self_capacitance_participation(spec, stack)
+    # the ribbon supplies all the qubit capacitance: L = C_ribbon/eps0
+    length = analytic.ribbon_capacitance(spec, stack) / EPS0
+    bd = analytic.participation(spec, stack, length)
     losses = (bd.p_ma * 0.002, bd.p_ms * 0.002, bd.p_sa * 0.002)
     assert losses[0] == pytest.approx(0.060e-6, rel=0.02)
     assert losses[1] == pytest.approx(5.93e-6, rel=0.02)
     assert losses[2] == pytest.approx(3.57e-6, rel=0.02)
-    split = analytic.ribbon_self_capacitance_participation(spec, stack,
-                                                           corner_split=True)
+    split = analytic.participation(spec, stack, length, corner_split=True)
     assert split.p_ma * 0.002 == pytest.approx(0.077e-6, rel=0.02)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -219,7 +223,7 @@ def test_criterion_7_taper_energy_ratios():
 
 
 def test_criterion_7_crossover():
-    d_star = analytic.wire_energy_crossover(0.1 * UM, 0.1 * UM, slope=0.4)
+    d_star = fit_crossover(0.1 * UM, 0.1 * UM, slope=0.4)
     assert 7 * UM < d_star < 14 * UM
     u_s5 = analytic.straight_wire_energy_fit(0.1 * UM, 5 * UM, 0.1 * UM)
     u_t5 = analytic.tapered_wire_energy_fit(0.1 * UM, 0.4, 5 * UM, 0.1 * UM)
@@ -286,7 +290,8 @@ def test_criterion_9_tls_predictions():
     s_spaced = spectrum.s_at_spacing(200e6)
     assert s_spaced == pytest.approx(300e3, rel=0.20)
     # at that size the expected density is one splitting per 200 MHz
-    dens = tls.splitting_density(spectrum, s_spaced, spectrum.s_hz[0])
+    dens = tls.DENSITY_PER_UM2_GHZ * abs(
+        area_at(spectrum, s_spaced) - area_at(spectrum, spectrum.s_hz[0]))
     assert dens == pytest.approx(5.0, rel=0.01)       # per GHz
     # the single largest splitting expected over the 2 GHz span (A = 1 um^2)
     # sits in the few-hundred-kHz range
@@ -314,9 +319,11 @@ def test_criterion_9_tls_predictions():
 # ------------------------------------------------------------ criterion 10
 
 def test_criterion_10_property_suites():
-    # section identity
+    # section identity: the inner and outer integrals sum to the shipped
+    # center integral
     for a, b, t in ((50, 100, 0.1), (2.5, 4.5, 0.1), (20, 90, 0.05)):
-        s_i, s_c, s_o = analytic.ribbon_sections(a * UM, b * UM, t * UM)
+        s_i, s_o = ribbon_inner_outer(a * UM, b * UM, t * UM)
+        s_c = analytic.surface_sum(a * UM, b * UM, t * UM, 0.0) / (a * UM)
         assert abs(s_c - (s_i + s_o)) <= 1e-12 * s_c
 
     # flat-coax voltage integral
@@ -365,7 +372,7 @@ def test_criterion_10_property_suites():
 # ------------------------------------------------------------ criterion 11
 
 def test_criterion_11_edge_enhancement():
-    e = analytic.edge_enhancement(50 * UM, 0.1 * UM)
+    e = edge_enhancement(50 * UM, 0.1 * UM)
     assert e.ratio == pytest.approx(4.0, rel=0.02)
     assert e.log_term == pytest.approx(7.6, rel=0.02)
     # "about 1/3" of the metal surface energy comes from the corners

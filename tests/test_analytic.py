@@ -11,28 +11,10 @@ from scipy.optimize import minimize_scalar
 from surfloss import DielectricStack, Ribbon, Coplanar, EPS0
 from surfloss import analytic
 
+from paper_forms import edge_enhancement, fit_crossover, ribbon_inner_outer
+
 UM = 1e-6
 STACK = DielectricStack()
-
-
-# ---------------------------------------------------------------- coax
-
-def test_coax_center_field():
-    e_c, _ = analytic.coax_fields_and_energies(10 * UM, 100 * UM)
-    assert e_c * 10 * UM == pytest.approx(1.0 / math.log(10.0), rel=1e-12)
-
-
-def test_coax_substrate_energy_limit():
-    # U_s -> eps * E^2 * r as R/r -> infinity
-    r = 10 * UM
-    _, pair1 = analytic.coax_fields_and_energies(r, 1e3 * r)
-    e1 = 1.0 / (r * math.log(1e3))
-    assert pair1.u_substrate == pytest.approx(e1**2 * r, rel=1e-3)
-
-
-def test_coax_domain():
-    with pytest.raises(ValueError):
-        analytic.coax_fields_and_energies(100 * UM, 10 * UM)
 
 
 # ---------------------------------------------------------------- flat coax
@@ -73,30 +55,15 @@ def test_flat_coax_domain():
 
 # ---------------------------------------------------------------- corners
 
-def test_corner_field_matching_point():
-    assert analytic.corner_field(123.0, 0.05 * UM, 0.1 * UM) == 123.0
-
-
-def test_corner_field_power_law():
-    # (1/8)^(-1/3) = 2
-    t = 0.1 * UM
-    assert analytic.corner_field(1.0, t / 16, t) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_corner_field_domain():
-    with pytest.raises(ValueError):
-        analytic.corner_field(1.0, 0.06 * UM, 0.1 * UM)
-
-
 def test_corner_energy_constant_via_quadrature():
     # 8 corner sides at (2 r/t)^(2p) integrate to the t-independent constant
+    # 2/(1 + 2p), which is 6 at the shipped exponent p = -1/3
     t = 0.1 * UM
     p = analytic.CORNER_EXPONENT
     integral, _ = quad(lambda r: (2 * r / t) ** (2 * p), 0.0, t / 2,
                        points=[t / 4], limit=200)
     constant = 0.5 * 8.0 * integral / t
-    assert constant == pytest.approx(analytic.corner_energy_constant(), rel=1e-8)
-    assert analytic.corner_energy_constant() == pytest.approx(6.0, rel=1e-12)
+    assert constant == pytest.approx(6.0, rel=1e-8)
 
 
 def test_corner_split_mode():
@@ -105,7 +72,7 @@ def test_corner_split_mode():
 
 
 def test_edge_enhancement_discussion_values():
-    e = analytic.edge_enhancement(50 * UM, 0.1 * UM)
+    e = edge_enhancement(50 * UM, 0.1 * UM)
     assert e.ratio == pytest.approx(4.0, rel=0.02)
     assert e.log_term == pytest.approx(7.6, rel=0.02)
     assert 0.28 < e.corner_share < 0.45     # "about 1/3" in the source model
@@ -114,8 +81,10 @@ def test_edge_enhancement_discussion_values():
 # ---------------------------------------------------------------- ribbon
 
 def test_ribbon_section_identity():
+    # the inner and outer integrals sum to the shipped center integral
     for a, b, t in [(50, 100, 0.1), (2.5, 4.5, 0.1), (10, 11, 0.05)]:
-        s_i, s_c, s_o = analytic.ribbon_sections(a * UM, b * UM, t * UM)
+        s_i, s_o = ribbon_inner_outer(a * UM, b * UM, t * UM)
+        s_c = analytic.surface_sum(a * UM, b * UM, t * UM, 0.0) / (a * UM)
         assert s_c == pytest.approx(s_i + s_o, rel=1e-12)
 
 
@@ -133,12 +102,19 @@ def test_ribbon_surface_integral_vs_quadrature():
     assert analytic.surface_sum(a, b, t, 0.0) / a == pytest.approx(exact, rel=2e-4)
 
 
+def self_participation(spec, stack):
+    """Participations when the ribbon supplies all the qubit capacitance,
+    at L = C_ribbon/eps0."""
+    return analytic.participation(
+        spec, stack, analytic.ribbon_capacitance(spec, stack) / EPS0)
+
+
 def test_ribbon_self_capacitance_table_one():
     stack = DielectricStack(eps_s=10, eps_ma=10, eps_ms=10, eps_sa=10,
                             t_ma=3e-9, t_ms=3e-9, t_sa=3e-9,
                             tan_ma=0.002, tan_ms=0.002, tan_sa=0.002)
     spec = Ribbon(2.5 * UM, 4.5 * UM, 1e-3, 0.1 * UM)
-    bd = analytic.ribbon_self_capacitance_participation(spec, stack)
+    bd = self_participation(spec, stack)
     assert bd.p_ms * 0.002 == pytest.approx(5.93e-6, rel=0.02)
     assert bd.p_sa * 0.002 == pytest.approx(3.57e-6, rel=0.02)
     assert bd.p_ma * 0.002 == pytest.approx(0.060e-6, rel=0.02)
@@ -147,10 +123,8 @@ def test_ribbon_self_capacitance_table_one():
 def test_ribbon_self_capacitance_length_invariance():
     # the self-capacitance participation does not depend on the length
     stack = DielectricStack()
-    p1 = analytic.ribbon_self_capacitance_participation(
-        Ribbon(50 * UM, 100 * UM, 1e-3, 0.1 * UM), stack)
-    p2 = analytic.ribbon_self_capacitance_participation(
-        Ribbon(50 * UM, 100 * UM, 3e-3, 0.1 * UM), stack)
+    p1 = self_participation(Ribbon(50 * UM, 100 * UM, 1e-3, 0.1 * UM), stack)
+    p2 = self_participation(Ribbon(50 * UM, 100 * UM, 3e-3, 0.1 * UM), stack)
     assert p1.p_ms == pytest.approx(p2.p_ms, rel=1e-12)
 
 
@@ -246,14 +220,33 @@ def test_straight_wire_fit_vs_quadrature_at_table_geometry():
     assert fit / exact == pytest.approx(1.030, abs=0.01)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the closed-form tapered-wire energy is 2.20-2.97 times direct "
+           "quadrature of its own line integral at r0 = t = 0.1 um over "
+           "S in [0.05, 0.45] and d in [5, 200] um (2.24 at the shipped "
+           "S = 0.4, d = 50 um); no 5% agreement holds anywhere on that grid")
+def test_tapered_wire_fit_vs_quadrature():
+    r0, t = 0.1 * UM, 0.1 * UM
+    ratios = {}
+    for slope in np.linspace(0.05, 0.45, 9):
+        for d in (5, 10, 20, 50, 100, 200):
+            fit = analytic.tapered_wire_energy_fit(r0, slope, d * UM, t)
+            quadr = analytic.tapered_wire_energy_quadrature(r0, slope, d * UM, t)
+            ratios[slope, d] = fit / quadr
+    for (slope, d), r in ratios.items():
+        assert abs(r - 1.0) <= 0.05, f"S = {slope:.2f}, d = {d} um: {r:.3f}"
+
+
 def test_taper_integrand_optima():
     # frozen from an independent bounded-minimizer oracle
     expected = {10: 0.4031, 100: 0.4352, 1000: 0.4550}
     for y_over_t, target in expected.items():
-        mine = analytic.optimal_halfwidth_ratio(float(y_over_t))
         t = 0.1 * UM
         y = y_over_t * t
         f = lambda r: (math.log(4 * r / t) + 5.0) / (r * math.log(4 * y / r) ** 2)
+        # r/y minimizing the line-energy integrand, by the shipped minimizer
+        mine, _ = analytic.golden_section_min(lambda q: f(q * y), 1e-3, 0.95)
         oracle = minimize_scalar(f, bounds=(1e-3 * y, 0.95 * y),
                                  method="bounded",
                                  options={"xatol": 1e-16}).x / y
@@ -292,7 +285,7 @@ def test_taper_optimum_small_distance():
 
 
 def test_wire_crossover_near_ten_microns():
-    d_star = analytic.wire_energy_crossover(0.1 * UM, 0.1 * UM, slope=0.4)
+    d_star = fit_crossover(0.1 * UM, 0.1 * UM, slope=0.4)
     assert 7 * UM < d_star < 14 * UM
     # tapered strictly below straight for d >= 10 um
     for d in np.linspace(10 * UM, 200 * UM, 12):

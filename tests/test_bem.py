@@ -182,19 +182,6 @@ def test_coincident_elements_rejected():
         solve(m, {0: 1.0})
 
 
-def test_solution_csv_dump(tmp_path):
-    m = meshes.concat([
-        meshes.circle(10 * UM, 60, electrode=0, side="inner"),
-        meshes.circle(100 * UM, 120, electrode=1, side="shield")])
-    sol = solve(m, {0: 1.0, 1: 0.0})
-    path = tmp_path / "solution.csv"
-    sol.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "position,width,charge,field,side"
-    assert len(lines) == m.n + 1
-    assert lines[1].endswith("inner")
-
-
 def test_graded_widths_sum_and_growth():
     w = meshes.graded_widths(1.0, 1e-3, 0.1)
     assert w.sum() == pytest.approx(1.0, rel=1e-12)

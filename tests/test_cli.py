@@ -388,6 +388,26 @@ def test_permittivity_overflow_is_numerical_error(tmp_path, cmd):
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "tls"])
+@pytest.mark.parametrize("replace, label", [
+    pytest.param(("[structure.plate]",
+                  "[structure.ground]\ntype = ribbon_with_ground\na_um = 50\n"
+                  "b_um = 100\nc_um = 1e308\nlength_um = 1000\nt_um = 0.1\n\n"
+                  "[structure.plate]"), "ground", id="ground-at-1e308"),
+    pytest.param(("eps_substrate = 11.7", "eps_substrate = 1e200"), "plate",
+                 id="eps-overflow"),
+])
+def test_numerical_error_names_the_structure(tmp_path, cmd, replace, label):
+    path = tmp_path / "design.ini"
+    path.write_text(TABLE_CONFIG.replace(*replace))
+    res = run_cli(cmd, "--config", str(path))
+    assert res.returncode == 3
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[3]: ")
+    assert f" {label}: " in lines[0]
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "tls"])
 def test_plate_denominator_underflow_is_numerical_error(tmp_path, cmd):
     # s^2 underflows to zero in the plate's metal-air participation
     path = tmp_path / "plate.ini"

@@ -1,9 +1,10 @@
-"""Property test of the CLI contract on random design configs.
+"""Property tests of the CLI contract on random design configs.
 
 Configs are built from each INI_KEYS map with values drawn from the edges
 of the float range, ordinary values and non-numbers.  Every command must
 exit 0, 2, 3 or 4, raise and warn nothing, print no non-finite number, and
-print the same stdout when run again.
+print the same stdout when run again.  The order of the structure sections
+must not change any structure's breakdown.
 """
 
 import contextlib
@@ -11,12 +12,15 @@ import io
 import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfloss import cli
-from surfloss.geometry import STRUCTURE_TYPES, DielectricStack
+from surfloss.config import load_config
+from surfloss.geometry import (STRUCTURE_TYPES, DielectricStack,
+                               ValidationError, assemble_design)
 
 #: extremes of the float range, ordinary values and non-numbers
 VALUES = ("0", "-1", "1e-300", "4e-309", "1e200", "1e308", "nan",
@@ -40,7 +44,7 @@ _NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
 
 @st.composite
-def configs(draw):
+def configs(draw, min_structures=1):
     def section(header, keys, optional):
         lines = [header]
         for key in keys:
@@ -56,7 +60,7 @@ def configs(draw):
     if draw(st.booleans()):
         text += section("[targets]", ("capacitance_ff", "span_ghz"), ())
     types = draw(st.lists(st.sampled_from(sorted(STRUCTURE_TYPES)),
-                          min_size=1, max_size=2))
+                          min_size=min_structures, max_size=2))
     for i, stype in enumerate(types):
         cls = STRUCTURE_TYPES[stype]
         # a field with a default is a class attribute of the dataclass
@@ -92,3 +96,29 @@ def test_cli_contract_holds_for_random_configs(tmp_path_factory, text):
         assert "Warning" not in err and "Traceback" not in err
         assert not _NON_FINITE.search(out), out
         assert _run(argv)[1] == out
+
+
+def _breakdowns(cfg, structures):
+    design = assemble_design(structures, cfg.stack,
+                             target_capacitance=cfg.target_capacitance)
+    return {bd.label: (bd.p_ma, bd.p_ms, bd.p_sa, bd.capacitance,
+                       bd.loss_tangent) for bd in design.breakdowns}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(text=configs(min_structures=2))
+def test_section_order_does_not_change_breakdowns(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cfg") / "design.ini"
+    path.write_text(text)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            cfg = load_config(path)
+            forward = _breakdowns(cfg, cfg.structures)
+        except (ValueError, ArithmeticError):
+            return          # exits 2 or 3 whatever the order
+        backward = _breakdowns(cfg, cfg.structures[::-1])
+    assert list(forward) == [s.label for s in cfg.structures]
+    assert sorted(backward) == sorted(forward)
+    for label, values in forward.items():
+        np.testing.assert_allclose(backward[label], values, rtol=1e-12,
+                                   atol=0.0, err_msg=label)
