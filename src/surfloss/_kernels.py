@@ -41,24 +41,26 @@ _GAUSS_W = np.array([
 NEAR_FACTOR = 2.5
 
 
-def planar_matrix(x, y, w):
+def planar_matrix(x, y, w, rows=slice(None)):
     """2-D logarithmic potential matrix for line-charge strip elements.
 
     Off-diagonal entries use the point kernel ln(1/rho)/(2 pi eps),
     evaluated in place as ln(rho^2)/(-4 pi eps) in the buffer that held
-    rho^2; the diagonal is the uniform-strip self term
-    (ln(2/w) + 3/2)/(2 pi eps).
+    rho^2; the self entries are the uniform-strip self term
+    (ln(2/w) + 3/2)/(2 pi eps).  rows picks the elements whose rows are
+    built, each against every element; the default is the square matrix.
     """
     x = np.asarray(x, float); y = np.asarray(y, float); w = np.asarray(w, float)
-    m = x[:, None] - x[None, :]
+    m = x[rows, None] - x[None, :]
     m *= m
-    dy = y[:, None] - y[None, :]
+    dy = y[rows, None] - y[None, :]
     dy *= dy
     m += dy
     with np.errstate(divide="ignore"):
         np.log(m, out=m)
     m /= -2.0 * _TWO_PI_EPS
-    np.fill_diagonal(m, (np.log(2.0 / w) + 1.5) / _TWO_PI_EPS)
+    own = np.arange(len(x))[rows]
+    m[np.arange(len(own)), own] = (np.log(2.0 / w[own]) + 1.5) / _TWO_PI_EPS
     return m
 
 

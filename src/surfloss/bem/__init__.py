@@ -3,8 +3,11 @@
 Three potential kernels: planar 2-D line charges, axisymmetric rings,
 and flat thin-film wire strips.  Meshes grade geometrically into edges;
 solves are dense, Cholesky for the symmetric planar and ring kinds and LU
-for flatwire, with condition estimates.  The suites module
-cross-verifies every closed form in `surfloss.analytic`.
+for flatwire, with condition estimates.  A planar mesh that is its own
+mirror image in x or y (detected from the element positions, widths and
+drive, not declared) is solved for one element per orbit of images, up
+to 4x fewer unknowns; otherwise every orbit is one element.  The suites
+module cross-verifies every closed form in `surfloss.analytic`.
 """
 
 from .mesh import Mesh, MeshCapError, MAX_UNKNOWNS

@@ -8,6 +8,15 @@ estimate: Cholesky for the symmetric kinds (planar, and ring with or
 without its mirror image), whose single-layer log kernel is positive
 definite on domains this small; LU for flatwire, whose matrix is not
 symmetric.  Systems are capped at 20k unknowns.
+
+Every solve runs in the subspace of the mesh's mirror symmetries.  For a
+planar mesh, solve() looks for the reflections x -> -x and y -> -y that
+map every element onto one of the same width (positions within 1e-12 of
+the mesh extent) and the drive onto plus or minus itself; it then solves
+for one element per orbit of images, building only those rows.  Where
+there is no such reflection, and for every ring and flat-wire mesh, each
+orbit is one element and the reduced system is the full one.  The rcond
+and the residual check refer to the reduced system.
 """
 
 from __future__ import annotations
@@ -25,24 +34,31 @@ from .mesh import Mesh
 
 RESIDUAL_LIMIT = 1e-10
 RCOND_LIMIT = 1e-13
+#: a mirror image must land this close to an element, relative to the
+#: mesh extent
+MIRROR_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
     pass
 
 
-def assemble(mesh: Mesh, mirror: bool = False) -> np.ndarray:
+def assemble(mesh: Mesh, mirror: bool = False, rows=slice(None)) -> np.ndarray:
     """Potential matrix for a mesh; mirror subtracts the antisymmetric
-    image about y=0 (differential wire pairs meshed on one side only)."""
+    image about y=0 (differential wire pairs meshed on one side only).
+    rows picks the rows, each against every element; planar meshes build
+    only those."""
     if mesh.kind == "planar":
         if mirror:
             raise ValueError("mirror solves are for wire kinds only")
-        m = kern.planar_matrix(mesh.pos[:, 0], mesh.pos[:, 1], mesh.width)
+        m = kern.planar_matrix(mesh.pos[:, 0], mesh.pos[:, 1], mesh.width,
+                               rows)
     elif mesh.kind == "ring":
-        m = kern.ring_matrix(mesh.pos[:, 0], mesh.pos[:, 1], mesh.width, mirror)
+        m = kern.ring_matrix(mesh.pos[:, 0], mesh.pos[:, 1], mesh.width,
+                             mirror)[rows]
     elif mesh.kind == "flatwire":
         m = kern.flatwire_matrix(mesh.pos[:, 0], mesh.halfwidth, mesh.width,
-                                 mirror)
+                                 mirror)[rows]
     else:
         raise ValueError(f"unknown mesh kind {mesh.kind!r}")
     if not np.isfinite(m).all():
@@ -123,25 +139,94 @@ def _solve_lu(m, v, anorm):
     return lu_solve((lu, piv), v), rcond
 
 
+def _mirror_group(mesh: Mesh, v: np.ndarray):
+    """The reflections x -> -x and y -> -y (and their product) that map a
+    planar mesh and its drive onto themselves.
+
+    Returns (perms, signs), identity first: element i's image is element
+    perms[g, i], with v[perms[g]] = signs[g] * v.  A reflection counts
+    when every image lands within MIRROR_TOL of the mesh extent on an
+    element of exactly the same width; the images are paired with the
+    elements by sorting both on coordinates rounded to 1e-9 of the extent.
+    Other kinds, and planar meshes without either reflection, give the
+    identity alone.
+    """
+    perms, signs = [np.arange(mesh.n)], [1.0]
+    if mesh.kind != "planar":
+        return np.array(perms), np.array(signs)
+    extent = float(np.abs(mesh.pos).max()) or 1.0
+
+    def order(pos):
+        key = np.round(pos / (1e-9 * extent))
+        return np.lexsort((key[:, 0], key[:, 1]))
+
+    by_pos = order(mesh.pos)
+    for flip in ((-1.0, 1.0), (1.0, -1.0)):
+        image = mesh.pos * flip
+        p = np.empty(mesh.n, int)
+        p[order(image)] = by_pos
+        if not (np.all(np.abs(mesh.pos[p] - image) <= MIRROR_TOL * extent)
+                and np.array_equal(mesh.width[p], mesh.width)):
+            continue
+        if np.array_equal(v[p], v):
+            s = 1.0
+        elif np.array_equal(v[p], -v):
+            s = -1.0
+        else:
+            continue
+        perms += [g[p] for g in perms]
+        signs += [s * t for t in signs]
+    return np.array(perms), np.array(signs)
+
+
 def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
     """Solve M q = V for the element charges.
 
     voltages maps electrode id -> potential.  For mirror solves the meshed
     electrode at +V/2 faces an implicit image at -V/2, so the differential
     drive is twice the set potential.
+
+    The unknowns are one charge per orbit of mirror images
+    (`_mirror_group`); the rest follow with the drive's sign.  Only the
+    representatives' rows are assembled; each orbit's columns are summed
+    with their signs, and rows and columns are scaled by
+    sqrt(orbit size / group order).  That is M in an orthonormal basis of
+    the subspace, so symmetric positive definite when M is.  A
+    representative that a reflection with sign -1 fixes carries no
+    charge and is dropped.  rcond and the residual are the reduced
+    system's; for a symmetric q its residual norm equals the full one.
     """
-    m = assemble(mesh, mirror=mirror)
-    v = np.empty(mesh.n)
+    n = mesh.n
+    v = np.empty(n)
     for eid, volt in voltages.items():
         v[mesh.electrode == eid] = volt
+    perms, signs = _mirror_group(mesh, v)
+    rep = perms.min(axis=0)         # each orbit is solved at its lowest index
+    onto_rep = perms == rep         # [g, i]: g takes element i onto rep[i]
+    plus = onto_rep[signs > 0].any(axis=0)
+    minus = onto_rep[signs < 0].any(axis=0)
+    rows = np.flatnonzero((rep == np.arange(n)) & ~(plus & minus))
+    root = np.sqrt(np.bincount(rep, minlength=n)[rows])
+
+    b = assemble(mesh, mirror, rows)
+    m = b[:, rows]
+    for p, s in zip(perms[1:, rows], signs[1:]):
+        m += s * b[:, p]
+    del b
+    m *= root[:, None]
+    m *= root / len(perms)
+    vr = root * v[rows]
     anorm = np.linalg.norm(m, 1)
     if mesh.kind == "flatwire":     # column j uses rbar[j]: not symmetric
-        q, rcond = _solve_lu(m, v, anorm)
+        y, rcond = _solve_lu(m, vr, anorm)
     else:
-        q, rcond = _solve_cholesky(m, v, anorm)
-    resid = np.linalg.norm(m @ q - v) / np.linalg.norm(v)
+        y, rcond = _solve_cholesky(m, vr, anorm)
+    resid = np.linalg.norm(m @ y - vr) / np.linalg.norm(vr)
     if resid > RESIDUAL_LIMIT:
         raise SolverError(f"solve residual {resid:.2e} exceeds {RESIDUAL_LIMIT}")
+    q = np.zeros(n)
+    q[rows] = y / root
+    q = np.where(plus, q[rep], -q[rep])
 
     vals = sorted(voltages.values())
     pos_id = max(voltages, key=voltages.get)

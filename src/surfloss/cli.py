@@ -36,12 +36,13 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _fmt(x: float, spec: str = ".2e") -> str:
+def _fmt(x: float, spec: str = ".2e", name: str = "") -> str:
     """Every printed or written number goes through here; a non-finite one
-    is a numerical failure."""
+    is a numerical failure, reported under name (structure.column) if set."""
     if not math.isfinite(x):
-        raise FloatingPointError("a result is not a finite number; the "
-                                 "inputs are outside the range of a float")
+        raise FloatingPointError(f"{name + ': ' if name else ''}a result is "
+                                 "not a finite number; the inputs are "
+                                 "outside the range of a float")
     return format(x, spec)
 
 
@@ -110,7 +111,8 @@ def _table(rows) -> list[str]:
     lines = [head, "-" * len(head)]
     for r in rows:
         cells = [r["structure"].ljust(widths["structure"])]
-        cells += [_fmt(r[c]).ljust(widths[c]) for c in _COLUMNS[1:]]
+        cells += [_fmt(r[c], name=f"{r['structure']}.{c}").ljust(widths[c])
+                  for c in _COLUMNS[1:]]
         lines.append("  ".join(cells))
     return lines
 
@@ -130,7 +132,8 @@ def cmd_analyze(args) -> int:
             text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
         else:
             text = _csv(_COLUMNS, [[r["structure"]]
-                                   + [_fmt(r[c], ".12e") for c in _COLUMNS[1:]]
+                                   + [_fmt(r[c], ".12e", f"{r['structure']}.{c}")
+                                      for c in _COLUMNS[1:]]
                                    for r in rows])
         _save(args.out, f"analyze.{args.format}", text)
     return EXIT_OK
@@ -189,7 +192,7 @@ def cmd_sweep(args) -> int:
         out_rows.append(row)
 
     cols = list(out_rows[0])
-    text = _csv(cols, [[_fmt(row[c], ".12e") for c in cols]
+    text = _csv(cols, [[_fmt(row[c], ".12e", c) for c in cols]
                        for row in out_rows])
     sys.stdout.write(text)
     if args.out:

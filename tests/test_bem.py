@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from surfloss.constants import EPS0
-from surfloss import analytic
-from surfloss.bem import MeshCapError, SolverError, assemble, solve
+from surfloss import analytic, cli
+from surfloss.bem import (SUITES, ChargeSolution, MeshCapError, SolverError,
+                          assemble, solve)
 from surfloss.bem import mesh as meshes
+from surfloss.bem import solver as solver_mod
+from surfloss.bem import suites
 from surfloss.bem.suites import (_rwg_mesh, extract_corner_constants,
                                  ribbon_ground_point, run_suite, suite_coax,
                                  wire_field_profile)
@@ -113,7 +116,7 @@ def test_singular_matrix_reported(monkeypatch):
     # the SolverError is the only report: no warning reaches stderr
     from surfloss.bem import solver as solver_mod
     monkeypatch.setattr(solver_mod, "assemble",
-                        lambda mesh, mirror=False: np.ones((2, 2)))
+                        lambda mesh, mirror=False, rows=None: np.ones((2, 2)))
     m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int),
                     np.full(2, "x", object))
     with warnings.catch_warnings():
@@ -163,8 +166,8 @@ def test_indefinite_matrix_reported(monkeypatch):
     # factor: one SolverError, no warning and no fallback solve
     from surfloss.bem import solver as solver_mod
     monkeypatch.setattr(solver_mod, "assemble",
-                        lambda mesh, mirror=False: np.array([[1.0, 2.0],
-                                                             [2.0, 1.0]]))
+                        lambda mesh, mirror=False, rows=None:
+                        np.array([[1.0, 2.0], [2.0, 1.0]]))
     m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int),
                     np.full(2, "x", object))
     with warnings.catch_warnings():
@@ -193,3 +196,173 @@ def test_graded_widths_sum_and_growth():
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nope")
+
+
+# --------------------------------------------------------------------------
+# solves in the mirror-symmetry subspace
+
+def _drive(mesh, volts):
+    v = np.empty(mesh.n)
+    for eid, volt in volts.items():
+        v[mesh.electrode == eid] = volt
+    return v
+
+
+def _subspace_dim(mesh, chi_x, chi_y):
+    """Dimension of the charge subspace of the mirror group {1, x, y, xy}
+    with drive signs chi: (1/4) sum over g of chi(g) * (elements g fixes)."""
+    on = np.abs(mesh.pos) <= 1e-12 * np.abs(mesh.pos).max()
+    fixed = (mesh.n, on[:, 0].sum(), on[:, 1].sum(), (on[:, 0] & on[:, 1]).sum())
+    return (fixed[0] + chi_x * fixed[1] + chi_y * fixed[2]
+            + chi_x * chi_y * fixed[3]) // 4
+
+
+def _ribbons():
+    return [meshes.thin_strip(50 * UM, 100 * UM, 20e-9, 2 * UM, electrode=0),
+            meshes.thin_strip(-100 * UM, -50 * UM, 20e-9, 2 * UM,
+                              electrode=1)]
+
+
+def _nudged_coax():
+    mesh = meshes.concat([meshes.circle(10 * UM, 80, electrode=0),
+                          meshes.circle(100 * UM, 240, electrode=1)])
+    mesh.pos[5, 0] += 1e-9 * np.abs(mesh.pos).max()
+    return mesh
+
+
+def _symmetry_cases():
+    """name -> (mesh, drive, (chi_x, chi_y) or None for no symmetry)."""
+    shield = meshes.circle(100 * UM, 240, electrode=1)
+    return {
+        "coax": (meshes.concat([meshes.circle(10 * UM, 80, electrode=0),
+                                shield]), {0: 1.0, 1: 0.0}, (1, 1)),
+        "flat-coax": (meshes.concat([
+            meshes.thin_strip(-10 * UM, 10 * UM, 5e-9, 1 * UM), shield]),
+            {0: 1.0, 1: 0.0}, (1, 1)),
+        # 111 elements on the top and the bottom line: one of each on x = 0
+        "square-film-odd-top": (meshes.concat([
+            meshes.film_cross_section(10 * UM, 1 * UM, 0.0125 * UM,
+                                      0.25 * UM, edge="square"), shield]),
+            {0: 1.0, 1: 0.0}, (1, 1)),
+        # n_arc = 105: each rounded end has one element on y = 0
+        "semicircle-film-odd-arc": (meshes.concat([
+            meshes.film_cross_section(10 * UM, 1 * UM, 0.01 * UM, 0.25 * UM,
+                                      edge="semicircle"), shield]),
+            {0: 1.0, 1: 0.0}, (1, 1)),
+        "ribbon-ground": (_rwg_mesh(50 * UM, 100 * UM, 130 * UM, 0.1 * UM,
+                                    20e-9, 2 * UM, 2000 * UM),
+                          {0: 0.5, 1: -0.5, 2: 0.0, 3: 0.0}, (-1, 1)),
+        # 61 ground elements: the middle one sits on x = 0
+        "ground-on-axis": (meshes.concat(_ribbons() + [
+            meshes.thin_strip(-20 * UM, 20 * UM, 0.1 * UM, 1 * UM,
+                              electrode=2)]),
+            {0: 0.5, 1: -0.5, 2: 0.0}, (-1, 1)),
+        "nudged-element": (_nudged_coax(), {0: 1.0, 1: 0.0}, None),
+        "unbalanced-drive": (meshes.concat(_ribbons()), {0: 1.0, 1: 0.3},
+                             None),
+    }
+
+
+def _reduced_solve(monkeypatch, mesh, volts):
+    """solve(mesh, volts) and the number of rows it assembled."""
+    built = []
+
+    def counting_assemble(mesh, mirror=False, rows=slice(None)):
+        built.append(len(np.arange(mesh.n)[rows]))
+        return assemble(mesh, mirror, rows)
+
+    monkeypatch.setattr(solver_mod, "assemble", counting_assemble)
+    sol = solve(mesh, volts)
+    monkeypatch.undo()
+    return sol, built[-1]
+
+
+@pytest.mark.parametrize("case", list(_symmetry_cases()))
+def test_reduced_solve_matches_full_matrix(monkeypatch, case):
+    mesh, volts, chi = _symmetry_cases()[case]
+    v = _drive(mesh, volts)
+    want = np.linalg.solve(assemble(mesh), v)
+    sol, unknowns = _reduced_solve(monkeypatch, mesh, volts)
+    assert np.linalg.norm(sol.charge - want) <= 1e-12 * np.linalg.norm(want)
+    if chi is None:
+        assert unknowns == mesh.n
+    else:
+        assert unknowns == _subspace_dim(mesh, *chi) < mesh.n
+
+
+@pytest.mark.parametrize("case, axis", [("square-film-odd-top", 0),
+                                        ("semicircle-film-odd-arc", 1)])
+def test_film_cases_have_axis_elements(case, axis):
+    # each film case puts two elements on a mirror axis, so its orbits of
+    # size 2 are exercised
+    mesh, _, _ = _symmetry_cases()[case]
+    on = np.abs(mesh.pos[:, axis]) <= 1e-12 * np.abs(mesh.pos).max()
+    assert on.sum() == 2
+
+
+def test_antisymmetric_drive_zeroes_axis_charges():
+    mesh, volts, _ = _symmetry_cases()["ground-on-axis"]
+    on_axis = np.abs(mesh.pos[:, 0]) <= 1e-12 * np.abs(mesh.pos).max()
+    assert on_axis.sum() == 1
+    sol = solve(mesh, volts)
+    assert np.all(sol.charge[on_axis] == 0.0)
+    assert np.all(sol.charge[~on_axis] != 0.0)
+
+
+@pytest.mark.parametrize("case", ["semicircle-film-odd-arc", "ribbon-ground"])
+def test_reduced_solve_ignores_element_order(monkeypatch, case):
+    mesh, volts, _ = _symmetry_cases()[case]
+    flipped = meshes.Mesh("planar", mesh.pos[::-1], mesh.width[::-1],
+                          mesh.electrode[::-1], mesh.side[::-1],
+                          tangent=mesh.tangent[::-1],
+                          end_distance=mesh.end_distance[::-1],
+                          thin_sheet=mesh.thin_sheet)
+    sol, unknowns = _reduced_solve(monkeypatch, mesh, volts)
+    sol_f, unknowns_f = _reduced_solve(monkeypatch, flipped, volts)
+    assert unknowns_f == unknowns
+    assert np.linalg.norm(sol_f.charge[::-1] - sol.charge) \
+        <= 1e-12 * np.linalg.norm(sol.charge)
+
+
+def _dense_solve(mesh, voltages, mirror=False):
+    """Reference solve: the full matrix by LAPACK's general dense solver,
+    with solve()'s capacitance convention."""
+    q = np.linalg.solve(assemble(mesh, mirror=mirror), _drive(mesh, voltages))
+    pos_id = max(voltages, key=voltages.get)
+    vals = sorted(voltages.values())
+    dv = 2.0 * voltages[pos_id] if mirror else vals[-1] - vals[0]
+    return ChargeSolution(mesh, q, math.nan,
+                          float(q[mesh.electrode == pos_id].sum()) / dv)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suites_match_full_matrix_solves(monkeypatch, suite):
+    # mesh scale 0.55 gives odd element counts: the corner shields (495)
+    # keep only y -> -y, and the films and strips have elements on the axes
+    got = run_suite(suite, mesh_scale=0.55)
+    monkeypatch.setattr(suites, "solve", _dense_solve)
+    want = run_suite(suite, mesh_scale=0.55)
+    assert [c.name for c in got] == [c.name for c in want]
+    for g, w in zip(got, want):
+        assert abs(g.computed - w.computed) \
+            <= 1e-9 * max(abs(g.computed), abs(w.computed)), g.name
+
+
+#: exit code and check count of `verify --mesh-scale 0.5` per suite
+VERIFY_AT_HALF_SCALE = {"coax": (0, 3), "flat-coax": (4, 4), "corner": (0, 4),
+                        "ribbon-ground": (4, 6), "cyl-wire": (4, 6),
+                        "flat-wire": (0, 3)}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_runs_clean_under_floating_point_traps(suite, capsys):
+    # cli.main runs under np.errstate(raise): a log(0) or 0/0 anywhere in
+    # the reduced assembly would exit 3
+    code, n_checks = VERIFY_AT_HALF_SCALE[suite]
+    assert cli.main(["verify", "--suite", suite, "--mesh-scale", "0.5"]) == code
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == n_checks
+    assert all(line.startswith(("[PASS] ", "[FAIL] ")) for line in lines)
+    assert ("[FAIL]" in out) == (code == 4)
+    assert err == ""

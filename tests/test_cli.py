@@ -490,6 +490,25 @@ def test_non_finite_result_is_numerical_error(tmp_path, cmd, replace):
         assert res.stdout == ""
 
 
+@pytest.mark.parametrize("cmd", [
+    ["analyze"],
+    ["sweep", "--param", "stack.tan_ms", "--range", "0.001:0.01", "--steps",
+     "2"],
+])
+def test_non_finite_result_names_structure_and_column(tmp_path, cmd):
+    # the plate's loss_tangent is the first cell that overflows
+    path = tmp_path / "tiny_c.ini"
+    path.write_text(TABLE_CONFIG
+                    .replace("capacitance_ff = 100", "capacitance_ff = 1e-300")
+                    .replace("tan_ma = 0.005", "tan_ma = 1e11"))
+    res = run_cli(cmd[0], "--config", str(path), *cmd[1:])
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == [
+        "error[3]: plate.loss_tangent: a result is not a finite number; the "
+        "inputs are outside the range of a float"]
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
 def test_verify_rejects_bad_mesh_scale(scale):
     res = run_cli("verify", "--suite", "coax", "--mesh-scale", scale)
