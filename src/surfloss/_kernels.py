@@ -6,6 +6,15 @@ evaluates K(m) at m <= 0 through the Cephes routine of scipy.special,
 special._ellipk_nonpositive (the closed forms use the scalar AGM
 special.ellipk instead); the flat-wire kernel is the ring kernel at half
 radius.  The wire matrices subtract a mirror image in the same pass.
+
+The layers that build large temporaries run in blocks of about
+BLOCK_ENTRIES doubles each (512 KB), so every temporary stays in cache:
+segment_field by blocks of field points, the wire matrices by blocks of
+rows and their near-pair quadrature by blocks of pairs (16 x 16 points
+each), and bem.solver.solve folds the planar matrix by blocks of rows.
+Blocking only reorders the loops: every entry is computed by the same
+operations in the same order, so the results do not depend on the block
+size.
 """
 
 from __future__ import annotations
@@ -39,6 +48,23 @@ _GAUSS_W = np.array([
 #: near-field off-diagonal entries are re-integrated when closer than this
 #: many combined widths
 NEAR_FACTOR = 2.5
+
+#: doubles per block of a blocked layer (1 << 16 is 512 KB)
+BLOCK_ENTRIES = 1 << 16
+
+
+def row_blocks(n_rows, row_len):
+    """Slices over n_rows rows of row_len entries each, about BLOCK_ENTRIES
+    entries and at least one row per slice.
+
+    A slice of 8 rows or more holds a multiple of 8, so a BLAS
+    matrix-vector kernel that takes rows in groups (OpenBLAS sums groups
+    of 4 in another order than a lone row) groups them as in one block.
+    """
+    step = max(BLOCK_ENTRIES // max(row_len, 1), 1)
+    if step >= 8:
+        step -= step % 8
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 def planar_matrix(x, y, w, rows=slice(None)):
@@ -79,6 +105,22 @@ def _ring_self(r, w):
     return asym + 2.0 * integral / w**2
 
 
+def _near_average(kernel, ci, wi, cj, wj):
+    """Kernel averaged over both extents of each element pair (centers c,
+    widths w) by a 16 x 16 Gauss rule, in blocks of pairs.
+
+    kernel(p, du) gives the kernel for the pairs of slice p at the point
+    offsets du, shaped (pairs, 16, 16).
+    """
+    out = np.empty(len(ci))
+    for p in row_blocks(len(ci), _GAUSS_X.size ** 2):
+        ui = ci[p, None] + 0.5 * wi[p, None] * _GAUSS_X[None, :]
+        uj = cj[p, None] + 0.5 * wj[p, None] * _GAUSS_X[None, :]
+        kv = kernel(p, ui[:, :, None] - uj[:, None, :])
+        out[p] = np.einsum("i,j,pij->p", _GAUSS_W, _GAUSS_W, kv) / 4.0
+    return out
+
+
 def ring_matrix(z, r, w, mirror=False):
     """Axisymmetric ring-charge potential matrix with self/near treatment.
 
@@ -86,31 +128,40 @@ def ring_matrix(z, r, w, mirror=False):
     the pairs i < j are evaluated and the result is mirrored.  mirror
     subtracts each ring's image in z = 0, K(hypot(z_i + z_j, r_i - r_j)),
     which is also symmetric, on the same pairs and on the diagonal.
+    Rows are built in blocks, each against the columns from the block's
+    first row on; the entries below the diagonal are then copied from
+    above it.
     """
     z = np.asarray(z, float); r = np.asarray(r, float); w = np.asarray(w, float)
     n = len(z)
-    ii, jj = np.triu_indices(n, 1)
-    ri, rj = r[ii], r[jj]
-    dz = z[ii] - z[jj]
-    upper = _ring_kernel(np.hypot(dz, ri - rj), ri, rj)
-    # near pairs: average the kernel over both element extents
-    near = np.nonzero(np.abs(dz) < NEAR_FACTOR * (w[ii] + w[jj]))[0]
-    if len(near):
-        ni, nj = ii[near], jj[near]
-        zi = z[ni][:, None] + 0.5 * w[ni][:, None] * _GAUSS_X[None, :]
-        zj = z[nj][:, None] + 0.5 * w[nj][:, None] * _GAUSS_X[None, :]
-        du = zi[:, :, None] - zj[:, None, :]
-        rr = np.hypot(du, (r[ni] - r[nj])[:, None, None])
-        kv = _ring_kernel(rr, r[ni][:, None, None], r[nj][:, None, None])
-        upper[near] = np.einsum("i,j,pij->p", _GAUSS_W, _GAUSS_W, kv) / 4.0
     diag = _ring_self(r, w)
-    if mirror:
-        upper -= _ring_kernel(np.hypot(z[ii] + z[jj], ri - rj), ri, rj)
-        diag -= _ring_kernel(np.abs(z + z), r, r)
     m = np.empty((n, n))
-    m[ii, jj] = upper
-    m[jj, ii] = upper
-    m[np.diag_indices(n)] = diag
+    for s in row_blocks(n, n):
+        lo = s.start
+        k = np.arange(s.stop - lo)
+        zi, ri, zj, rj = z[s, None], r[s, None], z[None, lo:], r[None, lo:]
+        dz = zi - zj
+        rho = np.hypot(dz, ri - rj)
+        rho[k, k] = 1.0                 # the diagonal takes the self term
+        blk = m[s, lo:]
+        blk[...] = _ring_kernel(rho, ri, rj)
+        blk[k, k] = diag[s]
+        # near pairs i < j: average the kernel over both element extents
+        a, b = np.nonzero(np.triu(np.abs(dz) < NEAR_FACTOR
+                                  * (w[s, None] + w[None, lo:]), 1))
+        ni, nj = lo + a, lo + b
+        dr, rn, rm = r[ni] - r[nj], r[ni], r[nj]
+        blk[a, b] = _near_average(
+            lambda p, du: _ring_kernel(np.hypot(du, dr[p, None, None]),
+                                       rn[p, None, None], rm[p, None, None]),
+            z[ni], w[ni], z[nj], w[nj])
+        if mirror:
+            # on the diagonal hypot(2z, 0) is exactly |2z|
+            blk -= _ring_kernel(np.hypot(zi + zj, ri - rj), ri, rj)
+        m[s, :lo] = m[:lo, s].T         # below the diagonal, from above it
+        sq = m[s, s]
+        below = np.tri(len(k), k=-1, dtype=bool)
+        sq[below] = sq.T[below]
     return m
 
 
@@ -128,28 +179,32 @@ def flatwire_matrix(y, rbar, w, mirror=False):
     A flat strip of half-width rbar has the potential of a ring of radius
     rbar/2, so every entry is the ring kernel at half radius.  Not
     symmetric: column j uses the source half-width rbar[j].  mirror
-    subtracts each element's image in y = 0, K(|y_i + y_j|).
+    subtracts each element's image in y = 0, K(|y_i + y_j|).  Rows are
+    built in blocks.
     """
     y = np.asarray(y, float); w = np.asarray(w, float)
     rh = np.asarray(rbar, float) / 2.0
     n = len(y)
-    dy = np.abs(y[:, None] - y[None, :])
-    np.fill_diagonal(dy, 1.0)
-    m = _ring_kernel(dy, rh[None, :], rh[None, :])
-    m[np.diag_indices(n)] = _ring_self(rh, w)
-    ii, jj = np.nonzero(dy < NEAR_FACTOR * (w[:, None] + w[None, :]))
-    off = ii != jj
-    ii, jj = ii[off], jj[off]
-    if len(ii):
-        yi = y[ii][:, None] + 0.5 * w[ii][:, None] * _GAUSS_X[None, :]
-        yj = y[jj][:, None] + 0.5 * w[jj][:, None] * _GAUSS_X[None, :]
-        dd = np.abs(yi[:, :, None] - yj[:, None, :])
-        rj = rh[jj][:, None, None]
-        kv = _ring_kernel(dd, rj, rj)
-        m[ii, jj] = np.einsum("i,j,pij->p", _GAUSS_W, _GAUSS_W, kv) / 4.0
-    if mirror:
-        m -= _ring_kernel(np.abs(y[:, None] + y[None, :]), rh[None, :],
-                          rh[None, :])
+    diag = _ring_self(rh, w)
+    m = np.empty((n, n))
+    for s in row_blocks(n, n):
+        k = np.arange(s.stop - s.start)
+        dy = np.abs(y[s, None] - y[None, :])
+        dy[k, s.start + k] = 1.0        # the diagonal takes the self term
+        blk = m[s]
+        blk[...] = _ring_kernel(dy, rh[None, :], rh[None, :])
+        blk[k, s.start + k] = diag[s]
+        a, jj = np.nonzero(dy < NEAR_FACTOR * (w[s, None] + w[None, :]))
+        off = s.start + a != jj
+        a, jj = a[off], jj[off]
+        ii, rj = s.start + a, rh[jj]
+        blk[a, jj] = _near_average(
+            lambda p, du: _ring_kernel(np.abs(du), rj[p, None, None],
+                                       rj[p, None, None]),
+            y[ii], w[ii], y[jj], w[jj])
+        if mirror:
+            blk -= _ring_kernel(np.abs(y[s, None] + y[None, :]), rh[None, :],
+                                rh[None, :])
     return m
 
 
@@ -170,22 +225,25 @@ def segment_field(px, py, mx, my, tx, ty, w, q):
     part is the log of the end-distance ratio, the normal part the angle
     the segment subtends, taken as one arctan2 of the cross and dot
     products of the two end vectors.  The segments are summed by
-    matrix-vector products.
+    matrix-vector products, for blocks of points.
     """
     px = np.asarray(px, float); py = np.asarray(py, float)
     lam = np.asarray(q, float) / np.asarray(w, float)
     ax = mx - 0.5 * w * tx; ay = my - 0.5 * w * ty
-    rx = px[:, None] - ax[None, :]
-    ry = py[:, None] - ay[None, :]
-    u = rx * tx[None, :] + ry * ty[None, :]
-    v = ry * tx[None, :] - rx * ty[None, :]
-    u2 = u - w[None, :]
-    vv = v * v
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log((u * u + vv) / (u2 * u2 + vv))
-        angle = np.sign(v) * np.arctan2(w[None, :] * np.abs(v), vv + u * u2)
     lam_u = lam / (4.0 * np.pi * EPS0)
     lam_v = lam / _TWO_PI_EPS
-    ex = log_ratio @ (lam_u * tx) - angle @ (lam_v * ty)
-    ey = log_ratio @ (lam_u * ty) + angle @ (lam_v * tx)
+    ux, uy, vx, vy = lam_u * tx, lam_u * ty, lam_v * tx, lam_v * ty
+    ex = np.empty(len(px)); ey = np.empty(len(px))
+    for s in row_blocks(len(px), len(w)):
+        rx = px[s, None] - ax[None, :]
+        ry = py[s, None] - ay[None, :]
+        u = rx * tx[None, :] + ry * ty[None, :]
+        v = ry * tx[None, :] - rx * ty[None, :]
+        u2 = u - w[None, :]
+        vv = v * v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_ratio = np.log((u * u + vv) / (u2 * u2 + vv))
+            angle = np.sign(v) * np.arctan2(w[None, :] * np.abs(v), vv + u * u2)
+        ex[s] = log_ratio @ ux - angle @ vy
+        ey[s] = log_ratio @ uy + angle @ vx
     return ex, ey

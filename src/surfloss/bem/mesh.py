@@ -77,11 +77,14 @@ def graded_widths(total: float, h_min: float, h_max: float) -> np.ndarray:
     h_max = max(h_max, h_min)
     start = [h_min]
     end = [h_min]
-    while sum(start) + sum(end) < total:
-        if sum(start) <= sum(end):
+    s_start = s_end = h_min         # running sums of start and end
+    while s_start + s_end < total:
+        if s_start <= s_end:
             start.append(min(start[-1] * GRADE_RATIO, h_max))
+            s_start += start[-1]
         else:
             end.append(min(end[-1] * GRADE_RATIO, h_max))
+            s_end += end[-1]
     w = np.array(start + end[::-1])
     return w * (total / w.sum())
 

@@ -17,6 +17,11 @@ for one element per orbit of images, building only those rows.  Where
 there is no such reflection, and for every ring and flat-wire mesh, each
 orbit is one element and the reduced system is the full one.  The rcond
 and the residual check refer to the reduced system.
+
+The planar rows are built and folded onto the orbits in blocks of about
+_kernels.BLOCK_ENTRIES entries, so the n/k x n matrix of representative
+rows is never held whole.  Blocking only reorders the loops; the reduced
+matrix does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -188,10 +193,13 @@ def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
 
     The unknowns are one charge per orbit of mirror images
     (`_mirror_group`); the rest follow with the drive's sign.  Only the
-    representatives' rows are assembled; each orbit's columns are summed
-    with their signs, and rows and columns are scaled by
+    representatives' rows are assembled, in blocks of rows
+    (`_kernels.row_blocks`); each orbit's columns are summed with their
+    signs while the block is in cache, and rows and columns are scaled by
     sqrt(orbit size / group order).  That is M in an orthonormal basis of
-    the subspace, so symmetric positive definite when M is.  A
+    the subspace, so symmetric positive definite when M is.  Ring and
+    flat-wire meshes have orbits of one element; their matrix is M as
+    assembled.  A
     representative that a reflection with sign -1 fixes carries no
     charge and is dropped.  rcond and the residual are the reduced
     system's; for a symmetric q its residual norm equals the full one.
@@ -208,13 +216,20 @@ def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
     rows = np.flatnonzero((rep == np.arange(n)) & ~(plus & minus))
     root = np.sqrt(np.bincount(rep, minlength=n)[rows])
 
-    b = assemble(mesh, mirror, rows)
-    m = b[:, rows]
-    for p, s in zip(perms[1:, rows], signs[1:]):
-        m += s * b[:, p]
-    del b
-    m *= root[:, None]
-    m *= root / len(perms)
+    if mesh.kind == "planar":
+        m = np.empty((len(rows), len(rows)))
+        images = list(zip(perms[1:, rows], signs[1:]))
+        scale = root / len(perms)
+        for blk in kern.row_blocks(len(rows), n):
+            b = assemble(mesh, mirror, rows[blk])
+            mb = b[:, rows]
+            for p, s in images:
+                mb += s * b[:, p]
+            mb *= root[blk, None]
+            mb *= scale
+            m[blk] = mb
+    else:                           # one element per orbit: M itself
+        m = assemble(mesh, mirror)
     vr = root * v[rows]
     anorm = np.linalg.norm(m, 1)
     if mesh.kind == "flatwire":     # column j uses rbar[j]: not symmetric

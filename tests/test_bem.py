@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from surfloss.constants import EPS0
+from surfloss import _kernels as kern
 from surfloss import analytic, cli
 from surfloss.bem import (SUITES, ChargeSolution, MeshCapError, SolverError,
                           assemble, solve)
@@ -193,6 +194,56 @@ def test_graded_widths_sum_and_growth():
     assert np.all(growth < 1.2001)
 
 
+def _graded_widths_summing(total, h_min, h_max):
+    """graded_widths as it was, re-summing both lists on every step."""
+    h_min = min(h_min, total / 4)
+    h_max = max(h_max, h_min)
+    start = [h_min]
+    end = [h_min]
+    while sum(start) + sum(end) < total:
+        if sum(start) <= sum(end):
+            start.append(min(start[-1] * meshes.GRADE_RATIO, h_max))
+        else:
+            end.append(min(end[-1] * meshes.GRADE_RATIO, h_max))
+    w = np.array(start + end[::-1])
+    return w * (total / w.sum())
+
+
+@pytest.mark.parametrize("total, h_min, h_max", [
+    (1.0, 1e-3, 0.1), (200e-6, 5e-9, 1e-6), (80e-6, 20e-9, 2e-6),
+    (1e-6, 1e-6, 1e-6), (3.3e-6, 7e-10, 0.25e-6)])
+def test_graded_widths_running_sums_match_summing_loop(total, h_min, h_max):
+    assert np.array_equal(meshes.graded_widths(total, h_min, h_max),
+                          _graded_widths_summing(total, h_min, h_max))
+
+
+#: element count of every solve of a verify pass at mesh scale 1
+VERIFY_MESH_SIZES = {
+    "coax": [1600, 3200], "flat-coax": [1083],
+    "corner": [1186, 1222, 1162, 1196, 1142, 1178, 1126, 1158, 1116, 1144,
+               1116, 1140, 1230, 1332, 1202, 1304, 1178, 1282, 1154, 1254,
+               1130, 1228, 1112, 1208],
+    "ribbon-ground": [280, 634, 634, 634, 634, 624, 624, 624, 624, 608, 608,
+                      608, 608],
+    "cyl-wire": [340, 340, 340], "flat-wire": [280]}
+
+
+def test_verify_mesh_sizes_are_pinned(monkeypatch):
+    sizes = []
+
+    def counting_solve(mesh, voltages, mirror=False):
+        sizes.append(mesh.n)
+        return solve(mesh, voltages, mirror)
+
+    monkeypatch.setattr(suites, "solve", counting_solve)
+    got = {}
+    for suite in SUITES:
+        sizes = []
+        run_suite(suite, mesh_scale=1.0)
+        got[suite] = sizes
+    assert got == VERIFY_MESH_SIZES
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nope")
@@ -264,7 +315,8 @@ def _symmetry_cases():
 
 
 def _reduced_solve(monkeypatch, mesh, volts):
-    """solve(mesh, volts) and the number of rows it assembled."""
+    """solve(mesh, volts) and the number of rows it assembled, summed over
+    its blocks of rows."""
     built = []
 
     def counting_assemble(mesh, mirror=False, rows=slice(None)):
@@ -274,7 +326,7 @@ def _reduced_solve(monkeypatch, mesh, volts):
     monkeypatch.setattr(solver_mod, "assemble", counting_assemble)
     sol = solve(mesh, volts)
     monkeypatch.undo()
-    return sol, built[-1]
+    return sol, sum(built)
 
 
 @pytest.mark.parametrize("case", list(_symmetry_cases()))
@@ -366,3 +418,57 @@ def test_verify_runs_clean_under_floating_point_traps(suite, capsys):
     assert all(line.startswith(("[PASS] ", "[FAIL] ")) for line in lines)
     assert ("[FAIL]" in out) == (code == 4)
     assert err == ""
+
+
+# --------------------------------------------------------------------------
+# the planar rows are folded in blocks: the output does not depend on the
+# block size
+
+def _reduced_matrix_one_block(mesh, v):
+    """solve()'s reduced matrix, with every representative row in one
+    block."""
+    perms, signs = solver_mod._mirror_group(mesh, v)
+    rep = perms.min(axis=0)
+    onto_rep = perms == rep
+    fixed = onto_rep[signs > 0].any(axis=0) & onto_rep[signs < 0].any(axis=0)
+    rows = np.flatnonzero((rep == np.arange(mesh.n)) & ~fixed)
+    root = np.sqrt(np.bincount(rep, minlength=mesh.n)[rows])
+    b = assemble(mesh, False, rows)
+    m = b[:, rows]
+    for p, s in zip(perms[1:, rows], signs[1:]):
+        m += s * b[:, p]
+    m *= root[:, None]
+    m *= root / len(perms)
+    return m, len(perms)
+
+
+def _solved_matrix(monkeypatch, mesh, volts):
+    """solve(mesh, volts) and the reduced matrix it factored."""
+    seen = []
+
+    def keeping_cholesky(m, v, anorm):
+        seen.append(m.copy())
+        return factor(m, v, anorm)
+
+    factor = solver_mod._solve_cholesky
+    monkeypatch.setattr(solver_mod, "_solve_cholesky", keeping_cholesky)
+    sol = solve(mesh, volts)
+    monkeypatch.setattr(solver_mod, "_solve_cholesky", factor)
+    return sol, seen[0]
+
+
+@pytest.mark.parametrize("entries", [1, 7, 300, 1000, kern.BLOCK_ENTRIES])
+@pytest.mark.parametrize("case, order", [("coax", 4), ("nudged-element", 1)])
+def test_reduced_planar_matrix_does_not_depend_on_block_size(
+        monkeypatch, case, order, entries):
+    # 1, 7 and 300 entries give one row per block, 1000 three rows, which
+    # neither 80 representatives (coax) nor 320 (nudged) is a multiple of
+    mesh, volts, _ = _symmetry_cases()[case]
+    want, k = _reduced_matrix_one_block(mesh, _drive(mesh, volts))
+    assert k == order
+    monkeypatch.setattr(kern, "BLOCK_ENTRIES", mesh.n ** 2)
+    want_sol, _ = _solved_matrix(monkeypatch, mesh, volts)
+    monkeypatch.setattr(kern, "BLOCK_ENTRIES", entries)
+    sol, got = _solved_matrix(monkeypatch, mesh, volts)
+    assert np.array_equal(got, want)
+    assert np.array_equal(sol.charge, want_sol.charge)

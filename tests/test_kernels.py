@@ -200,3 +200,176 @@ def test_segment_field_frozen_values():
                                 _SEG_TY, _SEG_W, _SEG_Q)
     np.testing.assert_allclose(ex, _SEG_EX, rtol=1e-14, atol=0)
     np.testing.assert_allclose(ey, _SEG_EY, rtol=1e-14, atol=0)
+
+
+# --------------------------------------------------------------------------
+# blocked layers: the output does not depend on the block size
+
+def _ring_matrix_one_block(z, r, w, mirror=False):
+    """ring_matrix as one block: the pairs i < j gathered by triu_indices."""
+    n = len(z)
+    ii, jj = np.triu_indices(n, 1)
+    ri, rj = r[ii], r[jj]
+    dz = z[ii] - z[jj]
+    upper = kern._ring_kernel(np.hypot(dz, ri - rj), ri, rj)
+    near = np.nonzero(np.abs(dz) < kern.NEAR_FACTOR * (w[ii] + w[jj]))[0]
+    ni, nj = ii[near], jj[near]
+    zi = z[ni][:, None] + 0.5 * w[ni][:, None] * kern._GAUSS_X[None, :]
+    zj = z[nj][:, None] + 0.5 * w[nj][:, None] * kern._GAUSS_X[None, :]
+    rr = np.hypot(zi[:, :, None] - zj[:, None, :],
+                  (r[ni] - r[nj])[:, None, None])
+    kv = kern._ring_kernel(rr, r[ni][:, None, None], r[nj][:, None, None])
+    upper[near] = np.einsum("i,j,pij->p", kern._GAUSS_W, kern._GAUSS_W,
+                            kv) / 4.0
+    diag = kern._ring_self(r, w)
+    if mirror:
+        upper -= kern._ring_kernel(np.hypot(z[ii] + z[jj], ri - rj), ri, rj)
+        diag -= kern._ring_kernel(np.abs(z + z), r, r)
+    m = np.empty((n, n))
+    m[ii, jj] = upper
+    m[jj, ii] = upper
+    m[np.diag_indices(n)] = diag
+    return m, len(near)
+
+
+def _flatwire_matrix_one_block(y, rbar, w, mirror=False):
+    """flatwire_matrix as one block of all rows."""
+    rh = rbar / 2.0
+    n = len(y)
+    dy = np.abs(y[:, None] - y[None, :])
+    np.fill_diagonal(dy, 1.0)
+    m = kern._ring_kernel(dy, rh[None, :], rh[None, :])
+    m[np.diag_indices(n)] = kern._ring_self(rh, w)
+    ii, jj = np.nonzero(dy < kern.NEAR_FACTOR * (w[:, None] + w[None, :]))
+    off = ii != jj
+    ii, jj = ii[off], jj[off]
+    yi = y[ii][:, None] + 0.5 * w[ii][:, None] * kern._GAUSS_X[None, :]
+    yj = y[jj][:, None] + 0.5 * w[jj][:, None] * kern._GAUSS_X[None, :]
+    rj = rh[jj][:, None, None]
+    kv = kern._ring_kernel(np.abs(yi[:, :, None] - yj[:, None, :]), rj, rj)
+    m[ii, jj] = np.einsum("i,j,pij->p", kern._GAUSS_W, kern._GAUSS_W, kv) / 4.0
+    if mirror:
+        m -= kern._ring_kernel(np.abs(y[:, None] + y[None, :]), rh[None, :],
+                               rh[None, :])
+    return m, len(ii)
+
+
+def _segment_field_one_block(px, py, mx, my, tx, ty, w, q):
+    """segment_field as one block of all points."""
+    lam = q / w
+    ax = mx - 0.5 * w * tx; ay = my - 0.5 * w * ty
+    rx = px[:, None] - ax[None, :]
+    ry = py[:, None] - ay[None, :]
+    u = rx * tx[None, :] + ry * ty[None, :]
+    v = ry * tx[None, :] - rx * ty[None, :]
+    u2 = u - w[None, :]
+    vv = v * v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log((u * u + vv) / (u2 * u2 + vv))
+        angle = np.sign(v) * np.arctan2(w[None, :] * np.abs(v), vv + u * u2)
+    lam_u = lam / (4.0 * np.pi * EPS0)
+    lam_v = lam / (2.0 * np.pi * EPS0)
+    return (log_ratio @ (lam_u * tx) - angle @ (lam_v * ty),
+            log_ratio @ (lam_u * ty) + angle @ (lam_v * tx))
+
+
+def _tapered_wires(n):
+    from surfloss.analytic import taper_halfwidth
+    from surfloss.bem.mesh import wire_rings, wire_strip
+    rings = wire_rings(20e-6, lambda y: 0.2 * y, y0=0.02e-6, n=n)
+    strip = wire_strip(20e-6, lambda y: taper_halfwidth(y, 0.1e-6, 0.2, 0.1e-6),
+                       y0=0.02e-6, n=n)
+    return rings, strip
+
+
+#: block sizes that end blocks mid-array: one row or pair per block (1, 7,
+#: 300), 40 rows and 16 pairs per block (5000), and the shipped size
+BLOCK_SIZES = [1, 7, 300, 5000, kern.BLOCK_ENTRIES]
+
+
+@pytest.mark.parametrize("entries", BLOCK_SIZES)
+@pytest.mark.parametrize("mirror", [False, True])
+def test_wire_matrices_do_not_depend_on_block_size(monkeypatch, entries,
+                                                   mirror):
+    rings, strip = _tapered_wires(125)
+    assert rings.n == strip.n == 125
+    want_ring, near_ring = _ring_matrix_one_block(
+        rings.pos[:, 0], rings.pos[:, 1], rings.width, mirror)
+    want_flat, near_flat = _flatwire_matrix_one_block(
+        strip.pos[:, 0], strip.halfwidth, strip.width, mirror)
+    assert near_ring % 16 and near_flat % 16
+    monkeypatch.setattr(kern, "BLOCK_ENTRIES", entries)
+    got_ring = kern.ring_matrix(rings.pos[:, 0], rings.pos[:, 1],
+                                rings.width, mirror=mirror)
+    got_flat = kern.flatwire_matrix(strip.pos[:, 0], strip.halfwidth,
+                                    strip.width, mirror=mirror)
+    assert np.array_equal(got_ring, want_ring)
+    assert np.array_equal(got_flat, want_flat)
+
+
+def _coax_field_case():
+    # 1222 segments of a solved coax; 601 points along y = 0 across the gap
+    from surfloss.bem import mesh as meshes
+    from surfloss.bem import solve
+    mesh = meshes.concat([meshes.circle(10e-6, 306, electrode=0),
+                          meshes.circle(100e-6, 916, electrode=1)])
+    sol = solve(mesh, {0: 1.0, 1: 0.0})
+    px = np.linspace(-99e-6, 99e-6, 601)
+    return (px, np.zeros_like(px), mesh.pos[:, 0], mesh.pos[:, 1],
+            mesh.tangent[:, 0], mesh.tangent[:, 1], mesh.width, sol.charge)
+
+
+@pytest.mark.parametrize("entries", [1, 7, 300, 1 << 14, kern.BLOCK_ENTRIES])
+def test_segment_field_does_not_depend_on_block_size(monkeypatch, entries):
+    # 300 entries hold less than one row of 1222 segments: one point per
+    # block; 1 << 14 gives 8 points per block, which 601 is not a multiple of
+    args = _coax_field_case()
+    want = _segment_field_one_block(*args)
+    monkeypatch.setattr(kern, "BLOCK_ENTRIES", entries)
+    got = kern.segment_field(*args)
+    # a BLAS matrix-vector product may sum a lone row in another order
+    scale = max(np.abs(want[0]).max(), np.abs(want[1]).max())
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-15 * scale
+
+
+def _traced_peak(fn, *args, **kwargs):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_layers_stay_within_a_few_blocks_of_memory():
+    block = 8 * kern.BLOCK_ENTRIES                    # bytes
+    rng = np.random.default_rng(1)
+    seg = [rng.uniform(-1.0, 1.0, 600) for _ in range(2)] \
+        + [rng.uniform(-1.0, 1.0, 1222) for _ in range(4)] \
+        + [rng.uniform(0.01, 0.02, 1222), rng.uniform(-1.0, 1.0, 1222)]
+    assert _traced_peak(kern.segment_field, *seg) < 16 * block
+    from surfloss.bem.mesh import wire_rings
+    rings = wire_rings(100e-6, lambda y: np.full_like(y, 0.1e-6),
+                       y0=0.02e-6, n=680)
+    z, r, w = rings.pos[:, 0], rings.pos[:, 1], rings.width
+    assert rings.n == 680
+    kern.ring_matrix(z[:20], r[:20], w[:20])     # SciPy's import is not traced
+    assert _traced_peak(kern.ring_matrix, z, r, w, mirror=True) \
+        < 8 * rings.n ** 2 + 16 * block
+
+
+@pytest.mark.parametrize("entries, n_rows, row_len, step", [
+    (1 << 16, 601, 1222, 48), (1 << 16, 100, 680, 96), (300, 5, 1222, 1),
+    (5000, 125, 125, 40), (1000, 80, 320, 3), (7, 9, 1, 7)])
+def test_row_blocks_cover_rows_in_whole_groups(monkeypatch, entries, n_rows,
+                                               row_len, step):
+    # about BLOCK_ENTRIES entries per block, at least one row, and a
+    # multiple of 8 rows when there are 8 or more
+    monkeypatch.setattr(kern, "BLOCK_ENTRIES", entries)
+    blocks = kern.row_blocks(n_rows, row_len)
+    assert [b.stop - b.start for b in blocks[:-1]] == [step] * (len(blocks) - 1)
+    assert 0 < blocks[-1].stop - blocks[-1].start <= step
+    assert np.array_equal(np.concatenate([np.arange(b.start, b.stop)
+                                          for b in blocks]), np.arange(n_rows))
