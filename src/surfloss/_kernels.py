@@ -5,7 +5,8 @@ per coulomb (per unit length for the planar kernel).  The ring kernel
 evaluates K(m) at m <= 0 through the Cephes routine of scipy.special,
 special._ellipk_nonpositive (the closed forms use the scalar AGM
 special.ellipk instead); the flat-wire kernel is the ring kernel at half
-radius.  The wire matrices subtract a mirror image in the same pass.
+radius.  The wire matrices are for one wire of a differential pair and
+subtract each element's image in the plane of symmetry in the same pass.
 
 The layers that build large temporaries run in blocks of about
 BLOCK_ENTRIES doubles each (512 KB), so every temporary stays in cache:
@@ -121,13 +122,14 @@ def _near_average(kernel, ci, wi, cj, wj):
     return out
 
 
-def ring_matrix(z, r, w, mirror=False):
-    """Axisymmetric ring-charge potential matrix with self/near treatment.
+def ring_matrix(z, r, w):
+    """Axisymmetric ring-charge potential matrix with self/near treatment,
+    less each ring's image in z = 0.
 
     The kernel and its near-field average are symmetric in (i, j), so only
-    the pairs i < j are evaluated and the result is mirrored.  mirror
-    subtracts each ring's image in z = 0, K(hypot(z_i + z_j, r_i - r_j)),
-    which is also symmetric, on the same pairs and on the diagonal.
+    the pairs i < j are evaluated and the result is mirrored.  The image
+    term K(hypot(z_i + z_j, r_i - r_j)) is also symmetric and is
+    subtracted on the same pairs and on the diagonal.
     Rows are built in blocks, each against the columns from the block's
     first row on; the entries below the diagonal are then copied from
     above it.
@@ -155,9 +157,8 @@ def ring_matrix(z, r, w, mirror=False):
             lambda p, du: _ring_kernel(np.hypot(du, dr[p, None, None]),
                                        rn[p, None, None], rm[p, None, None]),
             z[ni], w[ni], z[nj], w[nj])
-        if mirror:
-            # on the diagonal hypot(2z, 0) is exactly |2z|
-            blk -= _ring_kernel(np.hypot(zi + zj, ri - rj), ri, rj)
+        # the image; on the diagonal hypot(2z, 0) is exactly |2z|
+        blk -= _ring_kernel(np.hypot(zi + zj, ri - rj), ri, rj)
         m[s, :lo] = m[:lo, s].T         # below the diagonal, from above it
         sq = m[s, s]
         below = np.tri(len(k), k=-1, dtype=bool)
@@ -173,14 +174,14 @@ def ring_mutual(z1, r1, z2, r2):
     return _ring_kernel(rho, r1[:, None], r2[None, :])
 
 
-def flatwire_matrix(y, rbar, w, mirror=False):
-    """Thin-strip wire potential matrix (edge-loaded transverse profile).
+def flatwire_matrix(y, rbar, w):
+    """Thin-strip wire potential matrix (edge-loaded transverse profile),
+    less each element's image in y = 0.
 
     A flat strip of half-width rbar has the potential of a ring of radius
     rbar/2, so every entry is the ring kernel at half radius.  Not
-    symmetric: column j uses the source half-width rbar[j].  mirror
-    subtracts each element's image in y = 0, K(|y_i + y_j|).  Rows are
-    built in blocks.
+    symmetric: column j uses the source half-width rbar[j].  The image
+    term is K(|y_i + y_j|).  Rows are built in blocks.
     """
     y = np.asarray(y, float); w = np.asarray(w, float)
     rh = np.asarray(rbar, float) / 2.0
@@ -202,9 +203,8 @@ def flatwire_matrix(y, rbar, w, mirror=False):
             lambda p, du: _ring_kernel(np.abs(du), rj[p, None, None],
                                        rj[p, None, None]),
             y[ii], w[ii], y[jj], w[jj])
-        if mirror:
-            blk -= _ring_kernel(np.abs(y[s, None] + y[None, :]), rh[None, :],
-                                rh[None, :])
+        blk -= _ring_kernel(np.abs(y[s, None] + y[None, :]), rh[None, :],
+                            rh[None, :])
     return m
 
 

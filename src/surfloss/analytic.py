@@ -9,7 +9,8 @@ constant c_m in its edge logarithm.  ``participation`` applies the one
 interface split: the metal-air and metal-substrate interfaces each see half
 of the metal surface energy, the substrate-air interface the full
 substrate-line energy, with the optional corner split re-weighting the
-air/substrate sides of the film corners.
+air/substrate sides of the film corners.  The loss tangent of a structure
+is its participations weighted by the stack's interface loss tangents.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ from .special import ck_ratio, ellipk, ellipkp
 C_M_DEFAULT = 5.0
 C_S_DEFAULT = 1.6
 
+#: the metal corner constant split into its air and substrate sides (the
+#: film sits on the substrate, so the air side collects both top corners
+#: plus the outside of the bottom corner); ``participation`` uses them in
+#: place of the plain U/2 split when the corner split is requested
+C_M_AIR = 1.5 * C_M_DEFAULT
+C_M_SUBSTRATE = 0.5 * C_M_DEFAULT
+
 #: corner-field power-law exponent for a 90 degree metal corner
 CORNER_EXPONENT = -1.0 / 3.0
 
@@ -41,18 +49,6 @@ class SurfaceEnergyPair:
 
     u_metal: float
     u_substrate: float
-
-
-def corner_split_mode(c_m: float) -> tuple[float, float]:
-    """Refined split of the metal corner constant into air/substrate sides.
-
-    The film sits on the substrate, so the air side collects both top
-    corners plus the outside of the bottom corner; used in place of the
-    plain U/2 split when requested.
-    """
-    if c_m < 0:
-        raise ValueError("c_m must be >= 0")
-    return 1.5 * c_m, 0.5 * c_m
 
 
 # --------------------------------------------------------------------------
@@ -222,10 +218,10 @@ def _quad(f, a: float, b: float, **kwargs) -> float:
     return val
 
 
-def straight_wire_energy_quadrature(rbar: float, d: float, t: float,
-                                    c: float = C_M_DEFAULT) -> float:
-    """U/(eps0 V^2) of both straight wires by direct quadrature from 2*rbar."""
-    coef = (math.log(4 * rbar / t) + c) / (2.0 * rbar)
+def straight_wire_energy_quadrature(rbar: float, d: float, t: float) -> float:
+    """U/(eps0 V^2) of both straight wires by direct quadrature from 2*rbar,
+    at the corner constant C_M_DEFAULT."""
+    coef = (math.log(4 * rbar / t) + C_M_DEFAULT) / (2.0 * rbar)
     return coef * _quad(lambda y: 1.0 / math.log(4 * y / rbar) ** 2,
                         2 * rbar, d, limit=200)
 
@@ -237,9 +233,10 @@ def taper_halfwidth(y, r0: float, slope: float, t: float):
     return out if out.shape else float(out)
 
 
-def tapered_wire_energy_quadrature(r0: float, slope: float, d: float, t: float,
-                                   c: float = C_M_DEFAULT) -> float:
-    """U/(eps0 V^2) of both tapered wires; the line integral starts at y = 5t.
+def tapered_wire_energy_quadrature(r0: float, slope: float, d: float,
+                                   t: float) -> float:
+    """U/(eps0 V^2) of both tapered wires at the corner constant
+    C_M_DEFAULT; the line integral starts at y = 5t.
 
     Raises ValueError when the pole of 1/ln(4y/r0)^2 at y = r0/4 lies in
     [5t, d], that is for r0 >= 20t (and r0 <= 4d): the integral diverges.
@@ -250,7 +247,8 @@ def tapered_wire_energy_quadrature(r0: float, slope: float, d: float, t: float,
             f"y = r0/4 = {r0 / 4.0:.4g} m inside [5t, d]; need r0 < 20*t")
     def integrand(y: float) -> float:
         r = max(r0, (y - 5.0 * t) * slope)
-        return 2.0 * (math.log(4 * r / t) + c) / (4.0 * r * math.log(4 * y / r) ** 2)
+        return 2.0 * (math.log(4 * r / t) + C_M_DEFAULT) \
+            / (4.0 * r * math.log(4 * y / r) ** 2)
 
     y_kink = 5.0 * t + r0 / slope
     pts = [y_kink] if 5.0 * t < y_kink < d else None
@@ -323,13 +321,12 @@ class TaperOptimum:
     energies: np.ndarray
 
 
-def optimize_taper_slope(r0: float, d: float, t: float,
-                         c_m: float = C_M_DEFAULT) -> TaperOptimum:
+def optimize_taper_slope(r0: float, d: float, t: float) -> TaperOptimum:
     """Minimize the numerically integrated tapered metal line energy over
     S, sampled at 41 slopes from 0.05 to the slope cap and then refined."""
     if d <= 5 * t:
         raise ValueError("taper optimization needs d > 5*t")
-    f = lambda s: tapered_wire_energy_quadrature(r0, s, d, t, c_m)
+    f = lambda s: tapered_wire_energy_quadrature(r0, s, d, t)
     slopes = np.linspace(0.05, MAX_TAPER_SLOPE, 41)
     energies = np.array([f(s) for s in slopes])
     # refine around the best sample, honoring the slope cap
@@ -387,27 +384,25 @@ def participation(spec: StructureSpec, stack: DielectricStack, length: float,
     Metal-air and metal-substrate each take the structure's metal energy,
     substrate-air twice its substrate energy, each times its dielectric
     weight and oxide thickness over the length.  With corner_split the
-    metal energy is taken at the air- and substrate-side constants of
-    corner_split_mode(C_M_DEFAULT) instead of at C_M_DEFAULT on both.
+    metal energy is taken at C_M_AIR and C_M_SUBSTRATE instead of at
+    C_M_DEFAULT on both.  The loss tangent is
+    p_ma*tan_ma + p_ms*tan_ms + p_sa*tan_sa.
     """
     cap, energies = _closed_forms(spec)
     w_ma, w_ms, w_sa = interface_weights(stack)
     if energies is None:
         p_ma = w_ma * stack.t_ma * spec.length * spec.w / (spec.s**2 * length)
-        return ParticipationBreakdown(spec.label, p_ma, 0.0, 0.0,
-                                      cap(spec, stack))
-    if corner_split:
-        c_air, c_sub = corner_split_mode(C_M_DEFAULT)
-        pair = energies(spec, c_air)
-        s_ms = energies(spec, c_sub).u_metal
+        p_ms = p_sa = 0.0
     else:
-        pair = energies(spec, C_M_DEFAULT)
-        s_ms = pair.u_metal
-    s_sa = 2.0 * pair.u_substrate
+        if corner_split:
+            pair = energies(spec, C_M_AIR)
+            s_ms = energies(spec, C_M_SUBSTRATE).u_metal
+        else:
+            pair = energies(spec, C_M_DEFAULT)
+            s_ms = pair.u_metal
+        p_ma = w_ma * stack.t_ma * pair.u_metal / length
+        p_ms = w_ms * stack.t_ms * s_ms / length
+        p_sa = w_sa * stack.t_sa * (2.0 * pair.u_substrate) / length
     return ParticipationBreakdown(
-        label=spec.label,
-        p_ma=w_ma * stack.t_ma * pair.u_metal / length,
-        p_ms=w_ms * stack.t_ms * s_ms / length,
-        p_sa=w_sa * stack.t_sa * s_sa / length,
-        capacitance=cap(spec, stack),
-    )
+        spec.label, p_ma, p_ms, p_sa, cap(spec, stack),
+        p_ma * stack.tan_ma + p_ms * stack.tan_ms + p_sa * stack.tan_sa)

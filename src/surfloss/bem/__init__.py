@@ -1,7 +1,9 @@
 """Surface-charge (boundary-element) electrostatics.
 
 Three potential kernels: planar 2-D line charges, axisymmetric rings,
-and flat thin-film wire strips.  Meshes grade geometrically into edges;
+and flat thin-film wire strips.  A ring or strip mesh is one wire of a
+differential pair, and its matrix subtracts the other wire as the image
+in the plane of symmetry.  Meshes grade geometrically into edges;
 solves are dense, Cholesky for the symmetric planar and ring kinds and LU
 for flatwire, with condition estimates.  A planar mesh that is its own
 mirror image in x or y (detected from the element positions, widths and

@@ -29,13 +29,14 @@ class Mesh:
     kind 'planar': pos = (x, y) midpoints, tangent set, per-unit-length.
     kind 'ring': pos = (z, r) ring positions, width = surface arc length.
     kind 'flatwire': pos = (y, 0) centerline, halfwidth = transverse rbar.
+    A ring or flatwire mesh is one wire of a pair mirrored in z = 0
+    (y = 0), whose other wire is the image and is not meshed.
     """
 
     kind: str
     pos: np.ndarray
     width: np.ndarray
     electrode: np.ndarray
-    side: np.ndarray
     tangent: Optional[np.ndarray] = None
     halfwidth: Optional[np.ndarray] = None
     end_distance: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -64,7 +65,7 @@ def concat(parts: list[Mesh]) -> Mesh:
         vals = [getattr(p, attr) for p in parts]
         return None if vals[0] is None else np.concatenate(vals)
     return Mesh(parts[0].kind, np.vstack([p.pos for p in parts]), cat("width"),
-                cat("electrode"), cat("side"), tangent=cat("tangent"),
+                cat("electrode"), tangent=cat("tangent"),
                 halfwidth=cat("halfwidth"), end_distance=cat("end_distance"),
                 thin_sheet=parts[0].thin_sheet)
 
@@ -89,7 +90,7 @@ def graded_widths(total: float, h_min: float, h_max: float) -> np.ndarray:
     return w * (total / w.sum())
 
 
-def _segment(p0, p1, widths, electrode, side) -> Mesh:
+def _segment(p0, p1, widths, electrode) -> Mesh:
     p0 = np.asarray(p0, float); p1 = np.asarray(p1, float)
     length = float(np.hypot(*(p1 - p0)))
     s = np.concatenate([[0.0], np.cumsum(widths)])
@@ -99,18 +100,18 @@ def _segment(p0, p1, widths, electrode, side) -> Mesh:
     tan = np.tile(t, (len(widths), 1))
     n = len(widths)
     return Mesh("planar", pos, np.asarray(widths, float),
-                np.full(n, electrode, int), np.full(n, side, object),
-                tangent=tan, end_distance=np.minimum(mid, length - mid),
+                np.full(n, electrode, int), tangent=tan,
+                end_distance=np.minimum(mid, length - mid),
                 thin_sheet=True)
 
 
-def line(p0, p1, h_min, h_max, electrode=0, side="metal") -> Mesh:
+def line(p0, p1, h_min, h_max, electrode=0) -> Mesh:
     """Straight planar segment from p0 to p1, graded at both ends."""
     length = float(np.hypot(*(np.asarray(p1, float) - np.asarray(p0, float))))
-    return _segment(p0, p1, graded_widths(length, h_min, h_max), electrode, side)
+    return _segment(p0, p1, graded_widths(length, h_min, h_max), electrode)
 
 
-def circle(radius: float, n: int, electrode=0, side="shield") -> Mesh:
+def circle(radius: float, n: int, electrode=0) -> Mesh:
     """Closed circular contour about the origin (solid conductor boundary)."""
     if n < 3:
         raise MeshCapError(f"circle needs at least 3 elements, got {n}; "
@@ -119,24 +120,24 @@ def circle(radius: float, n: int, electrode=0, side="shield") -> Mesh:
     pos = np.stack([radius * np.cos(th), radius * np.sin(th)], axis=1)
     tan = np.stack([-np.sin(th), np.cos(th)], axis=1)
     w = np.full(n, 2.0 * np.pi * radius / n)
-    return Mesh("planar", pos, w, np.full(n, electrode, int),
-                np.full(n, side, object), tangent=tan, thin_sheet=False)
+    return Mesh("planar", pos, w, np.full(n, electrode, int), tangent=tan,
+                thin_sheet=False)
 
 
 def thin_strip(x0: float, x1: float, h_min: float, h_max: float,
-               electrode=0, side="metal", cutoff: Optional[float] = None) -> Mesh:
+               electrode=0, cutoff: Optional[float] = None) -> Mesh:
     """Infinitely thin strip on y=0 spanning [x0, x1], graded at both edges.
 
     With cutoff set, element boundaries are snapped at x0+cutoff and
     x1-cutoff so edge-exclusion sums have no partial-element jitter.
     """
     if cutoff is None:
-        return line((x0, 0.0), (x1, 0.0), h_min, h_max, electrode, side)
+        return line((x0, 0.0), (x1, 0.0), h_min, h_max, electrode)
     n_sliver = 8
     ws = np.full(n_sliver, cutoff / n_sliver)
     mid = graded_widths(x1 - x0 - 2 * cutoff, h_min, h_max)
     widths = np.concatenate([ws, mid, ws])
-    return _segment((x0, 0.0), (x1, 0.0), widths, electrode, side)
+    return _segment((x0, 0.0), (x1, 0.0), widths, electrode)
 
 
 def film_cross_section(rbar: float, t: float, h_min: float, h_max: float,
@@ -150,30 +151,30 @@ def film_cross_section(rbar: float, t: float, h_min: float, h_max: float,
     parts = []
     if edge == "square":
         parts.append(line((-rbar, t / 2), (rbar, t / 2), h_min, h_max,
-                          electrode, "top"))
+                          electrode))
         parts.append(line((rbar, t / 2), (rbar, -t / 2), h_min, h_side,
-                          electrode, "edge"))
+                          electrode))
         parts.append(line((rbar, -t / 2), (-rbar, -t / 2), h_min, h_max,
-                          electrode, "bottom"))
+                          electrode))
         parts.append(line((-rbar, -t / 2), (-rbar, t / 2), h_min, h_side,
-                          electrode, "edge"))
+                          electrode))
     elif edge == "semicircle":
         flat = rbar - t / 2
         parts.append(line((-flat, t / 2), (flat, t / 2), h_min, h_max,
-                          electrode, "top"))
+                          electrode))
         n_arc = max(int(np.ceil(np.pi * (t / 2) / h_min / 1.5)), 24)
         th = (np.arange(n_arc) + 0.5) * np.pi / n_arc - np.pi / 2
         w = np.full(n_arc, np.pi * (t / 2) / n_arc)
         pos = np.stack([flat + (t / 2) * np.cos(th), (t / 2) * np.sin(th)], axis=1)
         tan = np.stack([-np.sin(th), np.cos(th)], axis=1)
         right = Mesh("planar", pos, w, np.full(n_arc, electrode, int),
-                     np.full(n_arc, "edge", object), tangent=tan)
+                     tangent=tan)
         parts.append(right)
         parts.append(line((flat, -t / 2), (-flat, -t / 2), h_min, h_max,
-                          electrode, "bottom"))
+                          electrode))
         # the left end is the right one reflected through the origin
         parts.append(Mesh("planar", -right.pos, w, right.electrode,
-                          right.side, tangent=-right.tangent))
+                          tangent=-right.tangent))
     else:
         raise ValueError(f"unknown edge style {edge!r}")
     mesh = concat(parts)
@@ -182,7 +183,7 @@ def film_cross_section(rbar: float, t: float, h_min: float, h_max: float,
     return mesh
 
 
-def wire_rings(d: float, radius_fn, y0: float, n: int = 320) -> Mesh:
+def wire_rings(d: float, radius_fn, y0: float, n: int) -> Mesh:
     """Axisymmetric wire surface from y0 to d, log-spaced with the last 8%
     refined toward the end."""
     d1 = d * (1.0 - 0.08)
@@ -196,11 +197,10 @@ def wire_rings(d: float, radius_fn, y0: float, n: int = 320) -> Mesh:
     slope = np.gradient(r, z)
     arc = wz * np.sqrt(1.0 + slope**2)
     nel = len(z)
-    return Mesh("ring", np.stack([z, r], axis=1), arc,
-                np.zeros(nel, int), np.full(nel, "wire", object))
+    return Mesh("ring", np.stack([z, r], axis=1), arc, np.zeros(nel, int))
 
 
-def wire_strip(d: float, halfwidth_fn, y0: float, n: int = 280) -> Mesh:
+def wire_strip(d: float, halfwidth_fn, y0: float, n: int) -> Mesh:
     """Flat (thin-film) wire centerline mesh from y0 to d."""
     edges = np.geomspace(y0, d, n + 1)
     y = 0.5 * (edges[:-1] + edges[1:])
@@ -208,5 +208,4 @@ def wire_strip(d: float, halfwidth_fn, y0: float, n: int = 280) -> Mesh:
     rb = np.asarray(halfwidth_fn(y), float)
     nel = len(y)
     return Mesh("flatwire", np.stack([y, np.zeros(nel)], axis=1), w,
-                np.zeros(nel, int), np.full(nel, "wire", object),
-                halfwidth=rb, thin_sheet=True)
+                np.zeros(nel, int), halfwidth=rb, thin_sheet=True)

@@ -4,10 +4,10 @@ fields, energies, capacitances, and corner constants.
 The solves run in vacuum; substrate weighting happens in the analytic
 layer ((eps_s+1)/2 for effective capacitance, eps factors in the
 participations).  Dense factorizations with a reciprocal-condition
-estimate: Cholesky for the symmetric kinds (planar, and ring with or
-without its mirror image), whose single-layer log kernel is positive
-definite on domains this small; LU for flatwire, whose matrix is not
-symmetric.  Systems are capped at 20k unknowns.
+estimate: Cholesky for the symmetric kinds (planar and ring), whose
+single-layer log kernel is positive definite on domains this small; LU
+for flatwire, whose matrix is not symmetric.  Systems are capped at 20k
+unknowns.
 
 Every solve runs in the subspace of the mesh's mirror symmetries.  For a
 planar mesh, solve() looks for the reflections x -> -x and y -> -y that
@@ -48,22 +48,19 @@ class SolverError(RuntimeError):
     pass
 
 
-def assemble(mesh: Mesh, mirror: bool = False, rows=slice(None)) -> np.ndarray:
-    """Potential matrix for a mesh; mirror subtracts the antisymmetric
-    image about y=0 (differential wire pairs meshed on one side only).
-    rows picks the rows, each against every element; planar meshes build
-    only those."""
+def assemble(mesh: Mesh, rows=slice(None)) -> np.ndarray:
+    """Potential matrix for a mesh; the wire kinds subtract the
+    antisymmetric image of the other wire of the pair.  rows picks the
+    rows, each against every element; planar meshes build only those."""
     if mesh.kind == "planar":
-        if mirror:
-            raise ValueError("mirror solves are for wire kinds only")
         m = kern.planar_matrix(mesh.pos[:, 0], mesh.pos[:, 1], mesh.width,
                                rows)
     elif mesh.kind == "ring":
-        m = kern.ring_matrix(mesh.pos[:, 0], mesh.pos[:, 1], mesh.width,
-                             mirror)[rows]
+        m = kern.ring_matrix(mesh.pos[:, 0], mesh.pos[:, 1],
+                             mesh.width)[rows]
     elif mesh.kind == "flatwire":
-        m = kern.flatwire_matrix(mesh.pos[:, 0], mesh.halfwidth, mesh.width,
-                                 mirror)[rows]
+        m = kern.flatwire_matrix(mesh.pos[:, 0], mesh.halfwidth,
+                                 mesh.width)[rows]
     else:
         raise ValueError(f"unknown mesh kind {mesh.kind!r}")
     if not np.isfinite(m).all():
@@ -74,7 +71,12 @@ def assemble(mesh: Mesh, mirror: bool = False, rows=slice(None)) -> np.ndarray:
 
 @dataclass
 class ChargeSolution:
-    """Solved element charges plus bookkeeping for post-processing."""
+    """Solved element charges plus bookkeeping for post-processing.
+
+    rcond is LAPACK's condition estimate.  dpocon gives values that differ
+    by up to about 6e-16 relative between runs on the same matrix, so
+    compare rcond with a tolerance, never bitwise.
+    """
 
     mesh: Mesh
     charge: np.ndarray
@@ -184,12 +186,12 @@ def _mirror_group(mesh: Mesh, v: np.ndarray):
     return np.array(perms), np.array(signs)
 
 
-def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
+def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
     """Solve M q = V for the element charges.
 
-    voltages maps electrode id -> potential.  For mirror solves the meshed
-    electrode at +V/2 faces an implicit image at -V/2, so the differential
-    drive is twice the set potential.
+    voltages maps electrode id -> potential.  A ring or flat-wire mesh at
+    +V/2 faces its implicit image at -V/2, so the differential drive is
+    twice the set potential.
 
     The unknowns are one charge per orbit of mirror images
     (`_mirror_group`); the rest follow with the drive's sign.  Only the
@@ -221,7 +223,7 @@ def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
         images = list(zip(perms[1:, rows], signs[1:]))
         scale = root / len(perms)
         for blk in kern.row_blocks(len(rows), n):
-            b = assemble(mesh, mirror, rows[blk])
+            b = assemble(mesh, rows[blk])
             mb = b[:, rows]
             for p, s in images:
                 mb += s * b[:, p]
@@ -229,7 +231,7 @@ def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
             mb *= scale
             m[blk] = mb
     else:                           # one element per orbit: M itself
-        m = assemble(mesh, mirror)
+        m = assemble(mesh)
     vr = root * v[rows]
     anorm = np.linalg.norm(m, 1)
     if mesh.kind == "flatwire":     # column j uses rbar[j]: not symmetric
@@ -246,7 +248,7 @@ def solve(mesh: Mesh, voltages: dict, mirror: bool = False) -> ChargeSolution:
     vals = sorted(voltages.values())
     pos_id = max(voltages, key=voltages.get)
     q_pos = float(q[mesh.electrode == pos_id].sum())
-    if mirror:
+    if mesh.kind != "planar":
         dv = 2.0 * voltages[pos_id]
     else:
         dv = vals[-1] - vals[0] if len(vals) > 1 else vals[-1]

@@ -52,9 +52,8 @@ def suite_coax(mesh_scale: float = 1.0) -> list[Check]:
     c_exact = 2.0 * math.pi * EPS0 / math.log(radius_out / r)
 
     def solve_coax(ni, no):
-        m = meshes.concat([meshes.circle(r, ni, electrode=0, side="inner"),
-                           meshes.circle(radius_out, no, electrode=1,
-                                         side="shield")])
+        m = meshes.concat([meshes.circle(r, ni, electrode=0),
+                           meshes.circle(radius_out, no, electrode=1)])
         return solve(m, {0: 1.0, 1: 0.0})
 
     sol = solve_coax(n_in, n_out)
@@ -78,7 +77,7 @@ def suite_flat_coax(mesh_scale: float = 1.0) -> list[Check]:
 
     rbar, shield, t = 10e-6, 100e-6, 0.1e-6
     strip = meshes.thin_strip(-rbar, rbar, t / (20 * mesh_scale), 1e-6,
-                              electrode=0, side="metal")
+                              electrode=0)
     outer = meshes.circle(shield, int(1000 * mesh_scale), electrode=1)
     # thin_sheet comes from the strip; only the strip's metal energy is read
     m = meshes.concat([strip, outer])
@@ -196,17 +195,15 @@ def suite_corner(mesh_scale: float = 1.0) -> list[Check]:
 
 def _rwg_mesh(a, b, c_gnd, t, h_edge, h_max, extent):
     strips = [
-        meshes.thin_strip(a, b, h_edge, h_max, electrode=0, side="ribbon+",
-                          cutoff=t / 2),
-        meshes.thin_strip(-b, -a, h_edge, h_max, electrode=1, side="ribbon-",
-                          cutoff=t / 2),
+        meshes.thin_strip(a, b, h_edge, h_max, electrode=0, cutoff=t / 2),
+        meshes.thin_strip(-b, -a, h_edge, h_max, electrode=1, cutoff=t / 2),
     ]
     if c_gnd is not None:
         strips.append(meshes.thin_strip(c_gnd, c_gnd + extent, h_edge,
-                                        extent / 30, electrode=2, side="ground",
+                                        extent / 30, electrode=2,
                                         cutoff=t / 2))
         strips.append(meshes.thin_strip(-c_gnd - extent, -c_gnd, h_edge,
-                                        extent / 30, electrode=3, side="ground",
+                                        extent / 30, electrode=3,
                                         cutoff=t / 2))
     return meshes.concat(strips)
 
@@ -278,7 +275,8 @@ def suite_ribbon_ground(mesh_scale: float = 1.0) -> list[Check]:
 # --------------------------------------------------------------------------
 
 def _wire_pair(d, r0, slope, mesh_scale, flat):
-    """Mesh and mirrored solve of a differential wire pair at +-0.5 V.  A
+    """Mesh and solve of a differential wire pair at +-0.5 V: one wire is
+    meshed, the other is its image (see `solve`).  A
     flat wire follows taper_halfwidth from r0 at slope S (straight at
     S = 0); a round one is straight of radius r0 or the cone r = S*y."""
     if flat or not slope:
@@ -287,7 +285,7 @@ def _wire_pair(d, r0, slope, mesh_scale, flat):
         rf = lambda y: slope * y
     mesh, n = (meshes.wire_strip, 280) if flat else (meshes.wire_rings, 340)
     m = mesh(d, rf, y0=r0 / 5, n=int(n * mesh_scale))
-    return m, solve(m, {0: 0.5}, mirror=True)
+    return m, solve(m, {0: 0.5})
 
 
 def wire_field_profile(d: float, r0: float, slope: float = 0.0,

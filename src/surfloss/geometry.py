@@ -9,7 +9,7 @@ all structures and interfaces.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .constants import EPS0
@@ -246,19 +246,15 @@ StructureSpec = Union[tuple(STRUCTURE_TYPES.values())]
 
 @dataclass(frozen=True)
 class ParticipationBreakdown:
-    """Interface participation ratios of one structure at a shared L."""
+    """Interface participation ratios of one structure at a shared L, and
+    the loss tangent they give with the stack's interface loss tangents."""
 
     label: str
     p_ma: float
     p_ms: float
     p_sa: float
     capacitance: float
-    loss_tangent: float = 0.0
-
-    def with_loss(self, stack: DielectricStack) -> "ParticipationBreakdown":
-        loss = (self.p_ma * stack.tan_ma + self.p_ms * stack.tan_ms
-                + self.p_sa * stack.tan_sa)
-        return replace(self, loss_tangent=loss)
+    loss_tangent: float
 
 
 @dataclass(frozen=True)
@@ -326,8 +322,7 @@ def assemble_design(structures, stack: DielectricStack,
     breakdowns = []
     for s in structures:
         with _labelled(s):
-            bd = analytic.participation(s, stack, length,
-                                        corner_split=corner_split)
-            breakdowns.append(bd.with_loss(stack))
+            breakdowns.append(analytic.participation(
+                s, stack, length, corner_split=corner_split))
     total_loss = sum(b.loss_tangent for b in breakdowns)
     return DesignAssembly(tuple(breakdowns), c_total, length, total_loss)

@@ -105,7 +105,7 @@ def ribbon_tls_profile(spec: Ribbon, stack: DielectricStack,
 
 
 def wire_tls_spectrum(spec, capacitance: float, stack: DielectricStack,
-                      sections: int = 100_000) -> TlsSpectrum:
+                      sections: int) -> TlsSpectrum:
     """S_max spectrum of a junction-wire pair's metal-substrate face.
 
     The wire is split into ~`sections` patches: log-spaced slices along the

@@ -67,8 +67,12 @@ def test_corner_energy_constant_via_quadrature():
 
 
 def test_corner_split_mode():
-    assert analytic.corner_split_mode(5.0) == (7.5, 2.5)
-    assert analytic.corner_split_mode(0.0) == (0.0, 0.0)
+    # the air side takes 1.5 and the substrate side 0.5 of the corner
+    # constant, so the two sides together keep the plain split's 2 * c_m
+    assert analytic.C_M_AIR == 7.5
+    assert analytic.C_M_SUBSTRATE == 2.5
+    assert analytic.C_M_AIR + analytic.C_M_SUBSTRATE \
+        == 2 * analytic.C_M_DEFAULT
 
 
 def test_edge_enhancement_discussion_values():

@@ -28,22 +28,27 @@ def test_coax_suite_passes():
 
 
 def test_prolate_spheroid_capacitance():
-    # exact closed form validates the ring kernel end to end
-    a_ax, b_eq = 50 * UM, 0.5 * UM
+    # exact closed form validates the ring kernel end to end.  A ring mesh
+    # faces its image in z = 0, so the spheroid is centred at z0 = 1 mm,
+    # where the image's potential on it is that of a point charge at
+    # 2*z0 to a few parts in 1e6 of the capacitance
+    a_ax, b_eq, z0 = 50 * UM, 0.5 * UM, 1e-3
     ecc = math.sqrt(1 - (b_eq / a_ax) ** 2)
     c_exact = 8 * math.pi * EPS0 * a_ax * ecc / math.log((1 + ecc) / (1 - ecc))
     n = 300
     th_edges = np.arange(n + 1) * math.pi / n
     th = 0.5 * (th_edges[:-1] + th_edges[1:])
-    z = a_ax * np.cos(th)
+    z = z0 + a_ax * np.cos(th)
     r = b_eq * np.sin(th)
     ze = a_ax * np.cos(th_edges)
     re = b_eq * np.sin(th_edges)
     w = np.hypot(np.diff(ze), np.diff(re))
-    m = meshes.Mesh("ring", np.stack([z, r], 1), w, np.zeros(n, int),
-                    np.full(n, "body", object))
-    sol = solve(m, {0: 1.0})
-    assert sol.capacitance == pytest.approx(c_exact, rel=2e-3)
+    m = meshes.Mesh("ring", np.stack([z, r], 1), w, np.zeros(n, int))
+    sol = solve(m, {0: 0.5})
+    # the charge Q at 0.5 V has 0.5 = Q/C - Q/(4 pi eps 2 z0), and
+    # capacitance = Q/1 V
+    c_alone = 1.0 / (0.5 / sol.capacitance + 1.0 / (8 * math.pi * EPS0 * z0))
+    assert c_alone == pytest.approx(c_exact, rel=2e-3)
 
 
 def test_thin_ribbon_capacitance_and_energies():
@@ -101,7 +106,7 @@ def test_flat_wire_envelope():
 def test_mesh_cap_enforced():
     with pytest.raises(MeshCapError):
         meshes.Mesh("planar", np.zeros((30_000, 2)), np.ones(30_000),
-                    np.zeros(30_000, int), np.full(30_000, "x", object))
+                    np.zeros(30_000, int))
 
 
 def test_too_coarse_meshes_rejected():
@@ -117,9 +122,8 @@ def test_singular_matrix_reported(monkeypatch):
     # the SolverError is the only report: no warning reaches stderr
     from surfloss.bem import solver as solver_mod
     monkeypatch.setattr(solver_mod, "assemble",
-                        lambda mesh, mirror=False, rows=None: np.ones((2, 2)))
-    m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int),
-                    np.full(2, "x", object))
+                        lambda mesh, rows=None: np.ones((2, 2)))
+    m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="singular"):
@@ -127,9 +131,8 @@ def test_singular_matrix_reported(monkeypatch):
 
 
 def _dense_cases():
-    coax = meshes.concat([
-        meshes.circle(10 * UM, 80, electrode=0, side="inner"),
-        meshes.circle(100 * UM, 240, electrode=1, side="shield")])
+    coax = meshes.concat([meshes.circle(10 * UM, 80, electrode=0),
+                          meshes.circle(100 * UM, 240, electrode=1)])
     ribbon = _rwg_mesh(50 * UM, 100 * UM, 130 * UM, 0.1 * UM, 20e-9, 2 * UM,
                        2000 * UM)
     rings = meshes.wire_rings(50 * UM, lambda y: np.full_like(y, 0.1 * UM),
@@ -137,10 +140,10 @@ def _dense_cases():
     strip = meshes.wire_strip(50 * UM, lambda y: np.full_like(y, 0.1 * UM),
                               y0=0.02 * UM, n=200)
     return {
-        "coax": (coax, {0: 1.0, 1: 0.0}, False),
-        "ribbon-ground": (ribbon, {0: 0.5, 1: -0.5, 2: 0.0, 3: 0.0}, False),
-        "ring-mirror": (rings, {0: 0.5}, True),
-        "flatwire-mirror": (strip, {0: 0.5}, True),
+        "coax": (coax, {0: 1.0, 1: 0.0}),
+        "ribbon-ground": (ribbon, {0: 0.5, 1: -0.5, 2: 0.0, 3: 0.0}),
+        "ring-mirror": (rings, {0: 0.5}),
+        "flatwire-mirror": (strip, {0: 0.5}),
     }
 
 
@@ -149,12 +152,12 @@ def _dense_cases():
 def test_solve_matches_dense_solve(case):
     # Cholesky (planar, ring) and LU (flatwire) against a plain dense solve
     # of the same assembled system
-    mesh, volts, mirror = _dense_cases()[case]
+    mesh, volts = _dense_cases()[case]
     v = np.empty(mesh.n)
     for eid, volt in volts.items():
         v[mesh.electrode == eid] = volt
-    want = np.linalg.solve(assemble(mesh, mirror=mirror), v)
-    sol = solve(mesh, volts, mirror=mirror)
+    want = np.linalg.solve(assemble(mesh), v)
+    sol = solve(mesh, volts)
     # normwise: ground elements far from the ribbon carry charges many
     # orders below the largest, and those agree only to the condition
     # number times the rounding error
@@ -167,10 +170,9 @@ def test_indefinite_matrix_reported(monkeypatch):
     # factor: one SolverError, no warning and no fallback solve
     from surfloss.bem import solver as solver_mod
     monkeypatch.setattr(solver_mod, "assemble",
-                        lambda mesh, mirror=False, rows=None:
+                        lambda mesh, rows=None:
                         np.array([[1.0, 2.0], [2.0, 1.0]]))
-    m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int),
-                    np.full(2, "x", object))
+    m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="singular"):
@@ -180,7 +182,6 @@ def test_indefinite_matrix_reported(monkeypatch):
 def test_coincident_elements_rejected():
     pos = np.array([[0.0, 0.0], [0.0, 0.0], [5e-6, 0.0]])
     m = meshes.Mesh("planar", pos, np.full(3, 1e-6), np.zeros(3, int),
-                    np.full(3, "m", object),
                     tangent=np.tile([1.0, 0.0], (3, 1)))
     with pytest.raises(SolverError):
         solve(m, {0: 1.0})
@@ -231,9 +232,9 @@ VERIFY_MESH_SIZES = {
 def test_verify_mesh_sizes_are_pinned(monkeypatch):
     sizes = []
 
-    def counting_solve(mesh, voltages, mirror=False):
+    def counting_solve(mesh, voltages):
         sizes.append(mesh.n)
-        return solve(mesh, voltages, mirror)
+        return solve(mesh, voltages)
 
     monkeypatch.setattr(suites, "solve", counting_solve)
     got = {}
@@ -319,9 +320,9 @@ def _reduced_solve(monkeypatch, mesh, volts):
     its blocks of rows."""
     built = []
 
-    def counting_assemble(mesh, mirror=False, rows=slice(None)):
+    def counting_assemble(mesh, rows=slice(None)):
         built.append(len(np.arange(mesh.n)[rows]))
-        return assemble(mesh, mirror, rows)
+        return assemble(mesh, rows)
 
     monkeypatch.setattr(solver_mod, "assemble", counting_assemble)
     sol = solve(mesh, volts)
@@ -365,8 +366,7 @@ def test_antisymmetric_drive_zeroes_axis_charges():
 def test_reduced_solve_ignores_element_order(monkeypatch, case):
     mesh, volts, _ = _symmetry_cases()[case]
     flipped = meshes.Mesh("planar", mesh.pos[::-1], mesh.width[::-1],
-                          mesh.electrode[::-1], mesh.side[::-1],
-                          tangent=mesh.tangent[::-1],
+                          mesh.electrode[::-1], tangent=mesh.tangent[::-1],
                           end_distance=mesh.end_distance[::-1],
                           thin_sheet=mesh.thin_sheet)
     sol, unknowns = _reduced_solve(monkeypatch, mesh, volts)
@@ -376,13 +376,14 @@ def test_reduced_solve_ignores_element_order(monkeypatch, case):
         <= 1e-12 * np.linalg.norm(sol.charge)
 
 
-def _dense_solve(mesh, voltages, mirror=False):
+def _dense_solve(mesh, voltages):
     """Reference solve: the full matrix by LAPACK's general dense solver,
     with solve()'s capacitance convention."""
-    q = np.linalg.solve(assemble(mesh, mirror=mirror), _drive(mesh, voltages))
+    q = np.linalg.solve(assemble(mesh), _drive(mesh, voltages))
     pos_id = max(voltages, key=voltages.get)
     vals = sorted(voltages.values())
-    dv = 2.0 * voltages[pos_id] if mirror else vals[-1] - vals[0]
+    dv = 2.0 * voltages[pos_id] if mesh.kind != "planar" \
+        else vals[-1] - vals[0]
     return ChargeSolution(mesh, q, math.nan,
                           float(q[mesh.electrode == pos_id].sum()) / dv)
 
@@ -433,7 +434,7 @@ def _reduced_matrix_one_block(mesh, v):
     fixed = onto_rep[signs > 0].any(axis=0) & onto_rep[signs < 0].any(axis=0)
     rows = np.flatnonzero((rep == np.arange(mesh.n)) & ~fixed)
     root = np.sqrt(np.bincount(rep, minlength=mesh.n)[rows])
-    b = assemble(mesh, False, rows)
+    b = assemble(mesh, rows)
     m = b[:, rows]
     for p, s in zip(perms[1:, rows], signs[1:]):
         m += s * b[:, p]

@@ -4,10 +4,13 @@ Configs are built from each INI_KEYS map with values drawn from the edges
 of the float range, ordinary values and non-numbers.  Every command must
 exit 0, 2, 3 or 4, raise and warn nothing, print no non-finite number, and
 print the same stdout when run again.  The order of the structure sections
-must not change any structure's breakdown.
+must not change any structure's breakdown, each participation must be
+linear in its oxide thickness, and each loss tangent must be the
+participations weighted by the interface loss tangents.
 """
 
 import contextlib
+import dataclasses
 import io
 import re
 import warnings
@@ -122,3 +125,58 @@ def test_section_order_does_not_change_breakdowns(tmp_path_factory, text):
     for label, values in forward.items():
         np.testing.assert_allclose(backward[label], values, rtol=1e-12,
                                    atol=0.0, err_msg=label)
+
+
+#: each oxide thickness and the participation it scales
+OXIDES = (("t_ma", "p_ma"), ("t_ms", "p_ms"), ("t_sa", "p_sa"))
+
+
+def _ordinary(text):
+    """Every number in the config is 0 or within 1e-3..1e4 in its INI unit,
+    so no product in a participation overflows or turns subnormal, and
+    halving an oxide thickness halves its participation exactly."""
+    for line in text.splitlines():
+        try:
+            value = float(line.partition("=")[2])
+        except ValueError:
+            continue
+        if value != 0.0 and not 1e-3 <= abs(value) <= 1e4:
+            return False
+    return True
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(text=configs())
+def test_participations_are_linear_in_each_oxide_thickness(tmp_path_factory,
+                                                           text):
+    path = tmp_path_factory.mktemp("cfg") / "design.ini"
+    path.write_text(text)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            cfg = load_config(path)
+            design = assemble_design(cfg.structures, cfg.stack,
+                                     target_capacitance=cfg.target_capacitance)
+        except (ValueError, ArithmeticError):
+            return          # exits 2 or 3
+    stack = cfg.stack
+    for bd in design.breakdowns:
+        # exactly, and nan where a participation overflows (that exits 3)
+        np.testing.assert_equal(
+            bd.loss_tangent, bd.p_ma * stack.tan_ma + bd.p_ms * stack.tan_ms
+            + bd.p_sa * stack.tan_sa, err_msg=bd.label)
+    if not _ordinary(text):
+        return
+    for t, p in OXIDES:
+        thinner = dataclasses.replace(stack, **{t: getattr(stack, t) / 2})
+        half = assemble_design(cfg.structures, thinner,
+                               target_capacitance=cfg.target_capacitance)
+        for bd, bd_half in zip(design.breakdowns, half.breakdowns):
+            for _, q in OXIDES:
+                if q == p:
+                    np.testing.assert_allclose(getattr(bd_half, q),
+                                               getattr(bd, q) / 2,
+                                               rtol=1e-12, atol=0.0,
+                                               err_msg=f"{bd.label}.{q}")
+                else:
+                    assert getattr(bd_half, q) == getattr(bd, q), \
+                        (bd.label, t, q)

@@ -100,8 +100,11 @@ def test_total_loss_additivity():
     stack = DielectricStack(tan_ma=1e-3, tan_ms=2e-3, tan_sa=3e-3)
     design = assemble_design([RIBBON, COPLANAR, TAPER], stack,
                              target_capacitance=100e-15)
-    parts = [analytic.participation(s, stack, design.length).with_loss(stack)
+    parts = [analytic.participation(s, stack, design.length)
              for s in (RIBBON, COPLANAR, TAPER)]
+    for p in parts:
+        assert p.loss_tangent == (p.p_ma * stack.tan_ma + p.p_ms * stack.tan_ms
+                                  + p.p_sa * stack.tan_sa)
     assert design.total_loss_tangent == pytest.approx(
         sum(p.loss_tangent for p in parts), rel=1e-12)
 

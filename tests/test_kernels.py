@@ -130,21 +130,28 @@ _FROZEN = {
 
 
 def test_frozen_kernel_values():
+    # the wire matrices subtract the image in the plane of symmetry: they
+    # are the frozen plain matrices less the frozen mutual matrices to the
+    # image
     z, r, w = _FROZEN_Z, _FROZEN_R, _FROZEN_W
+    want = {name: np.array(values) for name, values in _FROZEN.items()}
+    want["ring_matrix"] -= want["ring_mutual"]
+    want["flatwire_matrix"] -= want["flatwire_mutual"]
     got = {
         "ring_matrix": kern.ring_matrix(z, r, w),
         "ring_mutual": kern.ring_mutual(z, r, -z, r),
         "flatwire_matrix": kern.flatwire_matrix(z, r, w),
         "flatwire_mutual": kern.flatwire_mutual(z, -z, r),
     }
-    for name, want in _FROZEN.items():
-        np.testing.assert_allclose(got[name], want, rtol=1e-12, atol=0,
+    for name in _FROZEN:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=0,
                                    err_msg=name)
 
 
 def test_mirror_subtracts_image_in_one_pass():
     # the image half of a mirrored solve, subtracted inside the matrix
-    # build, equals the plain matrix minus the mutual matrix to the image
+    # build, equals the plain matrix (the one-block reference copy below)
+    # minus the mutual matrix to the image
     from surfloss.analytic import taper_halfwidth
     from surfloss.bem.mesh import wire_rings, wire_strip
     rings = wire_rings(20e-6, lambda y: 0.2 * y, y0=0.02e-6, n=120)
@@ -154,12 +161,12 @@ def test_mirror_subtracts_image_in_one_pass():
               strip.halfwidth, strip.width),
              (_FROZEN_Z, _FROZEN_R, _FROZEN_W, _FROZEN_Z, _FROZEN_R, _FROZEN_W)]
     for z, r, w, y, rb, wy in cases:
-        ring = kern.ring_matrix(z, r, w, mirror=True)
-        assert np.array_equal(ring, kern.ring_matrix(z, r, w)
+        ring = kern.ring_matrix(z, r, w)
+        assert np.array_equal(ring, _ring_matrix_one_block(z, r, w)[0]
                               - kern.ring_mutual(z, r, -z, r))
         assert np.array_equal(ring, ring.T)
-        flat = kern.flatwire_matrix(y, rb, wy, mirror=True)
-        assert np.array_equal(flat, kern.flatwire_matrix(y, rb, wy)
+        flat = kern.flatwire_matrix(y, rb, wy)
+        assert np.array_equal(flat, _flatwire_matrix_one_block(y, rb, wy)[0]
                               - kern.flatwire_mutual(y, -y, rb))
 
 
@@ -291,18 +298,22 @@ BLOCK_SIZES = [1, 7, 300, 5000, kern.BLOCK_ENTRIES]
 @pytest.mark.parametrize("mirror", [False, True])
 def test_wire_matrices_do_not_depend_on_block_size(monkeypatch, entries,
                                                    mirror):
+    # the reference subtracts the image in its own pass (mirror), or is
+    # the plain one-block matrix less the mutual matrix to the image
     rings, strip = _tapered_wires(125)
     assert rings.n == strip.n == 125
-    want_ring, near_ring = _ring_matrix_one_block(
-        rings.pos[:, 0], rings.pos[:, 1], rings.width, mirror)
-    want_flat, near_flat = _flatwire_matrix_one_block(
-        strip.pos[:, 0], strip.halfwidth, strip.width, mirror)
+    z, r, y, rb = rings.pos[:, 0], rings.pos[:, 1], strip.pos[:, 0], \
+        strip.halfwidth
+    want_ring, near_ring = _ring_matrix_one_block(z, r, rings.width, mirror)
+    want_flat, near_flat = _flatwire_matrix_one_block(y, rb, strip.width,
+                                                      mirror)
+    if not mirror:
+        want_ring -= kern.ring_mutual(z, r, -z, r)
+        want_flat -= kern.flatwire_mutual(y, -y, rb)
     assert near_ring % 16 and near_flat % 16
     monkeypatch.setattr(kern, "BLOCK_ENTRIES", entries)
-    got_ring = kern.ring_matrix(rings.pos[:, 0], rings.pos[:, 1],
-                                rings.width, mirror=mirror)
-    got_flat = kern.flatwire_matrix(strip.pos[:, 0], strip.halfwidth,
-                                    strip.width, mirror=mirror)
+    got_ring = kern.ring_matrix(z, r, rings.width)
+    got_flat = kern.flatwire_matrix(y, rb, strip.width)
     assert np.array_equal(got_ring, want_ring)
     assert np.array_equal(got_flat, want_flat)
 
@@ -356,7 +367,7 @@ def test_blocked_layers_stay_within_a_few_blocks_of_memory():
     z, r, w = rings.pos[:, 0], rings.pos[:, 1], rings.width
     assert rings.n == 680
     kern.ring_matrix(z[:20], r[:20], w[:20])     # SciPy's import is not traced
-    assert _traced_peak(kern.ring_matrix, z, r, w, mirror=True) \
+    assert _traced_peak(kern.ring_matrix, z, r, w) \
         < 8 * rings.n ** 2 + 16 * block
 
 
