@@ -56,15 +56,8 @@ BLOCK_ENTRIES = 1 << 16
 
 def row_blocks(n_rows, row_len):
     """Slices over n_rows rows of row_len entries each, about BLOCK_ENTRIES
-    entries and at least one row per slice.
-
-    A slice of 8 rows or more holds a multiple of 8, so a BLAS
-    matrix-vector kernel that takes rows in groups (OpenBLAS sums groups
-    of 4 in another order than a lone row) groups them as in one block.
-    """
+    entries and at least one row per slice."""
     step = max(BLOCK_ENTRIES // max(row_len, 1), 1)
-    if step >= 8:
-        step -= step % 8
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
@@ -224,8 +217,10 @@ def segment_field(px, py, mx, my, tx, ty, w, q):
     and total line charges q.  Closed form per segment: the along-segment
     part is the log of the end-distance ratio, the normal part the angle
     the segment subtends, taken as one arctan2 of the cross and dot
-    products of the two end vectors.  The segments are summed by
-    matrix-vector products, for blocks of points.
+    products of the two end vectors.  The segments are summed by one dot
+    product per point (vecdot), for blocks of points.  A BLAS
+    matrix-vector product would sum a lone row in another order than a
+    group of rows, so its result would depend on the block size.
     """
     px = np.asarray(px, float); py = np.asarray(py, float)
     lam = np.asarray(q, float) / np.asarray(w, float)
@@ -244,6 +239,6 @@ def segment_field(px, py, mx, my, tx, ty, w, q):
         with np.errstate(divide="ignore", invalid="ignore"):
             log_ratio = np.log((u * u + vv) / (u2 * u2 + vv))
             angle = np.sign(v) * np.arctan2(w[None, :] * np.abs(v), vv + u * u2)
-        ex[s] = log_ratio @ ux - angle @ vy
-        ey[s] = log_ratio @ uy + angle @ vx
+        ex[s] = np.vecdot(log_ratio, ux) - np.vecdot(angle, vy)
+        ey[s] = np.vecdot(log_ratio, uy) + np.vecdot(angle, vx)
     return ex, ey

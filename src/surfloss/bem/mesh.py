@@ -28,9 +28,13 @@ class Mesh:
 
     kind 'planar': pos = (x, y) midpoints, tangent set, per-unit-length.
     kind 'ring': pos = (z, r) ring positions, width = surface arc length.
-    kind 'flatwire': pos = (y, 0) centerline, halfwidth = transverse rbar.
+    kind 'flatwire': pos = (y, rbar) centerline and transverse half-width.
     A ring or flatwire mesh is one wire of a pair mirrored in z = 0
     (y = 0), whose other wire is the image and is not meshed.
+
+    end_distance is each element's distance to the nearer end of its
+    open contour, inf on a closed one.  An element of an open contour
+    lies on a thin sheet with two faces.
     """
 
     kind: str
@@ -38,9 +42,7 @@ class Mesh:
     width: np.ndarray
     electrode: np.ndarray
     tangent: Optional[np.ndarray] = None
-    halfwidth: Optional[np.ndarray] = None
     end_distance: np.ndarray = field(default=None)  # type: ignore[assignment]
-    thin_sheet: bool = False
 
     def __post_init__(self):
         if self.end_distance is None:
@@ -60,14 +62,11 @@ class Mesh:
 
 
 def concat(parts: list[Mesh]) -> Mesh:
-    """One mesh from parts of one kind; thin_sheet comes from the first."""
+    """One planar mesh from planar parts, element order kept."""
     def cat(attr):
-        vals = [getattr(p, attr) for p in parts]
-        return None if vals[0] is None else np.concatenate(vals)
-    return Mesh(parts[0].kind, np.vstack([p.pos for p in parts]), cat("width"),
-                cat("electrode"), tangent=cat("tangent"),
-                halfwidth=cat("halfwidth"), end_distance=cat("end_distance"),
-                thin_sheet=parts[0].thin_sheet)
+        return np.concatenate([getattr(p, attr) for p in parts])
+    return Mesh("planar", cat("pos"), cat("width"), cat("electrode"),
+                tangent=cat("tangent"), end_distance=cat("end_distance"))
 
 
 def graded_widths(total: float, h_min: float, h_max: float) -> np.ndarray:
@@ -101,8 +100,7 @@ def _segment(p0, p1, widths, electrode) -> Mesh:
     n = len(widths)
     return Mesh("planar", pos, np.asarray(widths, float),
                 np.full(n, electrode, int), tangent=tan,
-                end_distance=np.minimum(mid, length - mid),
-                thin_sheet=True)
+                end_distance=np.minimum(mid, length - mid))
 
 
 def line(p0, p1, h_min, h_max, electrode=0) -> Mesh:
@@ -120,8 +118,7 @@ def circle(radius: float, n: int, electrode=0) -> Mesh:
     pos = np.stack([radius * np.cos(th), radius * np.sin(th)], axis=1)
     tan = np.stack([-np.sin(th), np.cos(th)], axis=1)
     w = np.full(n, 2.0 * np.pi * radius / n)
-    return Mesh("planar", pos, w, np.full(n, electrode, int), tangent=tan,
-                thin_sheet=False)
+    return Mesh("planar", pos, w, np.full(n, electrode, int), tangent=tan)
 
 
 def thin_strip(x0: float, x1: float, h_min: float, h_max: float,
@@ -178,7 +175,6 @@ def film_cross_section(rbar: float, t: float, h_min: float, h_max: float,
     else:
         raise ValueError(f"unknown edge style {edge!r}")
     mesh = concat(parts)
-    mesh.thin_sheet = False
     mesh.end_distance = np.full(mesh.n, np.inf)  # closed contour
     return mesh
 
@@ -201,11 +197,11 @@ def wire_rings(d: float, radius_fn, y0: float, n: int) -> Mesh:
 
 
 def wire_strip(d: float, halfwidth_fn, y0: float, n: int) -> Mesh:
-    """Flat (thin-film) wire centerline mesh from y0 to d."""
+    """Flat (thin-film) wire centerline mesh from y0 to d; pos holds
+    (y, rbar)."""
     edges = np.geomspace(y0, d, n + 1)
     y = 0.5 * (edges[:-1] + edges[1:])
     w = np.diff(edges)
     rb = np.asarray(halfwidth_fn(y), float)
-    nel = len(y)
-    return Mesh("flatwire", np.stack([y, np.zeros(nel)], axis=1), w,
-                np.zeros(nel, int), halfwidth=rb, thin_sheet=True)
+    return Mesh("flatwire", np.stack([y, rb], axis=1), w,
+                np.zeros(len(y), int))

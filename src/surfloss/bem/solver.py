@@ -1,5 +1,5 @@
 """Assemble potential matrices, solve for surface charges, extract
-fields, energies, capacitances, and corner constants.
+fields and energies.
 
 The solves run in vacuum; substrate weighting happens in the analytic
 layer ((eps_s+1)/2 for effective capacitance, eps factors in the
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -59,7 +59,7 @@ def assemble(mesh: Mesh, rows=slice(None)) -> np.ndarray:
         m = kern.ring_matrix(mesh.pos[:, 0], mesh.pos[:, 1],
                              mesh.width)[rows]
     elif mesh.kind == "flatwire":
-        m = kern.flatwire_matrix(mesh.pos[:, 0], mesh.halfwidth,
+        m = kern.flatwire_matrix(mesh.pos[:, 0], mesh.pos[:, 1],
                                  mesh.width)[rows]
     else:
         raise ValueError(f"unknown mesh kind {mesh.kind!r}")
@@ -81,24 +81,21 @@ class ChargeSolution:
     mesh: Mesh
     charge: np.ndarray
     rcond: float
-    capacitance: float
 
     def charge_of(self, electrode: int) -> float:
         return float(self.charge[self.mesh.electrode == electrode].sum())
 
     def surface_field(self) -> np.ndarray:
-        """|E|/V just outside each element (V = the solve's drive)."""
+        """|E|/V just outside each element of a wire mesh (V = the solve's
+        drive); pos[:, 1] is the ring radius or the flat half-width."""
         mesh = self.mesh
-        sigma = self.charge / mesh.width
-        if mesh.kind == "planar":
-            return np.abs(sigma) / (2.0 * EPS0 if mesh.thin_sheet else EPS0)
+        r = mesh.pos[:, 1]
         if mesh.kind == "ring":
-            r = mesh.pos[:, 1]
             return np.abs(self.charge) / (2.0 * np.pi * r * mesh.width * EPS0)
         if mesh.kind == "flatwire":
             lam = self.charge / mesh.width
-            return np.abs(lam) / (2.0 * np.pi * EPS0 * mesh.halfwidth)
-        raise ValueError(mesh.kind)
+            return np.abs(lam) / (2.0 * np.pi * EPS0 * r)
+        raise ValueError("surface field implemented for wire meshes")
 
     def field_at(self, px, py):
         """(Ex, Ey) at off-surface points; planar meshes only."""
@@ -189,9 +186,9 @@ def _mirror_group(mesh: Mesh, v: np.ndarray):
 def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
     """Solve M q = V for the element charges.
 
-    voltages maps electrode id -> potential.  A ring or flat-wire mesh at
-    +V/2 faces its implicit image at -V/2, so the differential drive is
-    twice the set potential.
+    voltages maps electrode id -> potential and must name every electrode
+    of the mesh.  A ring or flat-wire mesh at +V/2 faces its implicit
+    image at -V/2.
 
     The unknowns are one charge per orbit of mirror images
     (`_mirror_group`); the rest follow with the drive's sign.  Only the
@@ -207,6 +204,10 @@ def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
     system's; for a symmetric q its residual norm equals the full one.
     """
     n = mesh.n
+    missing = [e for e in np.unique(mesh.electrode).tolist()
+               if e not in voltages]
+    if missing:
+        raise ValueError(f"no voltage given for electrodes {missing}")
     v = np.empty(n)
     for eid, volt in voltages.items():
         v[mesh.electrode == eid] = volt
@@ -244,61 +245,48 @@ def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
     q = np.zeros(n)
     q[rows] = y / root
     q = np.where(plus, q[rep], -q[rep])
-
-    vals = sorted(voltages.values())
-    pos_id = max(voltages, key=voltages.get)
-    q_pos = float(q[mesh.electrode == pos_id].sum())
-    if mesh.kind != "planar":
-        dv = 2.0 * voltages[pos_id]
-    else:
-        dv = vals[-1] - vals[0] if len(vals) > 1 else vals[-1]
-    cap = q_pos / dv if dv else math.nan
-    return ChargeSolution(mesh, q, rcond, cap)
+    return ChargeSolution(mesh, q, rcond)
 
 
 # --------------------------------------------------------------------------
 # energies
 
 def metal_surface_energy(sol: ChargeSolution, cutoff: float = 0.0,
-                         electrodes: Optional[Sequence[int]] = None) -> float:
+                         electrode: Optional[int] = None) -> float:
     """(eps0/2) * integral of E^2 over the metal surfaces, per unit length.
 
     Elements closer than cutoff to a free contour end are excluded (the
-    t/2 convention); thin sheets count both faces.
+    t/2 convention).  An element with a finite end_distance lies on a
+    thin sheet, whose two faces carry sigma/2 each; a closed contour has
+    one face.  With electrode set, only that electrode's elements count.
     """
     mesh = sol.mesh
     if mesh.kind != "planar":
         raise ValueError("metal surface energy implemented for planar meshes")
     keep = mesh.end_distance > cutoff
-    if electrodes is not None:
-        keep &= np.isin(mesh.electrode, electrodes)
+    if electrode is not None:
+        keep &= mesh.electrode == electrode
     sigma = sol.charge / mesh.width
-    if mesh.thin_sheet:
-        # both faces at sigma/2 each
-        return float(np.sum((sigma[keep] ** 2) * mesh.width[keep]) / (4.0 * EPS0))
-    return float(np.sum((sigma[keep] ** 2) * mesh.width[keep]) / (2.0 * EPS0))
+    faces = np.where(np.isfinite(mesh.end_distance), 2.0, 1.0)
+    return float(np.sum((sigma[keep] ** 2) * mesh.width[keep] / faces[keep])
+                 / (2.0 * EPS0))
 
 
-def substrate_line_energy(sol: ChargeSolution, spans,
+def substrate_line_energy(sol: ChargeSolution, x0: float, x1: float,
                           cutoff: float = 0.0) -> float:
-    """(eps0/2) * integral of E^2 along y=0 over the given (x0, x1) gaps.
+    """(eps0/2) * integral of E^2 along y=0 over the gap (x0, x1).
 
-    Half-open spans (x1 = inf) integrate out to where the field has decayed.
-    Sampling is geometric from each end, 400 points per span; the cutoff
-    trims the approach to metal edges.
+    A half-open gap (x1 = inf) integrates out to where the field has
+    decayed.  Sampling is geometric from each end, 400 points in all; the
+    cutoff trims the approach to metal edges.
     """
-    mesh = sol.mesh
-    total = 0.0
-    scale = float(np.max(np.abs(mesh.pos)))
-    for x0, x1 in spans:
-        if math.isinf(x1):
-            s = np.geomspace(max(cutoff, 1e-12), 50.0 * scale, 400)
-            xs = x0 + s
-        else:
-            half = 0.5 * (x1 - x0)
-            lo = min(max(cutoff, 1e-6 * half), 0.5 * half)
-            s = np.geomspace(lo, half, 200)
-            xs = np.unique(np.concatenate([x0 + s, x1 - s[::-1]]))
-        ex, ey = sol.field_at(xs, np.zeros_like(xs))
-        total += float(np.trapezoid(ex**2 + ey**2, xs))
-    return 0.5 * EPS0 * total
+    if math.isinf(x1):
+        scale = float(np.max(np.abs(sol.mesh.pos)))
+        xs = x0 + np.geomspace(max(cutoff, 1e-12), 50.0 * scale, 400)
+    else:
+        half = 0.5 * (x1 - x0)
+        lo = min(max(cutoff, 1e-6 * half), 0.5 * half)
+        s = np.geomspace(lo, half, 200)
+        xs = np.unique(np.concatenate([x0 + s, x1 - s[::-1]]))
+    ex, ey = sol.field_at(xs, np.zeros_like(xs))
+    return 0.5 * EPS0 * float(np.trapezoid(ex**2 + ey**2, xs))

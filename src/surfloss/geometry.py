@@ -220,6 +220,10 @@ class TaperedWire:
         if self.t <= 0: bad.append(f"{self.label}.t: must be > 0")
         if not 0.0 < self.slope <= MAX_TAPER_SLOPE:
             bad.append(f"{self.label}.slope: need 0 < slope <= {MAX_TAPER_SLOPE}")
+        elif self.d > 5 * self.t \
+                and self.slope * (self.d - 5 * self.t) <= self.r0:
+            bad.append(f"{self.label}.slope: need slope*(d - 5*t) > r0, or "
+                       "the taper does not widen inside the wire")
         if self.d <= 5 * self.t:
             bad.append(f"{self.label}.d: need d > 5*t")
         if self.t > 2 * self.r0:

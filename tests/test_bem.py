@@ -45,9 +45,9 @@ def test_prolate_spheroid_capacitance():
     w = np.hypot(np.diff(ze), np.diff(re))
     m = meshes.Mesh("ring", np.stack([z, r], 1), w, np.zeros(n, int))
     sol = solve(m, {0: 0.5})
-    # the charge Q at 0.5 V has 0.5 = Q/C - Q/(4 pi eps 2 z0), and
-    # capacitance = Q/1 V
-    c_alone = 1.0 / (0.5 / sol.capacitance + 1.0 / (8 * math.pi * EPS0 * z0))
+    # the charge Q at 0.5 V has 0.5 = Q/C - Q/(4 pi eps 2 z0), and the
+    # pair's capacitance is Q over the differential drive of 1 V
+    c_alone = 1.0 / (0.5 / sol.charge_of(0) + 1.0 / (8 * math.pi * EPS0 * z0))
     assert c_alone == pytest.approx(c_exact, rel=2e-3)
 
 
@@ -177,6 +177,15 @@ def test_indefinite_matrix_reported(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="singular"):
             solve(m, {0: 1.0})
+
+
+def test_drive_must_name_every_electrode():
+    # an electrode without a voltage would be driven by uninitialized memory
+    m = meshes.concat([meshes.circle(10e-6, 40, electrode=0),
+                       meshes.circle(100e-6, 120, electrode=1),
+                       meshes.circle(200e-6, 120, electrode=2)])
+    with pytest.raises(ValueError, match=r"electrodes \[1, 2\]"):
+        solve(m, {0: 1.0})
 
 
 def test_coincident_elements_rejected():
@@ -367,8 +376,7 @@ def test_reduced_solve_ignores_element_order(monkeypatch, case):
     mesh, volts, _ = _symmetry_cases()[case]
     flipped = meshes.Mesh("planar", mesh.pos[::-1], mesh.width[::-1],
                           mesh.electrode[::-1], tangent=mesh.tangent[::-1],
-                          end_distance=mesh.end_distance[::-1],
-                          thin_sheet=mesh.thin_sheet)
+                          end_distance=mesh.end_distance[::-1])
     sol, unknowns = _reduced_solve(monkeypatch, mesh, volts)
     sol_f, unknowns_f = _reduced_solve(monkeypatch, flipped, volts)
     assert unknowns_f == unknowns
@@ -377,15 +385,9 @@ def test_reduced_solve_ignores_element_order(monkeypatch, case):
 
 
 def _dense_solve(mesh, voltages):
-    """Reference solve: the full matrix by LAPACK's general dense solver,
-    with solve()'s capacitance convention."""
+    """Reference solve: the full matrix by LAPACK's general dense solver."""
     q = np.linalg.solve(assemble(mesh), _drive(mesh, voltages))
-    pos_id = max(voltages, key=voltages.get)
-    vals = sorted(voltages.values())
-    dv = 2.0 * voltages[pos_id] if mesh.kind != "planar" \
-        else vals[-1] - vals[0]
-    return ChargeSolution(mesh, q, math.nan,
-                          float(q[mesh.electrode == pos_id].sum()) / dv)
+    return ChargeSolution(mesh, q, math.nan)
 
 
 @pytest.mark.parametrize("suite", SUITES)

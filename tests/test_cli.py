@@ -315,6 +315,20 @@ def test_tapered_wire_thicker_than_its_width_is_config_error(tmp_path, cmd):
     assert res.stdout == ""
 
 
+def test_taper_that_does_not_widen_is_config_error(tmp_path):
+    # S*(d - 5t) = 5e-5 um < r0: the profile max(r0, (y - 5t)*S) never
+    # leaves r0, and the taper forms would give negative participations
+    path = tmp_path / "flat.ini"
+    path.write_text("[structure.taper]\ntype = tapered_wire\nr0_um = 0.1\n"
+                    "slope = 1e-6\nd_um = 50\nt_um = 0.1\n")
+    res = run_cli("analyze", "--config", str(path))
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        "error[2]: taper.slope: need slope*(d - 5*t) > r0, or the taper "
+        "does not widen inside the wire"]
+    assert res.stdout == ""
+
+
 def test_tls_command(table_config, tmp_path):
     out = tmp_path / "tlsout"
     res = run_cli("tls", "--config", str(table_config), "--out", str(out),

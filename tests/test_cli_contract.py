@@ -2,11 +2,12 @@
 
 Configs are built from each INI_KEYS map with values drawn from the edges
 of the float range, ordinary values and non-numbers.  Every command must
-exit 0, 2, 3 or 4, raise and warn nothing, print no non-finite number, and
-print the same stdout when run again.  The order of the structure sections
-must not change any structure's breakdown, each participation must be
-linear in its oxide thickness, and each loss tangent must be the
-participations weighted by the interface loss tangents.
+exit 0, 2, 3 or 4, raise and warn nothing, print no non-finite number and
+no negative zero, and print the same stdout when run again.  The order of
+the structure sections must not change any structure's breakdown, each
+participation must be linear in its oxide thickness and not negative, and
+each loss tangent must be the participations weighted by the interface
+loss tangents.
 """
 
 import contextlib
@@ -22,8 +23,9 @@ from hypothesis import strategies as st
 
 from surfloss import cli
 from surfloss.config import load_config
-from surfloss.geometry import (STRUCTURE_TYPES, DielectricStack,
-                               ValidationError, assemble_design)
+from surfloss.geometry import (MAX_TAPER_SLOPE, STRUCTURE_TYPES,
+                               DielectricStack, ValidationError,
+                               assemble_design)
 
 #: extremes of the float range, ordinary values and non-numbers
 VALUES = ("0", "-1", "1e-300", "4e-309", "1e200", "1e308", "nan",
@@ -98,7 +100,29 @@ def test_cli_contract_holds_for_random_configs(tmp_path_factory, text):
         assert not caught, [str(w.message) for w in caught]
         assert "Warning" not in err and "Traceback" not in err
         assert not _NON_FINITE.search(out), out
+        assert "-0.00e+00" not in out, out
         assert _run(argv)[1] == out
+
+
+#: a number printed with a minus sign
+_NEGATIVE = re.compile(r"(^|\s)-\d", re.MULTILINE)
+
+
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(r0=st.floats(0.01, 2.0), slope=st.floats(1e-9, MAX_TAPER_SLOPE),
+       d=st.floats(1.0, 500.0), t=st.floats(0.01, 1.0))
+def test_valid_tapers_print_no_negative_number(tmp_path_factory, r0, slope,
+                                               d, t):
+    # a taper that validates widens inside its wire, so its participations
+    # and loss tangent are positive; the rest exit 2
+    path = tmp_path_factory.mktemp("cfg") / "taper.ini"
+    path.write_text(f"[structure.taper]\ntype = tapered_wire\nr0_um = {r0!r}\n"
+                    f"slope = {slope!r}\nd_um = {d!r}\nt_um = {t!r}\n")
+    rc, out, err, _ = _run(["analyze", "--config", str(path)])
+    assert rc in (0, 2), err
+    assert not _NEGATIVE.search(out), out
 
 
 def _breakdowns(cfg, structures):
@@ -160,6 +184,9 @@ def test_participations_are_linear_in_each_oxide_thickness(tmp_path_factory,
             return          # exits 2 or 3
     stack = cfg.stack
     for bd in design.breakdowns:
+        # neither negative nor -0.0, where finite
+        for value in (bd.p_ma, bd.p_ms, bd.p_sa, bd.loss_tangent):
+            assert np.isnan(value) or not np.signbit(value), (bd.label, value)
         # exactly, and nan where a participation overflows (that exits 3)
         np.testing.assert_equal(
             bd.loss_tangent, bd.p_ma * stack.tan_ma + bd.p_ms * stack.tan_ms
