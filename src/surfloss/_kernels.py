@@ -8,14 +8,16 @@ special.ellipk instead); the flat-wire kernel is the ring kernel at half
 radius.  The wire matrices are for one wire of a differential pair and
 subtract each element's image in the plane of symmetry in the same pass.
 
-The layers that build large temporaries run in blocks of about
-BLOCK_ENTRIES doubles each (512 KB), so every temporary stays in cache:
-segment_field by blocks of field points, the wire matrices by blocks of
-rows and their near-pair quadrature by blocks of pairs (16 x 16 points
-each), and bem.solver.solve folds the planar matrix by blocks of rows.
-Blocking only reorders the loops: every entry is computed by the same
-operations in the same order, so the results do not depend on the block
-size.
+The layers that build large temporaries run in blocks sized by
+BLOCK_ENTRIES doubles (512 KB), so they stay in cache.  segment_field
+takes blocks of field points whose temporaries together hold about
+BLOCK_ENTRIES doubles, reused in place from block to block.  The wire
+matrices take blocks of rows and their near-pair quadrature blocks of
+pairs (16 x 16 points each), and bem.solver.solve folds the planar
+matrix by blocks of rows, each of about BLOCK_ENTRIES doubles per
+temporary.  Blocking only reorders the loops: every entry is computed by
+the same operations in the same order, so the results do not depend on
+the block size.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ NEAR_FACTOR = 2.5
 
 #: doubles per block of a blocked layer (1 << 16 is 512 KB)
 BLOCK_ENTRIES = 1 << 16
+
+#: temporaries of one segment_field block, each points x segments
+_FIELD_BUFFERS = 6
 
 
 def row_blocks(n_rows, row_len):
@@ -221,6 +226,10 @@ def segment_field(px, py, mx, my, tx, ty, w, q):
     product per point (vecdot), for blocks of points.  A BLAS
     matrix-vector product would sum a lone row in another order than a
     group of rows, so its result would depend on the block size.
+
+    The _FIELD_BUFFERS temporaries of a block are preallocated once and
+    reused in place (out=), and a block's rows are sized so that all of
+    them together hold about BLOCK_ENTRIES doubles.
     """
     px = np.asarray(px, float); py = np.asarray(py, float)
     lam = np.asarray(q, float) / np.asarray(w, float)
@@ -229,16 +238,34 @@ def segment_field(px, py, mx, my, tx, ty, w, q):
     lam_v = lam / _TWO_PI_EPS
     ux, uy, vx, vy = lam_u * tx, lam_u * ty, lam_v * tx, lam_v * ty
     ex = np.empty(len(px)); ey = np.empty(len(px))
-    for s in row_blocks(len(px), len(w)):
-        rx = px[s, None] - ax[None, :]
-        ry = py[s, None] - ay[None, :]
-        u = rx * tx[None, :] + ry * ty[None, :]
-        v = ry * tx[None, :] - rx * ty[None, :]
-        u2 = u - w[None, :]
-        vv = v * v
+    blocks = row_blocks(len(px), _FIELD_BUFFERS * len(w))
+    buf = np.empty((_FIELD_BUFFERS, blocks[0].stop if blocks else 0, len(w)))
+    for s in blocks:
+        b0, b1, b2, b3, b4, b5 = buf[:, :s.stop - s.start]
+        rx, ry = b0, b1
+        np.subtract(px[s, None], ax, out=rx)
+        np.subtract(py[s, None], ay, out=ry)
+        u = np.multiply(rx, tx, out=b2)               # u = rx tx + ry ty
+        u += np.multiply(ry, ty, out=b3)
+        v = np.multiply(ry, tx, out=b3)               # v = ry tx - rx ty
+        v -= np.multiply(rx, ty, out=b0)
+        u2 = np.subtract(u, w, out=b1)
+        vv = np.multiply(v, v, out=b0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_ratio = np.log((u * u + vv) / (u2 * u2 + vv))
-            angle = np.sign(v) * np.arctan2(w[None, :] * np.abs(v), vv + u * u2)
+            # log((u^2 + v^2) / (u2^2 + v^2))
+            log_ratio = np.multiply(u, u, out=b4)
+            log_ratio += vv
+            den = np.multiply(u2, u2, out=b5)
+            den += vv
+            log_ratio /= den
+            np.log(log_ratio, out=log_ratio)
+            # sign(v) * arctan2(w |v|, v^2 + u u2)
+            dot = np.multiply(u, u2, out=b5)
+            dot += vv
+            angle = np.abs(v, out=b2)
+            angle *= w
+            np.arctan2(angle, dot, out=angle)
+            angle *= np.sign(v, out=v)
         ex[s] = np.vecdot(log_ratio, ux) - np.vecdot(angle, vy)
         ey[s] = np.vecdot(log_ratio, uy) + np.vecdot(angle, vx)
     return ex, ey

@@ -141,8 +141,7 @@ def coplanar_capacitance(spec: Coplanar, stack: DielectricStack) -> float:
 
 def ribbon_ground_capacitance(spec: RibbonWithGround, stack: DielectricStack) -> float:
     base = ribbon_capacitance(Ribbon(spec.a, spec.b, spec.length, spec.t), stack)
-    x_e = spec.b - 0.15 * (spec.b - 1.2 * spec.a)
-    return base / (1.0 - (x_e / spec.c) ** 2) ** 0.23
+    return base / (1.0 - (spec.edge_point / spec.c) ** 2) ** 0.23
 
 
 def straight_wire_capacitance(spec: StraightWire, stack: DielectricStack) -> float:

@@ -22,6 +22,12 @@ The planar rows are built and folded onto the orbits in blocks of about
 _kernels.BLOCK_ENTRIES entries, so the n/k x n matrix of representative
 rows is never held whole.  Blocking only reorders the loops; the reduced
 matrix does not depend on the block size.
+
+ChargeSolution.field_at sums over the same orbits: it recovers the group
+from the charges, keeps the reflections that map its points onto
+themselves, evaluates one segment per orbit of those and adds the
+reflected fields at the reflected points.  Where no reflection fixes
+the points it is the plain sum over every element.
 """
 
 from __future__ import annotations
@@ -98,14 +104,58 @@ class ChargeSolution:
         raise ValueError("surface field implemented for wire meshes")
 
     def field_at(self, px, py):
-        """(Ex, Ey) at off-surface points; planar meshes only."""
+        """(Ex, Ey) at off-surface points; planar meshes only.
+
+        The segments are summed in the subspace of the mirror symmetries
+        of the mesh and its charges (`_mirror_group`), restricted to the
+        subgroup H of reflections that map the point set onto itself
+        exactly and each segment's tangent onto its image's (up to
+        direction, within MIRROR_TOL), one reflection per distinct
+        element permutation.  The kernel runs over one representative
+        per orbit of H, weighted by |orbit| / |H|, giving F; then
+        E(p) = sum over h in H of s_h M_h F(M_h p), with M_h the
+        reflection and s_h its drive sign.  Where H is the identity
+        alone, that is the plain sum over every element.
+        """
         mesh = self.mesh
         if mesh.kind != "planar":
             raise ValueError("off-surface evaluation implemented for planar meshes")
-        return kern.segment_field(np.asarray(px, float), np.asarray(py, float),
-                                  mesh.pos[:, 0], mesh.pos[:, 1],
-                                  mesh.tangent[:, 0], mesh.tangent[:, 1],
-                                  mesh.width, self.charge)
+        px = np.asarray(px, float); py = np.asarray(py, float)
+        perms, signs, flips = _mirror_group(mesh, self.charge)
+        group = {perms[0].tobytes(): (perms[0], 1.0, flips[0],
+                                      np.arange(len(px)))}
+        for p, s, f in zip(perms[1:], signs[1:], flips[1:]):
+            # the potential matrix does not see the tangents; the field does
+            t, mirrored = mesh.tangent[p], mesh.tangent * f
+            at = _point_image(px, py, f)
+            if at is not None and np.all(np.abs(
+                    t[:, 0] * mirrored[:, 1] - t[:, 1] * mirrored[:, 0])
+                    <= MIRROR_TOL):
+                group.setdefault(p.tobytes(), (p, s, f, at))
+        perms, signs, flips, ats = zip(*group.values())
+        rep = np.min(perms, axis=0)
+        rows = np.flatnonzero(rep == np.arange(mesh.n))
+        weight = np.bincount(rep, minlength=mesh.n)[rows] / len(perms)
+        fx, fy = kern.segment_field(px, py, mesh.pos[rows, 0],
+                                    mesh.pos[rows, 1], mesh.tangent[rows, 0],
+                                    mesh.tangent[rows, 1], mesh.width[rows],
+                                    weight * self.charge[rows])
+        ex, ey = fx, fy
+        for s, f, at in zip(signs[1:], flips[1:], ats[1:]):
+            ex = ex + s * f[0] * fx[at]
+            ey = ey + s * f[1] * fy[at]
+        return ex, ey
+
+
+def _point_image(px, py, flip):
+    """Index of each point's mirror image under flip in the point set, or
+    None where some image is not exactly a point of the set."""
+    ix, iy = flip[0] * px, flip[1] * py
+    at = np.empty(len(px), int)
+    at[np.lexsort((ix, iy))] = np.lexsort((px, py))
+    if np.array_equal(px[at], ix) and np.array_equal(py[at], iy):
+        return at
+    return None
 
 
 def _check_rcond(rcond: float) -> None:
@@ -147,17 +197,18 @@ def _mirror_group(mesh: Mesh, v: np.ndarray):
     """The reflections x -> -x and y -> -y (and their product) that map a
     planar mesh and its drive onto themselves.
 
-    Returns (perms, signs), identity first: element i's image is element
-    perms[g, i], with v[perms[g]] = signs[g] * v.  A reflection counts
+    Returns (perms, signs, flips), identity first: element i's image under
+    the reflection (x, y) -> flips[g] * (x, y) is element perms[g, i],
+    with v[perms[g]] = signs[g] * v.  A reflection counts
     when every image lands within MIRROR_TOL of the mesh extent on an
     element of exactly the same width; the images are paired with the
     elements by sorting both on coordinates rounded to 1e-9 of the extent.
     Other kinds, and planar meshes without either reflection, give the
     identity alone.
     """
-    perms, signs = [np.arange(mesh.n)], [1.0]
+    perms, signs, flips = [np.arange(mesh.n)], [1.0], [np.ones(2)]
     if mesh.kind != "planar":
-        return np.array(perms), np.array(signs)
+        return np.array(perms), np.array(signs), np.array(flips)
     extent = float(np.abs(mesh.pos).max()) or 1.0
 
     def order(pos):
@@ -165,7 +216,7 @@ def _mirror_group(mesh: Mesh, v: np.ndarray):
         return np.lexsort((key[:, 0], key[:, 1]))
 
     by_pos = order(mesh.pos)
-    for flip in ((-1.0, 1.0), (1.0, -1.0)):
+    for flip in (np.array([-1.0, 1.0]), np.array([1.0, -1.0])):
         image = mesh.pos * flip
         p = np.empty(mesh.n, int)
         p[order(image)] = by_pos
@@ -180,7 +231,8 @@ def _mirror_group(mesh: Mesh, v: np.ndarray):
             continue
         perms += [g[p] for g in perms]
         signs += [s * t for t in signs]
-    return np.array(perms), np.array(signs)
+        flips += [flip * f for f in flips]
+    return np.array(perms), np.array(signs), np.array(flips)
 
 
 def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
@@ -211,7 +263,7 @@ def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
     v = np.empty(n)
     for eid, volt in voltages.items():
         v[mesh.electrode == eid] = volt
-    perms, signs = _mirror_group(mesh, v)
+    perms, signs, _ = _mirror_group(mesh, v)
     rep = perms.min(axis=0)         # each orbit is solved at its lowest index
     onto_rep = perms == rep         # [g, i]: g takes element i onto rep[i]
     plus = onto_rep[signs > 0].any(axis=0)

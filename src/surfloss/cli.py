@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -291,12 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--corner-split", action="store_true",
                     help="split the film corner energy 1.5/0.5 between air "
                          "and substrate sides")
-    pa.set_defaults(fn=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run a formula-vs-solver suite")
     pv.add_argument("--suite", required=True, choices=SUITES)
     pv.add_argument("--mesh-scale", type=_positive_float, default=1.0)
-    pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("sweep", help="sweep one config parameter, emit CSV")
     ps.add_argument("--config", required=True)
@@ -305,29 +304,34 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--range", required=True, help="LO:HI in the key's units")
     ps.add_argument("--steps", type=int, required=True)
     ps.add_argument("--out", default=None)
-    ps.set_defaults(fn=cmd_sweep)
 
     pt = sub.add_parser("taper", help="optimize the junction-wire taper slope")
     pt.add_argument("--config", required=True)
     pt.add_argument("--out", default=None)
-    pt.set_defaults(fn=cmd_taper)
 
     pl = sub.add_parser("tls", help="TLS splitting spectra and densities")
     pl.add_argument("--config", required=True)
     pl.add_argument("--out", default=None)
     pl.add_argument("--span-ghz", type=_positive_float, default=None)
     pl.add_argument("--sections", type=_sections, default=100_000)
-    pl.set_defaults(fn=cmd_tls)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a later rebinding of cmd_<command> is seen
+    fn = globals()[f"cmd_{args.command}"]
     try:
         # a NumPy overflow, invalid value or division by zero raises
         # FloatingPointError instead of warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.fn(args)
+            return fn(args)
     except ValidationError as exc:
         for p in exc.problems:
             _fail(EXIT_CONFIG, p)

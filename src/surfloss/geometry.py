@@ -76,6 +76,17 @@ def capacitance_to_length(c: float) -> float:
 # suffix gives its unit, see ``config``).  Fields without a default are
 # required keys, and a field with a bool default is a true/false flag.
 
+
+def _film_problems(spec, gaps: dict) -> list[str]:
+    """The film rule of the strip types: 0 < t < a, and a film thinner than
+    every gap it faces (gaps maps each gap's name to its width); a thicker
+    film drives the edge logarithms of the closed forms negative."""
+    if not 0 < spec.t < spec.a:
+        return [f"{spec.label}.t: need 0 < t < a"]
+    return [f"{spec.label}.t: need t < {name}, the gap the film faces"
+            for name, gap in gaps.items() if 0 < gap <= spec.t]
+
+
 @dataclass(frozen=True)
 class ParallelPlate:
     """Differential pair of plates, each w x length at spacing s to ground."""
@@ -114,9 +125,7 @@ class Ribbon:
         if self.a <= 0: bad.append(f"{self.label}.a: must be > 0")
         if self.b <= self.a: bad.append(f"{self.label}.b: must exceed a")
         if self.length <= 0: bad.append(f"{self.label}.length: must be > 0")
-        if not 0 < self.t < self.a:
-            bad.append(f"{self.label}.t: need 0 < t < a")
-        return bad
+        return bad + _film_problems(self, {"b - a": self.b - self.a})
 
 
 @dataclass(frozen=True)
@@ -138,9 +147,7 @@ class Coplanar:
         if self.a <= 0: bad.append(f"{self.label}.a: must be > 0")
         if self.b <= self.a: bad.append(f"{self.label}.b: must exceed a")
         if self.length <= 0: bad.append(f"{self.label}.length: must be > 0")
-        if not 0 < self.t < self.a:
-            bad.append(f"{self.label}.t: need 0 < t < a")
-        return bad
+        return bad + _film_problems(self, {"b - a": self.b - self.a})
 
 
 @dataclass(frozen=True)
@@ -157,15 +164,24 @@ class RibbonWithGround:
     t: float
     label: str = "ribbon_with_ground"
 
+    @property
+    def edge_point(self) -> float:
+        """x_e, where the capacitance fit puts the ribbon's outer edge; the
+        fit's (1 - (x_e/c)^2)^0.23 needs the ground beyond it."""
+        return self.b - 0.15 * (self.b - 1.2 * self.a)
+
     def validate(self) -> list[str]:
         bad = []
         if self.a <= 0: bad.append(f"{self.label}.a: must be > 0")
         if self.b <= self.a: bad.append(f"{self.label}.b: must exceed a")
-        if self.c <= self.b: bad.append(f"{self.label}.c: must exceed b")
+        if self.c <= self.b:
+            bad.append(f"{self.label}.c: must exceed b")
+        elif self.b > self.a and self.c <= self.edge_point:
+            bad.append(f"{self.label}.c: need c > b - 0.15*(b - 1.2*a), the "
+                       "edge point of the capacitance fit")
         if self.length <= 0: bad.append(f"{self.label}.length: must be > 0")
-        if not 0 < self.t < self.a:
-            bad.append(f"{self.label}.t: need 0 < t < a")
-        return bad
+        return bad + _film_problems(self, {"b - a": self.b - self.a,
+                                           "c - b": self.c - self.b})
 
 
 @dataclass(frozen=True)

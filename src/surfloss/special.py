@@ -51,9 +51,16 @@ def _ellipk_nonpositive(m) -> np.ndarray:
 
 
 def ellipkp(m: float) -> float:
-    """Complementary integral K'(k) = K(1-m) for parameter m = k^2."""
+    """Complementary integral K'(k) = K(1-m) for parameter m = k^2.
+
+    Where m > 0 but 1 - m rounds to 1 (m below 2^-54), K' is its
+    asymptote ln(4/k), whose next term is about m/4 relative (DLMF
+    19.12.1).  K'(0) is infinite, and ellipk(1) raises for it.
+    """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"ellipkp requires 0 <= m < 1, got m = {m}")
+    if 0.0 < m and 1.0 - m == 1.0:
+        return math.log(4.0 / math.sqrt(m))
     return ellipk(1.0 - m)
 
 
@@ -65,5 +72,5 @@ def ck_ratio(a_over_b: float) -> float:
     if not 0.0 < a_over_b < 1.0:
         raise ValueError(f"ck_ratio requires 0 < a/b < 1, got {a_over_b}")
     m = a_over_b * a_over_b
-    return ellipk(m) / ellipk(1.0 - m)
+    return ellipk(m) / ellipkp(m)
 

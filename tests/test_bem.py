@@ -430,7 +430,7 @@ def test_verify_runs_clean_under_floating_point_traps(suite, capsys):
 def _reduced_matrix_one_block(mesh, v):
     """solve()'s reduced matrix, with every representative row in one
     block."""
-    perms, signs = solver_mod._mirror_group(mesh, v)
+    perms, signs, _ = solver_mod._mirror_group(mesh, v)
     rep = perms.min(axis=0)
     onto_rep = perms == rep
     fixed = onto_rep[signs > 0].any(axis=0) & onto_rep[signs < 0].any(axis=0)
@@ -475,3 +475,124 @@ def test_reduced_planar_matrix_does_not_depend_on_block_size(
     sol, got = _solved_matrix(monkeypatch, mesh, volts)
     assert np.array_equal(got, want)
     assert np.array_equal(sol.charge, want_sol.charge)
+
+
+# --------------------------------------------------------------------------
+# field_at sums over one segment per orbit of the reflections that fix its
+# points
+
+def _plain_field(sol, px, py):
+    """The unfolded field: segment_field over every element."""
+    m = sol.mesh
+    return kern.segment_field(np.asarray(px, float), np.asarray(py, float),
+                              m.pos[:, 0], m.pos[:, 1], m.tangent[:, 0],
+                              m.tangent[:, 1], m.width, sol.charge)
+
+
+def _symmetric_points(mesh):
+    """Points that x -> -x and y -> -y map onto the set, at the scale of
+    the mesh's median coordinate: much farther out, the log of a ratio
+    near 1 leaves each segment's field only about 1e-11 accurate, in the
+    folded sum and the plain one alike."""
+    scale = float(np.median(np.abs(mesh.pos)))
+    x = np.linspace(0.1, 3.0, 15) * scale
+    x = np.concatenate([-x[::-1], [0.0], x])
+    return np.tile(x, 2), np.repeat([-scale, scale], len(x))
+
+
+@pytest.mark.parametrize("scale", [0.55, 1.0])
+def test_folded_field_matches_the_plain_sum(monkeypatch, scale):
+    # every field_at call of a verify pass, and every planar solve of it at
+    # points that both reflections map onto the set
+    calls, solves = [], []
+    field_at, solve_ = ChargeSolution.field_at, suites.solve
+
+    def keeping_field_at(sol, px, py):
+        calls.append((sol, px, py))
+        return field_at(sol, px, py)
+
+    def keeping_solve(mesh, volts):
+        sol = solve_(mesh, volts)
+        if mesh.kind == "planar":
+            solves.append(sol)
+        return sol
+
+    monkeypatch.setattr(ChargeSolution, "field_at", keeping_field_at)
+    monkeypatch.setattr(suites, "solve", keeping_solve)
+    for suite in ("coax", "flat-coax", "corner", "ribbon-ground"):
+        run_suite(suite, mesh_scale=scale)
+    monkeypatch.undo()
+    assert (len(calls), len(solves)) == (33, 40)
+    cases = calls + [(sol, *_symmetric_points(sol.mesh)) for sol in solves]
+    folded = 0
+    for sol, px, py in cases:
+        got = sol.field_at(px, py)
+        want = _plain_field(sol, px, py)
+        peak = np.max(np.hypot(*want))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-11 * peak
+        folded += not all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert folded >= len(solves)
+
+
+def test_fold_evaluates_one_segment_per_orbit(monkeypatch):
+    mesh, volts, _ = _symmetry_cases()["coax"]
+    sol = solve(mesh, volts)
+    pairs = []
+    segment_field = kern.segment_field
+
+    def counting(*args):
+        pairs.append(len(args[0]) * len(args[2]))
+        return segment_field(*args)
+
+    monkeypatch.setattr(kern, "segment_field", counting)
+    px, py = _symmetric_points(mesh)
+    sol.field_at(px, py)                            # x and y: order 4
+    sol.field_at(px[py > 0], py[py > 0])            # x only: order 2
+    sol.field_at(np.abs(px[py > 0]) + 1e-7, py[py > 0])   # the identity
+    n = len(px) // 2
+    assert pairs == [2 * n * mesh.n // 4, n * mesh.n // 2, n * mesh.n]
+
+
+def test_fold_needs_mirrored_tangents():
+    # a segment's field depends on its direction, which the potential
+    # matrix does not see: field_at folds by a reflection only where it
+    # also maps each tangent onto its image's, up to sign
+    mesh, volts, _ = _symmetry_cases()["coax"]
+    sol = solve(mesh, volts)
+    mesh.tangent[0] = mesh.tangent[0, ::-1]         # turned by 90 degrees
+    assert len(solver_mod._mirror_group(mesh, sol.charge)[0]) == 4
+    px, py = _symmetric_points(mesh)
+    for g, w in zip(sol.field_at(px, py), _plain_field(sol, px, py)):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("case", ["no reflection fixes the points",
+                                  "no symmetry in the mesh"])
+def test_unfolded_field_is_the_plain_kernel(case):
+    if case == "no reflection fixes the points":
+        mesh, volts, _ = _symmetry_cases()["square-film-odd-top"]
+        px = np.array([11.0, 12.5, 40.0, 15.0]) * UM
+        py = np.array([0.0, 0.3, 0.0, -2.0]) * UM
+    else:
+        mesh, volts, _ = _symmetry_cases()["nudged-element"]
+        px, py = _symmetric_points(mesh)
+    sol = solve(mesh, volts)
+    assert len(solver_mod._mirror_group(mesh, sol.charge)[0]) == (
+        4 if case == "no reflection fixes the points" else 1)
+    for g, w in zip(sol.field_at(px, py), _plain_field(sol, px, py)):
+        assert np.array_equal(g, w)
+
+
+def test_fold_holds_under_floating_point_traps():
+    mesh, volts, _ = _symmetry_cases()["semicircle-film-odd-arc"]
+    sol = solve(mesh, volts)
+    xs = 10 * UM + np.geomspace(1e-9, 80 * UM, 200)
+    px, py = np.concatenate([-xs[::-1], xs]), np.zeros(2 * len(xs))
+    want = sol.field_at(px, py)
+    with np.errstate(all="raise"):
+        got = sol.field_at(px, py)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    plain = _plain_field(sol, px, py)
+    assert np.max(np.abs(got[0] - plain[0])) <= 1e-11 * np.max(np.abs(plain[0]))

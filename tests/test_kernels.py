@@ -358,7 +358,8 @@ def test_blocked_layers_stay_within_a_few_blocks_of_memory():
     seg = [rng.uniform(-1.0, 1.0, 600) for _ in range(2)] \
         + [rng.uniform(-1.0, 1.0, 1222) for _ in range(4)] \
         + [rng.uniform(0.01, 0.02, 1222), rng.uniform(-1.0, 1.0, 1222)]
-    assert _traced_peak(kern.segment_field, *seg) < 16 * block
+    # segment_field's temporaries share one block between them
+    assert _traced_peak(kern.segment_field, *seg) < 2 * block
     from surfloss.bem.mesh import wire_rings
     rings = wire_rings(100e-6, lambda y: np.full_like(y, 0.1e-6),
                        y0=0.02e-6, n=680)

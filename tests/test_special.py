@@ -100,6 +100,27 @@ def test_complementary_definition():
         assert ellipkp(k * k) == pytest.approx(ellipk(1.0 - k * k), rel=1e-15)
 
 
+@pytest.mark.parametrize("m", [2.0**-50, 2.0**-53])
+def test_complementary_asymptote_continues_the_agm(m):
+    # 1 - m is exact here, and the AGM agrees with the asymptote that
+    # takes over once 1 - m rounds to 1
+    assert 1.0 - m < 1.0
+    assert ellipkp(m) == pytest.approx(math.log(4.0 / math.sqrt(m)), rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [2.0**-55, 1e-18, 1e-300, 5e-324])
+def test_complementary_takes_its_asymptote_where_one_minus_m_rounds_to_one(m):
+    assert 1.0 - m == 1.0
+    assert ellipkp(m) == math.log(4.0 / math.sqrt(m))
+    assert 0.0 < ck_ratio(math.sqrt(m)) < ck_ratio(2.0**-26)
+
+
+def test_complementary_of_zero_is_a_domain_error():
+    # K'(0) is infinite
+    with pytest.raises(ValueError, match="m < 1, got m = 1.0"):
+        ellipkp(0.0)
+
+
 def test_ck_ratio_limit_small():
     # K -> pi/2 while K' grows logarithmically
     vals = [ck_ratio(x) for x in (1e-2, 1e-4, 1e-6)]
