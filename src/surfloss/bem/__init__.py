@@ -8,8 +8,10 @@ solves are dense, Cholesky for the symmetric planar and ring kinds and LU
 for flatwire, with condition estimates.  A planar mesh that is its own
 mirror image in x or y (detected from the element positions, widths and
 drive, not declared) is solved for one element per orbit of images, up
-to 4x fewer unknowns; otherwise every orbit is one element.  The suites
-module cross-verifies every closed form in `surfloss.analytic`.
+to 4x fewer unknowns; otherwise every orbit is one element.  The
+solution carries that group, and `ChargeSolution.field_at` filters it
+for the reflections that fix its points.  The suites module
+cross-verifies every closed form in `surfloss.analytic`.
 """
 
 from .mesh import Mesh, MeshCapError, MAX_UNKNOWNS

@@ -22,6 +22,14 @@ class MeshCapError(RuntimeError):
     pass
 
 
+def _check_cap(n) -> None:
+    """Reject a mesh of n elements over MAX_UNKNOWNS; the builders call
+    this before they allocate n of anything."""
+    if n > MAX_UNKNOWNS:
+        raise MeshCapError(f"mesh has {n:.6g} unknowns, cap is {MAX_UNKNOWNS}; "
+                           "coarsen the grading or reduce mesh_scale")
+
+
 @dataclass
 class Mesh:
     """Element soup for one solve.
@@ -49,10 +57,7 @@ class Mesh:
             self.end_distance = np.full(len(self.width), np.inf)
         if len(self.width) == 0:
             raise MeshCapError("mesh has no elements; increase mesh_scale")
-        if len(self.width) > MAX_UNKNOWNS:
-            raise MeshCapError(
-                f"mesh has {len(self.width)} unknowns, cap is {MAX_UNKNOWNS}; "
-                "coarsen the grading or reduce mesh_scale")
+        _check_cap(len(self.width))
         if np.any(self.width <= 0):
             raise ValueError("element widths must be > 0")
 
@@ -70,7 +75,8 @@ def concat(parts: list[Mesh]) -> Mesh:
 
 
 def graded_widths(total: float, h_min: float, h_max: float) -> np.ndarray:
-    """Element widths summing to total, geometric growth away from both ends."""
+    """Element widths summing to total, geometric growth away from both
+    ends; MeshCapError as soon as there are more than MAX_UNKNOWNS."""
     if total <= 0:
         raise ValueError("segment length must be > 0")
     h_min = min(h_min, total / 4)
@@ -79,6 +85,7 @@ def graded_widths(total: float, h_min: float, h_max: float) -> np.ndarray:
     end = [h_min]
     s_start = s_end = h_min         # running sums of start and end
     while s_start + s_end < total:
+        _check_cap(len(start) + len(end))
         if s_start <= s_end:
             start.append(min(start[-1] * GRADE_RATIO, h_max))
             s_start += start[-1]
@@ -114,6 +121,7 @@ def circle(radius: float, n: int, electrode=0) -> Mesh:
     if n < 3:
         raise MeshCapError(f"circle needs at least 3 elements, got {n}; "
                            "increase mesh_scale")
+    _check_cap(n)
     th = (np.arange(n) + 0.5) * 2.0 * np.pi / n
     pos = np.stack([radius * np.cos(th), radius * np.sin(th)], axis=1)
     tan = np.stack([-np.sin(th), np.cos(th)], axis=1)
@@ -160,6 +168,7 @@ def film_cross_section(rbar: float, t: float, h_min: float, h_max: float,
         parts.append(line((-flat, t / 2), (flat, t / 2), h_min, h_max,
                           electrode))
         n_arc = max(int(np.ceil(np.pi * (t / 2) / h_min / 1.5)), 24)
+        _check_cap(n_arc)
         th = (np.arange(n_arc) + 0.5) * np.pi / n_arc - np.pi / 2
         w = np.full(n_arc, np.pi * (t / 2) / n_arc)
         pos = np.stack([flat + (t / 2) * np.cos(th), (t / 2) * np.sin(th)], axis=1)
@@ -183,8 +192,9 @@ def wire_rings(d: float, radius_fn, y0: float, n: int) -> Mesh:
     """Axisymmetric wire surface from y0 to d, log-spaced with the last 8%
     refined toward the end."""
     d1 = d * (1.0 - 0.08)
-    e1 = np.geomspace(y0, d1, max(int(n * 0.8), 16) + 1)
-    m = max(int(n * 0.2), 8)
+    n1, m = max(int(n * 0.8), 16), max(int(n * 0.2), 8)
+    _check_cap(n1 + m)
+    e1 = np.geomspace(y0, d1, n1 + 1)
     e2 = d - np.geomspace(d - d1, 1e-3 * (d - d1), m + 1)
     edges = np.unique(np.concatenate([e1, e2]))
     z = 0.5 * (edges[:-1] + edges[1:])
@@ -199,6 +209,7 @@ def wire_rings(d: float, radius_fn, y0: float, n: int) -> Mesh:
 def wire_strip(d: float, halfwidth_fn, y0: float, n: int) -> Mesh:
     """Flat (thin-film) wire centerline mesh from y0 to d; pos holds
     (y, rbar)."""
+    _check_cap(n)
     edges = np.geomspace(y0, d, n + 1)
     y = 0.5 * (edges[:-1] + edges[1:])
     w = np.diff(edges)

@@ -23,11 +23,11 @@ _kernels.BLOCK_ENTRIES entries, so the n/k x n matrix of representative
 rows is never held whole.  Blocking only reorders the loops; the reduced
 matrix does not depend on the block size.
 
-ChargeSolution.field_at sums over the same orbits: it recovers the group
-from the charges, keeps the reflections that map its points onto
-themselves, evaluates one segment per orbit of those and adds the
-reflected fields at the reflected points.  Where no reflection fixes
-the points it is the plain sum over every element.
+ChargeSolution.field_at sums over the same orbits: it filters the group
+the solve found (ChargeSolution.group) for the reflections that map its
+points onto themselves, evaluates one segment per orbit of those and
+adds the reflected fields at the reflected points.  Where no reflection
+fixes the points it is the plain sum over every element.
 """
 
 from __future__ import annotations
@@ -81,69 +81,66 @@ class ChargeSolution:
 
     rcond is LAPACK's condition estimate.  dpocon gives values that differ
     by up to about 6e-16 relative between runs on the same matrix, so
-    compare rcond with a tolerance, never bitwise.
+    compare rcond with a tolerance, never bitwise.  group is the solve's
+    mirror group, (perms, signs, flips) from `_mirror_group`.
     """
 
     mesh: Mesh
     charge: np.ndarray
     rcond: float
+    group: tuple
 
     def charge_of(self, electrode: int) -> float:
         return float(self.charge[self.mesh.electrode == electrode].sum())
 
     def surface_field(self) -> np.ndarray:
-        """|E|/V just outside each element of a wire mesh (V = the solve's
-        drive); pos[:, 1] is the ring radius or the flat half-width."""
+        """|E|/V = |q| / (2 pi eps0 r w) just outside each element of a
+        wire mesh (V the drive, r = pos[:, 1] the radius or half-width)."""
         mesh = self.mesh
-        r = mesh.pos[:, 1]
-        if mesh.kind == "ring":
-            return np.abs(self.charge) / (2.0 * np.pi * r * mesh.width * EPS0)
-        if mesh.kind == "flatwire":
-            lam = self.charge / mesh.width
-            return np.abs(lam) / (2.0 * np.pi * EPS0 * r)
-        raise ValueError("surface field implemented for wire meshes")
+        if mesh.kind == "planar":
+            raise ValueError("surface field implemented for wire meshes")
+        return np.abs(self.charge) / (2.0 * np.pi * EPS0 * mesh.pos[:, 1]
+                                      * mesh.width)
 
     def field_at(self, px, py):
         """(Ex, Ey) at off-surface points; planar meshes only.
 
-        The segments are summed in the subspace of the mirror symmetries
-        of the mesh and its charges (`_mirror_group`), restricted to the
-        subgroup H of reflections that map the point set onto itself
-        exactly and each segment's tangent onto its image's (up to
-        direction, within MIRROR_TOL), one reflection per distinct
-        element permutation.  The kernel runs over one representative
-        per orbit of H, weighted by |orbit| / |H|, giving F; then
-        E(p) = sum over h in H of s_h M_h F(M_h p), with M_h the
-        reflection and s_h its drive sign.  Where H is the identity
-        alone, that is the plain sum over every element.
+        The segments are summed in the subspace of the solve's mirror
+        group, restricted to the subgroup H of reflections that map the
+        point set onto itself exactly and each segment's tangent onto
+        its image's (up to direction, within MIRROR_TOL).  The kernel
+        runs over one representative per orbit of H, weighted by
+        |orbit| / |H|, giving F; then E(p) = sum over h in H of
+        s_h M_h F(M_h p), with M_h the reflection and s_h its drive
+        sign.  Where H is the identity alone, that is the plain sum over
+        every element.
         """
         mesh = self.mesh
         if mesh.kind != "planar":
             raise ValueError("off-surface evaluation implemented for planar meshes")
         px = np.asarray(px, float); py = np.asarray(py, float)
-        perms, signs, flips = _mirror_group(mesh, self.charge)
-        group = {perms[0].tobytes(): (perms[0], 1.0, flips[0],
-                                      np.arange(len(px)))}
-        for p, s, f in zip(perms[1:], signs[1:], flips[1:]):
+        perms, signs, flips = self.group
+        images = {}                 # H less the identity: g -> point images
+        for g in range(1, len(perms)):
             # the potential matrix does not see the tangents; the field does
-            t, mirrored = mesh.tangent[p], mesh.tangent * f
-            at = _point_image(px, py, f)
+            t, mirrored = mesh.tangent[perms[g]], mesh.tangent * flips[g]
+            at = _point_image(px, py, flips[g])
             if at is not None and np.all(np.abs(
                     t[:, 0] * mirrored[:, 1] - t[:, 1] * mirrored[:, 0])
                     <= MIRROR_TOL):
-                group.setdefault(p.tobytes(), (p, s, f, at))
-        perms, signs, flips, ats = zip(*group.values())
-        rep = np.min(perms, axis=0)
+                images[g] = at
+        h = [0, *images]
+        rep = perms[h].min(axis=0)
         rows = np.flatnonzero(rep == np.arange(mesh.n))
-        weight = np.bincount(rep, minlength=mesh.n)[rows] / len(perms)
+        weight = np.bincount(rep, minlength=mesh.n)[rows] / len(h)
         fx, fy = kern.segment_field(px, py, mesh.pos[rows, 0],
                                     mesh.pos[rows, 1], mesh.tangent[rows, 0],
                                     mesh.tangent[rows, 1], mesh.width[rows],
                                     weight * self.charge[rows])
         ex, ey = fx, fy
-        for s, f, at in zip(signs[1:], flips[1:], ats[1:]):
-            ex = ex + s * f[0] * fx[at]
-            ey = ey + s * f[1] * fy[at]
+        for g, at in images.items():
+            ex = ex + signs[g] * flips[g, 0] * fx[at]
+            ey = ey + signs[g] * flips[g, 1] * fy[at]
         return ex, ey
 
 
@@ -197,14 +194,15 @@ def _mirror_group(mesh: Mesh, v: np.ndarray):
     """The reflections x -> -x and y -> -y (and their product) that map a
     planar mesh and its drive onto themselves.
 
-    Returns (perms, signs, flips), identity first: element i's image under
-    the reflection (x, y) -> flips[g] * (x, y) is element perms[g, i],
-    with v[perms[g]] = signs[g] * v.  A reflection counts
-    when every image lands within MIRROR_TOL of the mesh extent on an
-    element of exactly the same width; the images are paired with the
-    elements by sorting both on coordinates rounded to 1e-9 of the extent.
-    Other kinds, and planar meshes without either reflection, give the
-    identity alone.
+    Returns (perms, signs, flips), identity first, with distinct perms:
+    element i's image under the reflection (x, y) -> flips[g] * (x, y) is
+    element perms[g, i], with v[perms[g]] = signs[g] * v.  A reflection
+    counts when every image lands within MIRROR_TOL of the mesh extent on
+    an element of exactly the same width and its permutation is not in
+    the group yet (y -> -y on a mesh on y = 0 is not); the images are
+    paired with the elements by sorting both on coordinates rounded to
+    1e-9 of the extent.  Other kinds, and planar meshes without either
+    reflection, give the identity alone.
     """
     perms, signs, flips = [np.arange(mesh.n)], [1.0], [np.ones(2)]
     if mesh.kind != "planar":
@@ -221,7 +219,8 @@ def _mirror_group(mesh: Mesh, v: np.ndarray):
         p = np.empty(mesh.n, int)
         p[order(image)] = by_pos
         if not (np.all(np.abs(mesh.pos[p] - image) <= MIRROR_TOL * extent)
-                and np.array_equal(mesh.width[p], mesh.width)):
+                and np.array_equal(mesh.width[p], mesh.width)) \
+                or any(np.array_equal(p, g) for g in perms):
             continue
         if np.array_equal(v[p], v):
             s = 1.0
@@ -263,7 +262,7 @@ def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
     v = np.empty(n)
     for eid, volt in voltages.items():
         v[mesh.electrode == eid] = volt
-    perms, signs, _ = _mirror_group(mesh, v)
+    perms, signs, flips = _mirror_group(mesh, v)
     rep = perms.min(axis=0)         # each orbit is solved at its lowest index
     onto_rep = perms == rep         # [g, i]: g takes element i onto rep[i]
     plus = onto_rep[signs > 0].any(axis=0)
@@ -297,7 +296,7 @@ def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
     q = np.zeros(n)
     q[rows] = y / root
     q = np.where(plus, q[rep], -q[rep])
-    return ChargeSolution(mesh, q, rcond)
+    return ChargeSolution(mesh, q, rcond, (perms, signs, flips))
 
 
 # --------------------------------------------------------------------------

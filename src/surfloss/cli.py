@@ -159,8 +159,11 @@ def cmd_sweep(args) -> int:
         return _fail(EXIT_CONFIG, "sweep needs steps >= 1")
     try:
         lo, hi = (float(v) for v in args.range.split(":"))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError
     except ValueError:
-        return _fail(EXIT_CONFIG, f"bad --range {args.range!r}; use LO:HI")
+        return _fail(EXIT_CONFIG, f"bad --range {args.range!r}; use LO:HI "
+                                  "with finite numbers")
     sect, _, key = args.param.rpartition(".")
     if not sect:
         return _fail(EXIT_CONFIG, f"--param must be section.key, got {args.param!r}")

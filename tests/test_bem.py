@@ -96,6 +96,24 @@ def test_wire_field_core_window():
     assert np.all(e[end] / e_th[end] > 1.1)
 
 
+@pytest.mark.parametrize("flat", [False, True], ids=["ring", "flatwire"])
+def test_surface_field_is_charge_per_area(flat):
+    # a ring's charge spreads over 2 pi r times its arc length; a flat
+    # strip's line charge q/width over 2 pi rbar, the same product
+    mesh, sol = suites._wire_pair(50 * UM, 0.1 * UM, 0.2, 0.3, flat)
+    r, w = mesh.pos[:, 1], mesh.width
+    per_kind = (np.abs(sol.charge / w) / (2 * np.pi * EPS0 * r) if flat
+                else np.abs(sol.charge) / (2 * np.pi * r * w * EPS0))
+    np.testing.assert_allclose(sol.surface_field(), per_kind, rtol=1e-15,
+                               atol=0.0)
+
+
+def test_surface_field_needs_a_wire_mesh():
+    sol = solve(meshes.concat(_ribbons()), {0: 0.5, 1: -0.5})
+    with pytest.raises(ValueError, match="wire meshes"):
+        sol.surface_field()
+
+
 def test_flat_wire_envelope():
     y, e, e_th = wire_field_profile(50 * UM, 0.1 * UM, 0.0, mesh_scale=0.9,
                                     flat=True)
@@ -225,6 +243,53 @@ def _graded_widths_summing(total, h_min, h_max):
 def test_graded_widths_running_sums_match_summing_loop(total, h_min, h_max):
     assert np.array_equal(meshes.graded_widths(total, h_min, h_max),
                           _graded_widths_summing(total, h_min, h_max))
+
+
+def _cap_peak(build):
+    """tracemalloc peak, in bytes, of a build that must stop at the cap."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        with pytest.raises(MeshCapError, match="cap is 20000; coarsen"):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _tenth_um(y):
+    return np.full_like(y, 0.1 * UM)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: meshes.circle(10 * UM, 10**14),
+    lambda: meshes.film_cross_section(10 * UM, 1 * UM, 1e-30, 0.25 * UM,
+                                      edge="semicircle"),
+    lambda: meshes.wire_rings(50 * UM, _tenth_um, y0=0.02 * UM, n=10**14),
+    lambda: meshes.wire_strip(50 * UM, _tenth_um, y0=0.02 * UM, n=10**14),
+    lambda: meshes.graded_widths(1.0, 1e-12, 1e-9),
+], ids=["circle", "film-arc", "wire-rings", "wire-strip", "graded-widths"])
+def test_builders_check_the_cap_before_allocating(build):
+    # each would need terabytes, or a Python list of 1e9 widths
+    assert _cap_peak(build) < 2e6
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e5])
+def test_ribbon_ground_over_the_cap_stops_early(scale):
+    # without its own check, graded_widths grows about 60 * scale widths
+    # before the Mesh sees the count: 533 MB at 1e5
+    assert _cap_peak(lambda: run_suite("ribbon-ground", mesh_scale=scale)) \
+        < 4e6
+
+
+@pytest.mark.parametrize("scale", ["1e12", "1e300"])
+def test_verify_over_the_cap_names_it(scale, capsys):
+    assert cli.main(["verify", "--suite", "coax", "--mesh-scale", scale]) == 3
+    out, err = capsys.readouterr()
+    unknowns = int(400 * float(scale))
+    assert (out, err) == ("", f"error[3]: mesh has {unknowns:.6g} unknowns, "
+                          "cap is 20000; coarsen the grading or reduce "
+                          "mesh_scale\n")
 
 
 #: element count of every solve of a verify pass at mesh scale 1
@@ -384,10 +449,47 @@ def test_reduced_solve_ignores_element_order(monkeypatch, case):
         <= 1e-12 * np.linalg.norm(sol.charge)
 
 
+def test_mirror_group_has_distinct_permutations():
+    # y -> -y maps every element of a mesh on y = 0 onto itself: the group
+    # is {1, x}, not {1, x, 1, x}
+    mesh, volts = meshes.concat(_ribbons()), {0: 0.5, 1: -0.5}
+    perms, signs, flips = solver_mod._mirror_group(mesh, _drive(mesh, volts))
+    assert len(perms) == 2
+    assert len({p.tobytes() for p in perms}) == 2
+    assert signs.tolist() == [1.0, -1.0]
+    assert flips.tolist() == [[1.0, 1.0], [-1.0, 1.0]]
+    sol = solve(mesh, volts)
+    assert all(np.array_equal(g, w) for g, w in zip(sol.group,
+                                                    (perms, signs, flips)))
+
+
+def test_mirror_group_is_found_once_per_solve(monkeypatch):
+    # field_at filters the group its solve found and derives none itself
+    calls, in_field_at = [], []
+    mirror_group, field_at = solver_mod._mirror_group, ChargeSolution.field_at
+
+    def counting_mirror_group(mesh, v):
+        calls.append(mesh.kind)
+        return mirror_group(mesh, v)
+
+    def watched_field_at(sol, px, py):
+        before = len(calls)
+        out = field_at(sol, px, py)
+        in_field_at.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(solver_mod, "_mirror_group", counting_mirror_group)
+    monkeypatch.setattr(ChargeSolution, "field_at", watched_field_at)
+    for suite in ("coax", "flat-coax", "corner", "ribbon-ground"):
+        run_suite(suite, mesh_scale=1.0)
+    assert calls == ["planar"] * 40
+    assert in_field_at == [0] * 33
+
+
 def _dense_solve(mesh, voltages):
     """Reference solve: the full matrix by LAPACK's general dense solver."""
     q = np.linalg.solve(assemble(mesh), _drive(mesh, voltages))
-    return ChargeSolution(mesh, q, math.nan)
+    return ChargeSolution(mesh, q, math.nan, solver_mod._mirror_group(mesh, q))
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -561,7 +663,7 @@ def test_fold_needs_mirrored_tangents():
     mesh, volts, _ = _symmetry_cases()["coax"]
     sol = solve(mesh, volts)
     mesh.tangent[0] = mesh.tangent[0, ::-1]         # turned by 90 degrees
-    assert len(solver_mod._mirror_group(mesh, sol.charge)[0]) == 4
+    assert len(sol.group[0]) == 4
     px, py = _symmetric_points(mesh)
     for g, w in zip(sol.field_at(px, py), _plain_field(sol, px, py)):
         assert np.array_equal(g, w)
@@ -578,7 +680,7 @@ def test_unfolded_field_is_the_plain_kernel(case):
         mesh, volts, _ = _symmetry_cases()["nudged-element"]
         px, py = _symmetric_points(mesh)
     sol = solve(mesh, volts)
-    assert len(solver_mod._mirror_group(mesh, sol.charge)[0]) == (
+    assert len(sol.group[0]) == (
         4 if case == "no reflection fixes the points" else 1)
     for g, w in zip(sol.field_at(px, py), _plain_field(sol, px, py)):
         assert np.array_equal(g, w)

@@ -1,4 +1,5 @@
-"""Property tests of the CLI contract on random design configs.
+"""Property tests of the CLI contract on random design configs, and on
+random `sweep` and `verify` arguments.
 
 Configs are built from each INI_KEYS map with values drawn from the edges
 of the float range, ordinary values and non-numbers.  Every command must
@@ -10,11 +11,13 @@ each loss tangent must be the participations weighted by the interface
 loss tangents.
 """
 
+import configparser
 import contextlib
 import dataclasses
 import io
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfloss import cli
+from surfloss.bem import SUITES
 from surfloss.config import load_config
 from surfloss.geometry import (MAX_TAPER_SLOPE, STRUCTURE_TYPES,
                                DielectricStack, RibbonWithGround,
@@ -84,6 +88,17 @@ def _run(argv):
     return rc, out.getvalue(), err.getvalue(), caught
 
 
+def _assert_contract(argv):
+    """Run argv and check the contract every command keeps; returns
+    stdout."""
+    rc, out, err, caught = _run(argv)
+    assert rc in (0, 2, 3, 4), (argv, rc, err)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Warning" not in err and "Traceback" not in err
+    assert not _NON_FINITE.search(out), out
+    return out
+
+
 # Hypothesis formats a failing example with black, whose import of
 # mypy_extensions warns; that must not hide the failure itself
 @pytest.mark.filterwarnings(
@@ -95,13 +110,60 @@ def test_cli_contract_holds_for_random_configs(tmp_path_factory, text):
     path.write_text(text)
     for cmd in COMMANDS:
         argv = [cmd[0], "--config", str(path), *cmd[1:]]
-        rc, out, err, caught = _run(argv)
-        assert rc in (0, 2, 3, 4), (argv, rc, err)
-        assert not caught, [str(w.message) for w in caught]
-        assert "Warning" not in err and "Traceback" not in err
-        assert not _NON_FINITE.search(out), out
+        out = _assert_contract(argv)
         assert "-0.00e+00" not in out, out
         assert _run(argv)[1] == out
+
+
+SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" \
+    / "transmon_100ff.ini"
+
+
+def _shipped_params():
+    """section.key of every key of the shipped config."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(SHIPPED_CONFIG)
+    return [f"{sect}.{key}" for sect in cp.sections() for key in cp[sect]]
+
+
+#: a sweep bound: an edge of the float range, a non-number or an ordinary
+#: value
+BOUNDS = st.one_of(st.sampled_from(VALUES + ("inf", "-inf")),
+                   st.floats(-1e3, 1e3).map(repr))
+
+
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(param=st.sampled_from(_shipped_params()), lo=BOUNDS, hi=BOUNDS,
+       steps=st.integers(1, 30))
+def test_sweep_contract_holds_for_random_argv(param, lo, hi, steps):
+    # "--range=" keeps argparse from reading a bound of "-1" as a flag
+    _assert_contract(["sweep", "--config", str(SHIPPED_CONFIG), "--param",
+                      param, f"--range={lo}:{hi}", "--steps", str(steps)])
+
+
+def test_sweep_rejects_non_finite_bounds():
+    # a non-finite bound that reaches linspace exits 3 with "invalid value
+    # encountered in multiply"
+    for bounds in ("inf:1", "1:-inf", "nan:2"):
+        rc, out, err, _ = _run(["sweep", "--config", str(SHIPPED_CONFIG),
+                                "--param", "structure.wire.d_um",
+                                f"--range={bounds}", "--steps", "3"])
+        assert (rc, out) == (2, "")
+        assert err == (f"error[2]: bad --range {bounds!r}; use LO:HI with "
+                       "finite numbers\n")
+
+
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(suite=st.sampled_from(SUITES),
+       scale=st.one_of(st.floats(0.001, 0.3), st.floats(1e4, 1e300)))
+def test_verify_contract_holds_for_random_argv(suite, scale):
+    # between the two ranges lie meshes under the cap that take seconds
+    # and gigabytes to solve; above 1e4 every suite meets the cap first
+    _assert_contract(["verify", "--suite", suite, "--mesh-scale", repr(scale)])
 
 
 #: a number printed with a minus sign
