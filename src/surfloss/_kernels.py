@@ -2,11 +2,13 @@
 
 Everything takes SI inputs and returns potential-matrix entries in volts
 per coulomb (per unit length for the planar kernel).  The ring kernel
-evaluates K(m) at m <= 0 through the Cephes routine of scipy.special,
-special._ellipk_nonpositive (the closed forms use the scalar AGM
-special.ellipk instead); the flat-wire kernel is the ring kernel at half
-radius.  The wire matrices are for one wire of a differential pair and
-subtract each element's image in the plane of symmetry in the same pass.
+takes the squared distance rho^2 = dz^2 + dr^2, so no caller forms a
+hypot, and evaluates K(m) at m = -4 r r' / rho^2 <= 0 through the Cephes
+routine of scipy.special, special._ellipk_nonpositive (the closed forms
+use the scalar AGM special.ellipk instead), with its temporaries written
+in place.  The flat-wire kernel is the ring kernel at half radius.  The
+wire matrices are for one wire of a differential pair and subtract each
+element's image in the plane of symmetry in the same pass.
 
 The layers that build large temporaries run in blocks sized by
 BLOCK_ENTRIES doubles (512 KB), so they stay in cache.  segment_field
@@ -89,8 +91,17 @@ def planar_matrix(x, y, w, rows=slice(None)):
     return m
 
 
-def _ring_kernel(rho, ri, rj):
-    return _ellipk_nonpositive(-4.0 * ri * rj / rho**2) / (_RING_NORM * rho)
+def _ring_kernel(rho2, ri, rj):
+    """Potential of ring rj at ring ri, a squared distance rho2 apart:
+    K(m) / (2 pi^2 eps rho) at m = -4 ri rj / rho2, with the temporaries
+    reused in place.  sqrt(rho2) is exactly |rho| where rho2 is the
+    rounded square of one offset, as on a strip or a constant radius."""
+    m = np.divide(-4.0 * ri * rj, rho2)
+    k = _ellipk_nonpositive(m)
+    den = np.sqrt(rho2, out=m)
+    den *= _RING_NORM
+    k /= den
+    return k
 
 
 def _ring_self(r, w):
@@ -98,7 +109,7 @@ def _ring_self(r, w):
     analytically, integrate the remainder by fixed Gauss quadrature."""
     asym = (np.log(8.0 * r / w) + 1.5) / (2.0 * _RING_NORM * r)
     u = 0.5 * w[:, None] * (_GAUSS_X[None, :] + 1.0)        # (N, 16) in (0, w)
-    rem = _ring_kernel(u, r[:, None], r[:, None]) \
+    rem = _ring_kernel(u * u, r[:, None], r[:, None]) \
         - np.log(8.0 * r[:, None] / u) / (2.0 * _RING_NORM * r[:, None])
     integral = 0.5 * w * np.sum(_GAUSS_W[None, :] * (w[:, None] - u) * rem, axis=1)
     return asym + 2.0 * integral / w**2
@@ -108,14 +119,16 @@ def _near_average(kernel, ci, wi, cj, wj):
     """Kernel averaged over both extents of each element pair (centers c,
     widths w) by a 16 x 16 Gauss rule, in blocks of pairs.
 
-    kernel(p, du) gives the kernel for the pairs of slice p at the point
-    offsets du, shaped (pairs, 16, 16).
+    kernel(p, du2) gives the kernel for the pairs of slice p at the
+    squared point offsets du2, shaped (pairs, 16, 16); it may overwrite
+    du2.
     """
     out = np.empty(len(ci))
     for p in row_blocks(len(ci), _GAUSS_X.size ** 2):
         ui = ci[p, None] + 0.5 * wi[p, None] * _GAUSS_X[None, :]
         uj = cj[p, None] + 0.5 * wj[p, None] * _GAUSS_X[None, :]
-        kv = kernel(p, ui[:, :, None] - uj[:, None, :])
+        du = ui[:, :, None] - uj[:, None, :]
+        kv = kernel(p, np.multiply(du, du, out=du))
         out[p] = np.einsum("i,j,pij->p", _GAUSS_W, _GAUSS_W, kv) / 4.0
     return out
 
@@ -124,10 +137,12 @@ def ring_matrix(z, r, w):
     """Axisymmetric ring-charge potential matrix with self/near treatment,
     less each ring's image in z = 0.
 
-    The kernel and its near-field average are symmetric in (i, j), so only
-    the pairs i < j are evaluated and the result is mirrored.  The image
-    term K(hypot(z_i + z_j, r_i - r_j)) is also symmetric and is
-    subtracted on the same pairs and on the diagonal.
+    Every entry is the ring kernel at the squared distance
+    dz^2 + dr^2, dr = r_i - r_j.  The kernel and its near-field average
+    are symmetric in (i, j), so only the pairs i < j are evaluated and the
+    result is mirrored.  The image term, the kernel at (z_i + z_j)^2 +
+    dr^2, is also symmetric and is subtracted on the same pairs and on the
+    diagonal.
     Rows are built in blocks, each against the columns from the block's
     first row on; the entries below the diagonal are then copied from
     above it.
@@ -141,22 +156,29 @@ def ring_matrix(z, r, w):
         k = np.arange(s.stop - lo)
         zi, ri, zj, rj = z[s, None], r[s, None], z[None, lo:], r[None, lo:]
         dz = zi - zj
-        rho = np.hypot(dz, ri - rj)
-        rho[k, k] = 1.0                 # the diagonal takes the self term
+        dr2 = ri - rj
+        dr2 *= dr2
+        rho2 = dz * dz
+        rho2 += dr2
+        rho2[k, k] = 1.0                # the diagonal takes the self term
         blk = m[s, lo:]
-        blk[...] = _ring_kernel(rho, ri, rj)
+        blk[...] = _ring_kernel(rho2, ri, rj)
         blk[k, k] = diag[s]
         # near pairs i < j: average the kernel over both element extents
         a, b = np.nonzero(np.triu(np.abs(dz) < NEAR_FACTOR
                                   * (w[s, None] + w[None, lo:]), 1))
         ni, nj = lo + a, lo + b
-        dr, rn, rm = r[ni] - r[nj], r[ni], r[nj]
+        pair_dr2, rn, rm = dr2[a, b], r[ni], r[nj]
         blk[a, b] = _near_average(
-            lambda p, du: _ring_kernel(np.hypot(du, dr[p, None, None]),
-                                       rn[p, None, None], rm[p, None, None]),
+            lambda p, du2: _ring_kernel(
+                np.add(du2, pair_dr2[p, None, None], out=du2),
+                rn[p, None, None], rm[p, None, None]),
             z[ni], w[ni], z[nj], w[nj])
-        # the image; on the diagonal hypot(2z, 0) is exactly |2z|
-        blk -= _ring_kernel(np.hypot(zi + zj, ri - rj), ri, rj)
+        # the image; on the diagonal dr2 is 0 and sqrt((2z)^2) exactly |2z|
+        zs = zi + zj
+        zs *= zs
+        zs += dr2
+        blk -= _ring_kernel(zs, ri, rj)
         m[s, :lo] = m[:lo, s].T         # below the diagonal, from above it
         sq = m[s, s]
         below = np.tri(len(k), k=-1, dtype=bool)
@@ -168,8 +190,9 @@ def ring_mutual(z1, r1, z2, r2):
     """Plain ring kernel between two distinct ring sets (image terms)."""
     z1 = np.asarray(z1, float); z2 = np.asarray(z2, float)
     r1 = np.asarray(r1, float); r2 = np.asarray(r2, float)
-    rho = np.hypot(z1[:, None] - z2[None, :], r1[:, None] - r2[None, :])
-    return _ring_kernel(rho, r1[:, None], r2[None, :])
+    dz = z1[:, None] - z2[None, :]
+    dr = r1[:, None] - r2[None, :]
+    return _ring_kernel(dz * dz + dr * dr, r1[:, None], r2[None, :])
 
 
 def flatwire_matrix(y, rbar, w):
@@ -177,9 +200,17 @@ def flatwire_matrix(y, rbar, w):
     less each element's image in y = 0.
 
     A flat strip of half-width rbar has the potential of a ring of radius
-    rbar/2, so every entry is the ring kernel at half radius.  Not
-    symmetric: column j uses the source half-width rbar[j].  The image
-    term is K(|y_i + y_j|).  Rows are built in blocks.
+    rbar/2, so every entry is the ring kernel at half radius and squared
+    distance (y_i - y_j)^2.  Not symmetric: column j uses the source
+    half-width rbar[j].  The image term is the kernel at (y_i + y_j)^2.
+    Rows are built in blocks.
+
+    A near pair (i, j) with i > j and rbar[i] == rbar[j] is a twin of
+    (j, i): its Gauss grid is the transpose of (j, i)'s, with the same
+    squared offsets, and its image term is the same.  So twins are not
+    averaged; once a block's image is subtracted, each twin copies its
+    entry from row j, which is final by then.  On a straight strip every
+    near pair i > j is a twin and the matrix is exactly symmetric.
     """
     y = np.asarray(y, float); w = np.asarray(w, float)
     rh = np.asarray(rbar, float) / 2.0
@@ -188,21 +219,27 @@ def flatwire_matrix(y, rbar, w):
     m = np.empty((n, n))
     for s in row_blocks(n, n):
         k = np.arange(s.stop - s.start)
-        dy = np.abs(y[s, None] - y[None, :])
+        dy = y[s, None] - y[None, :]
+        a, jj = np.nonzero(np.abs(dy) < NEAR_FACTOR
+                           * (w[s, None] + w[None, :]))
+        dy *= dy
         dy[k, s.start + k] = 1.0        # the diagonal takes the self term
         blk = m[s]
         blk[...] = _ring_kernel(dy, rh[None, :], rh[None, :])
         blk[k, s.start + k] = diag[s]
-        a, jj = np.nonzero(dy < NEAR_FACTOR * (w[s, None] + w[None, :]))
-        off = s.start + a != jj
-        a, jj = a[off], jj[off]
-        ii, rj = s.start + a, rh[jj]
-        blk[a, jj] = _near_average(
-            lambda p, du: _ring_kernel(np.abs(du), rj[p, None, None],
-                                       rj[p, None, None]),
-            y[ii], w[ii], y[jj], w[jj])
-        blk -= _ring_kernel(np.abs(y[s, None] + y[None, :]), rh[None, :],
-                            rh[None, :])
+        ii = s.start + a
+        twin = (ii > jj) & (rh[ii] == rh[jj])
+        avg = (ii != jj) & ~twin
+        ai, aj = ii[avg], jj[avg]
+        rj = rh[aj]
+        blk[a[avg], aj] = _near_average(
+            lambda p, du2: _ring_kernel(du2, rj[p, None, None],
+                                        rj[p, None, None]),
+            y[ai], w[ai], y[aj], w[aj])
+        ys = y[s, None] + y[None, :]
+        ys *= ys
+        blk -= _ring_kernel(ys, rh[None, :], rh[None, :])
+        blk[a[twin], jj[twin]] = m[jj[twin], ii[twin]]
     return m
 
 
@@ -211,8 +248,8 @@ def flatwire_mutual(y1, y2, rbar2):
     ring kernel at the source's half radius."""
     y1 = np.asarray(y1, float); y2 = np.asarray(y2, float)
     rh = np.asarray(rbar2, float)[None, :] / 2.0
-    dy = np.abs(y1[:, None] - y2[None, :])
-    return _ring_kernel(dy, rh, rh)
+    dy = y1[:, None] - y2[None, :]
+    return _ring_kernel(dy * dy, rh, rh)
 
 
 def segment_field(px, py, mx, my, tx, ty, w, q):

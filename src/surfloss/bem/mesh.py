@@ -7,6 +7,7 @@ square-root and corner power-law field divergences are resolved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,6 +29,14 @@ def _check_cap(n) -> None:
     if n > MAX_UNKNOWNS:
         raise MeshCapError(f"mesh has {n:.6g} unknowns, cap is {MAX_UNKNOWNS}; "
                            "coarsen the grading or reduce mesh_scale")
+
+
+def element_count(n: float) -> int:
+    """A scaled element count rounded down, checked against the cap while
+    it is still a float: int() raises on a count that overflowed to
+    inf."""
+    _check_cap(n)
+    return int(n)
 
 
 @dataclass
@@ -76,7 +85,13 @@ def concat(parts: list[Mesh]) -> Mesh:
 
 def graded_widths(total: float, h_min: float, h_max: float) -> np.ndarray:
     """Element widths summing to total, geometric growth away from both
-    ends; MeshCapError as soon as there are more than MAX_UNKNOWNS."""
+    ends; MeshCapError as soon as there are more than MAX_UNKNOWNS.
+
+    The count it reports then includes the length still to cover over
+    h_max, the widest an element gets, so it does not understate the
+    mesh.  Elements of width h_min = 0 (a size that underflowed) never
+    grow and never cover it: that count is inf.
+    """
     if total <= 0:
         raise ValueError("segment length must be > 0")
     h_min = min(h_min, total / 4)
@@ -85,7 +100,9 @@ def graded_widths(total: float, h_min: float, h_max: float) -> np.ndarray:
     end = [h_min]
     s_start = s_end = h_min         # running sums of start and end
     while s_start + s_end < total:
-        _check_cap(len(start) + len(end))
+        if len(start) + len(end) >= MAX_UNKNOWNS:
+            rest = (total - s_start - s_end) / h_max if h_min > 0 else math.inf
+            _check_cap(len(start) + len(end) + rest)
         if s_start <= s_end:
             start.append(min(start[-1] * GRADE_RATIO, h_max))
             s_start += start[-1]

@@ -47,8 +47,8 @@ def _abs(name, computed, target, tol, note="") -> Check:
 def suite_coax(mesh_scale: float = 1.0) -> list[Check]:
     """Gold standard: round coax capacitance against 2*pi*eps/ln(R/r)."""
     r, radius_out = 10e-6, 100e-6
-    n_in = int(400 * mesh_scale)
-    n_out = int(1200 * mesh_scale)
+    n_in = meshes.element_count(400 * mesh_scale)
+    n_out = meshes.element_count(1200 * mesh_scale)
     c_exact = 2.0 * math.pi * EPS0 / math.log(radius_out / r)
 
     def solve_coax(ni, no):
@@ -78,7 +78,8 @@ def suite_flat_coax(mesh_scale: float = 1.0) -> list[Check]:
     rbar, shield, t = 10e-6, 100e-6, 0.1e-6
     strip = meshes.thin_strip(-rbar, rbar, t / (20 * mesh_scale), 1e-6,
                               electrode=0)
-    outer = meshes.circle(shield, int(1000 * mesh_scale), electrode=1)
+    outer = meshes.circle(shield, meshes.element_count(1000 * mesh_scale),
+                          electrode=1)
     m = meshes.concat([strip, outer])
     sol = solve(m, {0: 1.0, 1: 0.0})
 
@@ -119,7 +120,8 @@ def _film_solve(rbar, shield, t, edge, mesh_scale, hfac):
     h_min = t / hfac
     film = meshes.film_cross_section(rbar, t, h_min, rbar / 40, edge=edge,
                                      electrode=0)
-    outer = meshes.circle(shield, int(900 * mesh_scale), electrode=1)
+    outer = meshes.circle(shield, meshes.element_count(900 * mesh_scale),
+                          electrode=1)
     m = meshes.concat([film, outer])
     sol = solve(m, {0: 1.0, 1: 0.0})
     ef = analytic.flat_coax_center_field(rbar, shield)
@@ -283,7 +285,7 @@ def _wire_pair(d, r0, slope, mesh_scale, flat):
     else:
         rf = lambda y: slope * y
     mesh, n = (meshes.wire_strip, 280) if flat else (meshes.wire_rings, 340)
-    m = mesh(d, rf, y0=r0 / 5, n=int(n * mesh_scale))
+    m = mesh(d, rf, y0=r0 / 5, n=meshes.element_count(n * mesh_scale))
     return m, solve(m, {0: 0.5})
 
 

@@ -44,10 +44,16 @@ def _ellipk_nonpositive(m) -> np.ndarray:
     """Vectorized K(m) for m <= 0, without a domain check.
 
     The imaginary-modulus transformation maps m onto m/(m-1) in [0, 1),
-    where the Cephes routine takes over.
+    where the Cephes routine takes over.  The transformed parameter and K
+    are formed in place in the result's buffer, and sqrt(1-m) in one more.
     """
     from scipy.special import ellipk as _cephes_ellipk
-    return _cephes_ellipk(m / (m - 1.0)) / np.sqrt(1.0 - m)
+    out = m - 1.0
+    np.divide(m, out, out=out)
+    _cephes_ellipk(out, out=out)
+    root = np.subtract(1.0, m)
+    out /= np.sqrt(root, out=root)
+    return out
 
 
 def ellipkp(m: float) -> float:

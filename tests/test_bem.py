@@ -274,6 +274,17 @@ def test_builders_check_the_cap_before_allocating(build):
     assert _cap_peak(build) < 2e6
 
 
+@pytest.mark.parametrize("h_min, h_max, at_least", [
+    (1e-12, 1e-9, 1e9), (1e-300, 1e-300, 1e300), (0.0, 1e-9, math.inf)])
+def test_graded_widths_over_the_cap_counts_the_length_left(h_min, h_max,
+                                                           at_least):
+    # a unit length takes at least 1/h_max elements; elements of width 0
+    # never cover it
+    with pytest.raises(MeshCapError) as exc:
+        meshes.graded_widths(1.0, h_min, h_max)
+    assert float(str(exc.value).split()[2]) >= at_least
+
+
 @pytest.mark.parametrize("scale", [1e4, 1e5])
 def test_ribbon_ground_over_the_cap_stops_early(scale):
     # without its own check, graded_widths grows about 60 * scale widths

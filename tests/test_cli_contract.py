@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import io
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -159,11 +160,22 @@ def test_sweep_rejects_non_finite_bounds():
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(suite=st.sampled_from(SUITES),
-       scale=st.one_of(st.floats(0.001, 0.3), st.floats(1e4, 1e300)))
+       scale=st.one_of(st.floats(0.001, 0.3),
+                       st.floats(1e4, sys.float_info.max)))
 def test_verify_contract_holds_for_random_argv(suite, scale):
     # between the two ranges lie meshes under the cap that take seconds
     # and gigabytes to solve; above 1e4 every suite meets the cap first
     _assert_contract(["verify", "--suite", suite, "--mesh-scale", repr(scale)])
+
+
+@pytest.mark.parametrize("scale", ["1e12", "4e305", "1.7e308"])
+@pytest.mark.parametrize("suite", ["coax", "cyl-wire", "ribbon-ground"])
+def test_verify_over_the_cap_exits_with_the_cap_line(suite, scale):
+    # element counts past the float range are checked before int(), which
+    # would raise on inf, and graded meshes report the length left to cover
+    rc, out, err, _ = _run(["verify", "--suite", suite, "--mesh-scale", scale])
+    assert (rc, out) == (3, "")
+    assert err.startswith("error[3]: mesh has ") and err.count("\n") == 1
 
 
 #: a number printed with a minus sign

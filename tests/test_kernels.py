@@ -209,29 +209,118 @@ def test_segment_field_frozen_values():
     np.testing.assert_allclose(ey, _SEG_EY, rtol=1e-14, atol=0)
 
 
+def _squared_form(dz, dr, ri, rj):
+    """The shipped ring kernel at the offsets (dz, dr)."""
+    return kern._ring_kernel(dz * dz + dr * dr, ri, rj)
+
+
+def _hypot_form(dz, dr, ri, rj):
+    """The ring kernel written with the distance rho = hypot(dz, dr):
+    K(-4 ri rj / rho^2) / (2 pi^2 eps rho)."""
+    rho = np.hypot(dz, dr)
+    return _ellipk_nonpositive(-4.0 * ri * rj / rho**2) \
+        / (2.0 * math.pi**2 * EPS0 * rho)
+
+
+def _ring_self_by(pair_kernel, r, w):
+    """_ring_self with the kernel pair_kernel at the offsets (u, 0)."""
+    norm = 2.0 * math.pi**2 * EPS0
+    asym = (np.log(8.0 * r / w) + 1.5) / (2.0 * norm * r)
+    u = 0.5 * w[:, None] * (kern._GAUSS_X[None, :] + 1.0)
+    rem = pair_kernel(u, 0.0, r[:, None], r[:, None]) \
+        - np.log(8.0 * r[:, None] / u) / (2.0 * norm * r[:, None])
+    integral = 0.5 * w * np.sum(kern._GAUSS_W[None, :] * (w[:, None] - u)
+                                * rem, axis=1)
+    return asym + 2.0 * integral / w**2
+
+
+def test_ring_matrix_matches_hypot_form():
+    # the squared-distance kernel against one written with hypot(dz, dr):
+    # a few ulp apart on a taper, where dr != 0, and bit for bit at a
+    # constant radius, where dz*dz + 0 is dz*dz and sqrt(dz*dz) is |dz|
+    from surfloss.bem.mesh import wire_rings
+    for radius_fn, exact in ((lambda y: 0.2 * y, False),
+                             (lambda y: np.full_like(y, 0.2e-6), True)):
+        mesh = wire_rings(20e-6, radius_fn, y0=0.04e-6, n=130)
+        z, r, w = mesh.pos[:, 0], mesh.pos[:, 1], mesh.width
+        want, near = _ring_matrix_one_block(z, r, w, mirror=True,
+                                            pair_kernel=_hypot_form)
+        want_mutual = _hypot_form(z[:, None] + z[None, :],
+                                  r[:, None] - r[None, :], r[:, None],
+                                  r[None, :])
+        got = kern.ring_matrix(z, r, w)
+        got_mutual = kern.ring_mutual(z, r, -z, r)
+        assert near > 0
+        if exact:
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_mutual, want_mutual)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(got_mutual, want_mutual, rtol=1e-13,
+                                       atol=0)
+
+
+def test_straight_strip_matrix_is_exactly_symmetric():
+    from surfloss.bem.mesh import wire_strip
+    mesh = wire_strip(20e-6, lambda y: np.full_like(y, 0.2e-6), y0=0.04e-6,
+                      n=150)
+    m = kern.flatwire_matrix(mesh.pos[:, 0], mesh.pos[:, 1], mesh.width)
+    assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("entries", [5000, kern.BLOCK_ENTRIES])
+def test_straight_strip_averages_each_near_pair_once(monkeypatch, entries):
+    # every near pair i > j of a constant-width strip is a twin of (j, i):
+    # only the pairs i < j reach the Gauss average
+    from surfloss.bem.mesh import wire_strip
+    mesh = wire_strip(20e-6, lambda y: np.full_like(y, 0.2e-6), y0=0.04e-6,
+                      n=150)
+    y, w = mesh.pos[:, 0], mesh.width
+    near = np.abs(y[:, None] - y[None, :]) \
+        < kern.NEAR_FACTOR * (w[:, None] + w[None, :])
+    ii, jj = np.nonzero(np.triu(near, 1))
+    seen = []
+    average = kern._near_average
+
+    def counting(kernel, ci, wi, cj, wj):
+        seen.append((ci, cj))
+        return average(kernel, ci, wi, cj, wj)
+
+    monkeypatch.setattr(kern, "_near_average", counting)
+    monkeypatch.setattr(kern, "BLOCK_ENTRIES", entries)
+    kern.flatwire_matrix(y, mesh.pos[:, 1], w)
+    ci = np.concatenate([c for c, _ in seen])
+    cj = np.concatenate([c for _, c in seen])
+    # y rises with the element index, so the pairs i < j have y_i < y_j
+    assert np.all(ci < cj)
+    assert np.array_equal(np.sort(ci), np.sort(y[ii]))
+    assert np.array_equal(np.sort(cj), np.sort(y[jj]))
+
+
 # --------------------------------------------------------------------------
 # blocked layers: the output does not depend on the block size
 
-def _ring_matrix_one_block(z, r, w, mirror=False):
-    """ring_matrix as one block: the pairs i < j gathered by triu_indices."""
+def _ring_matrix_one_block(z, r, w, mirror=False, pair_kernel=_squared_form):
+    """ring_matrix as one block: the pairs i < j gathered by triu_indices,
+    with the kernel pair_kernel(dz, dr, ri, rj)."""
     n = len(z)
     ii, jj = np.triu_indices(n, 1)
     ri, rj = r[ii], r[jj]
     dz = z[ii] - z[jj]
-    upper = kern._ring_kernel(np.hypot(dz, ri - rj), ri, rj)
+    upper = pair_kernel(dz, ri - rj, ri, rj)
     near = np.nonzero(np.abs(dz) < kern.NEAR_FACTOR * (w[ii] + w[jj]))[0]
     ni, nj = ii[near], jj[near]
     zi = z[ni][:, None] + 0.5 * w[ni][:, None] * kern._GAUSS_X[None, :]
     zj = z[nj][:, None] + 0.5 * w[nj][:, None] * kern._GAUSS_X[None, :]
-    rr = np.hypot(zi[:, :, None] - zj[:, None, :],
-                  (r[ni] - r[nj])[:, None, None])
-    kv = kern._ring_kernel(rr, r[ni][:, None, None], r[nj][:, None, None])
+    kv = pair_kernel(zi[:, :, None] - zj[:, None, :],
+                     (r[ni] - r[nj])[:, None, None], r[ni][:, None, None],
+                     r[nj][:, None, None])
     upper[near] = np.einsum("i,j,pij->p", kern._GAUSS_W, kern._GAUSS_W,
                             kv) / 4.0
-    diag = kern._ring_self(r, w)
+    diag = _ring_self_by(pair_kernel, r, w)
     if mirror:
-        upper -= kern._ring_kernel(np.hypot(z[ii] + z[jj], ri - rj), ri, rj)
-        diag -= kern._ring_kernel(np.abs(z + z), r, r)
+        upper -= pair_kernel(z[ii] + z[jj], ri - rj, ri, rj)
+        diag -= pair_kernel(z + z, 0.0, r, r)
     m = np.empty((n, n))
     m[ii, jj] = upper
     m[jj, ii] = upper
@@ -240,24 +329,31 @@ def _ring_matrix_one_block(z, r, w, mirror=False):
 
 
 def _flatwire_matrix_one_block(y, rbar, w, mirror=False):
-    """flatwire_matrix as one block of all rows."""
+    """flatwire_matrix as one block of all rows; a twin (i > j, equal
+    half-widths) copies its entry from (j, i) after the image is
+    subtracted."""
     rh = rbar / 2.0
     n = len(y)
-    dy = np.abs(y[:, None] - y[None, :])
+    dy = y[:, None] - y[None, :]
     np.fill_diagonal(dy, 1.0)
-    m = kern._ring_kernel(dy, rh[None, :], rh[None, :])
+    m = _squared_form(dy, 0.0, rh[None, :], rh[None, :])
     m[np.diag_indices(n)] = kern._ring_self(rh, w)
-    ii, jj = np.nonzero(dy < kern.NEAR_FACTOR * (w[:, None] + w[None, :]))
+    ii, jj = np.nonzero(np.abs(dy) < kern.NEAR_FACTOR
+                        * (w[:, None] + w[None, :]))
     off = ii != jj
     ii, jj = ii[off], jj[off]
+    twin = (ii > jj) & (rh[ii] == rh[jj])
+    ti, tj = ii[twin], jj[twin]
+    ii, jj = ii[~twin], jj[~twin]
     yi = y[ii][:, None] + 0.5 * w[ii][:, None] * kern._GAUSS_X[None, :]
     yj = y[jj][:, None] + 0.5 * w[jj][:, None] * kern._GAUSS_X[None, :]
     rj = rh[jj][:, None, None]
-    kv = kern._ring_kernel(np.abs(yi[:, :, None] - yj[:, None, :]), rj, rj)
+    kv = _squared_form(yi[:, :, None] - yj[:, None, :], 0.0, rj, rj)
     m[ii, jj] = np.einsum("i,j,pij->p", kern._GAUSS_W, kern._GAUSS_W, kv) / 4.0
     if mirror:
-        m -= kern._ring_kernel(np.abs(y[:, None] + y[None, :]), rh[None, :],
-                               rh[None, :])
+        m -= _squared_form(y[:, None] + y[None, :], 0.0, rh[None, :],
+                           rh[None, :])
+    m[ti, tj] = m[tj, ti]
     return m, len(ii)
 
 
@@ -290,7 +386,7 @@ def _tapered_wires(n):
 
 
 #: block sizes that end blocks mid-array: one row or pair per block (1, 7,
-#: 300), 40 rows and 16 pairs per block (5000), and the shipped size
+#: 300), 38 rows and 19 pairs per block (5000), and the shipped size
 BLOCK_SIZES = [1, 7, 300, 5000, kern.BLOCK_ENTRIES]
 
 
@@ -300,8 +396,8 @@ def test_wire_matrices_do_not_depend_on_block_size(monkeypatch, entries,
                                                    mirror):
     # the reference subtracts the image in its own pass (mirror), or is
     # the plain one-block matrix less the mutual matrix to the image
-    rings, strip = _tapered_wires(125)
-    assert rings.n == strip.n == 125
+    rings, strip = _tapered_wires(130)
+    assert rings.n == strip.n == 130
     z, r, y, rb = rings.pos[:, 0], rings.pos[:, 1], strip.pos[:, 0], \
         strip.pos[:, 1]
     want_ring, near_ring = _ring_matrix_one_block(z, r, rings.width, mirror)
