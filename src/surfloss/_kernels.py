@@ -6,9 +6,11 @@ takes the squared distance rho^2 = dz^2 + dr^2, so no caller forms a
 hypot, and evaluates K(m) at m = -4 r r' / rho^2 <= 0 through the Cephes
 routine of scipy.special, special._ellipk_nonpositive (the closed forms
 use the scalar AGM special.ellipk instead), with its temporaries written
-in place.  The flat-wire kernel is the ring kernel at half radius.  The
-wire matrices are for one wire of a differential pair and subtract each
-element's image in the plane of symmetry in the same pass.
+in place.  The flat-wire kernel is the ring kernel at half radius, so
+one builder, _wire_matrix, makes both wire matrices, each for one wire
+of a differential pair less its image in the plane of symmetry.  A near
+pair i > j that is a twin of (j, i) copies its entry; a matrix of twins
+only (rings, a straight strip) is built from the diagonal on.
 
 The layers that build large temporaries run in blocks sized by
 BLOCK_ENTRIES doubles (512 KB), so they stay in cache.  segment_field
@@ -133,57 +135,76 @@ def _near_average(kernel, ci, wi, cj, wj):
     return out
 
 
-def ring_matrix(z, r, w):
-    """Axisymmetric ring-charge potential matrix with self/near treatment,
-    less each ring's image in z = 0.
+def _wire_matrix(z, r, w, own_radius):
+    """One wire's potential matrix, less each element's image in z = 0.
 
-    Every entry is the ring kernel at the squared distance
-    dz^2 + dr^2, dr = r_i - r_j.  The kernel and its near-field average
-    are symmetric in (i, j), so only the pairs i < j are evaluated and the
-    result is mirrored.  The image term, the kernel at (z_i + z_j)^2 +
-    dr^2, is also symmetric and is subtracted on the same pairs and on the
-    diagonal.
-    Rows are built in blocks, each against the columns from the block's
-    first row on; the entries below the diagonal are then copied from
-    above it.
+    Entry (i, j) is the ring kernel between radii r_i and r_j (own_radius)
+    or two rings of the source radius r_j, at the squared distance
+    dz^2 + dr^2, dr the difference of those radii; the image term is the
+    same at z_i + z_j.  The diagonal takes the self term, near pairs the
+    kernel averaged over both element extents.  A near pair i > j is a
+    twin of (j, i) when own_radius or r_i == r_j: the same Gauss grid
+    transposed, with the same image term.  Twins are not averaged but copy
+    (j, i) once the block's image is subtracted.  If every pair i > j is a
+    twin, each block of rows is built against the columns from its first
+    row on, and the entries below the diagonal are copied from above.
     """
-    z = np.asarray(z, float); r = np.asarray(r, float); w = np.asarray(w, float)
     n = len(z)
+    symmetric = own_radius or np.all(r == r[:1])
     diag = _ring_self(r, w)
     m = np.empty((n, n))
     for s in row_blocks(n, n):
-        lo = s.start
-        k = np.arange(s.stop - lo)
-        zi, ri, zj, rj = z[s, None], r[s, None], z[None, lo:], r[None, lo:]
+        lo = s.start if symmetric else 0
+        k = np.arange(s.stop - s.start)
+        kd = s.start - lo + k           # the diagonal's columns in the block
+        zi, zj, rj = z[s, None], z[None, lo:], r[None, lo:]
+        ri = r[s, None] if own_radius else rj
         dz = zi - zj
+        a, b = np.nonzero(np.abs(dz) < NEAR_FACTOR
+                          * (w[s, None] + w[None, lo:]))
         dr2 = ri - rj
         dr2 *= dr2
-        rho2 = dz * dz
+        rho2 = np.multiply(dz, dz, out=dz)
         rho2 += dr2
-        rho2[k, k] = 1.0                # the diagonal takes the self term
+        rho2[k, kd] = 1.0               # the diagonal takes the self term
         blk = m[s, lo:]
         blk[...] = _ring_kernel(rho2, ri, rj)
-        blk[k, k] = diag[s]
-        # near pairs i < j: average the kernel over both element extents
-        a, b = np.nonzero(np.triu(np.abs(dz) < NEAR_FACTOR
-                                  * (w[s, None] + w[None, lo:]), 1))
-        ni, nj = lo + a, lo + b
-        pair_dr2, rn, rm = dr2[a, b], r[ni], r[nj]
-        blk[a, b] = _near_average(
+        blk[k, kd] = diag[s]
+        ii, jj = s.start + a, lo + b
+        twin = (ii > jj) & (own_radius | (r[ii] == r[jj]))
+        avg = (ii != jj) & ~twin
+        ai, aj = ii[avg], jj[avg]
+        rn, rm = r[ai if own_radius else aj], r[aj]
+        pair_dr2 = rn - rm
+        pair_dr2 *= pair_dr2
+        blk[a[avg], b[avg]] = _near_average(
             lambda p, du2: _ring_kernel(
                 np.add(du2, pair_dr2[p, None, None], out=du2),
                 rn[p, None, None], rm[p, None, None]),
-            z[ni], w[ni], z[nj], w[nj])
+            z[ai], w[ai], z[aj], w[aj])
         # the image; on the diagonal dr2 is 0 and sqrt((2z)^2) exactly |2z|
         zs = zi + zj
         zs *= zs
         zs += dr2
         blk -= _ring_kernel(zs, ri, rj)
-        m[s, :lo] = m[:lo, s].T         # below the diagonal, from above it
-        sq = m[s, s]
-        below = np.tri(len(k), k=-1, dtype=bool)
-        sq[below] = sq.T[below]
+        if symmetric:                   # below the diagonal, from above it
+            m[s, :lo] = m[:lo, s].T
+            sq = m[s, s]
+            below = np.tri(len(k), k=-1, dtype=bool)
+            sq[below] = sq.T[below]
+        else:
+            blk[a[twin], b[twin]] = m[jj[twin], ii[twin]]
     return m
+
+
+def ring_matrix(z, r, w):
+    """Axisymmetric ring-charge potential matrix with self/near treatment,
+    less each ring's image in z = 0: the ring kernel at the squared
+    distance dz^2 + dr^2, dr = r_i - r_j, the image term at
+    (z_i + z_j)^2 + dr^2.  Both are symmetric in (i, j), and so is the
+    matrix, exactly."""
+    return _wire_matrix(np.asarray(z, float), np.asarray(r, float),
+                        np.asarray(w, float), True)
 
 
 def ring_mutual(z1, r1, z2, r2):
@@ -202,45 +223,11 @@ def flatwire_matrix(y, rbar, w):
     A flat strip of half-width rbar has the potential of a ring of radius
     rbar/2, so every entry is the ring kernel at half radius and squared
     distance (y_i - y_j)^2.  Not symmetric: column j uses the source
-    half-width rbar[j].  The image term is the kernel at (y_i + y_j)^2.
-    Rows are built in blocks.
-
-    A near pair (i, j) with i > j and rbar[i] == rbar[j] is a twin of
-    (j, i): its Gauss grid is the transpose of (j, i)'s, with the same
-    squared offsets, and its image term is the same.  So twins are not
-    averaged; once a block's image is subtracted, each twin copies its
-    entry from row j, which is final by then.  On a straight strip every
-    near pair i > j is a twin and the matrix is exactly symmetric.
+    half-width rbar[j], except on a straight strip, where it is exactly
+    symmetric.  The image term is the kernel at (y_i + y_j)^2.
     """
-    y = np.asarray(y, float); w = np.asarray(w, float)
-    rh = np.asarray(rbar, float) / 2.0
-    n = len(y)
-    diag = _ring_self(rh, w)
-    m = np.empty((n, n))
-    for s in row_blocks(n, n):
-        k = np.arange(s.stop - s.start)
-        dy = y[s, None] - y[None, :]
-        a, jj = np.nonzero(np.abs(dy) < NEAR_FACTOR
-                           * (w[s, None] + w[None, :]))
-        dy *= dy
-        dy[k, s.start + k] = 1.0        # the diagonal takes the self term
-        blk = m[s]
-        blk[...] = _ring_kernel(dy, rh[None, :], rh[None, :])
-        blk[k, s.start + k] = diag[s]
-        ii = s.start + a
-        twin = (ii > jj) & (rh[ii] == rh[jj])
-        avg = (ii != jj) & ~twin
-        ai, aj = ii[avg], jj[avg]
-        rj = rh[aj]
-        blk[a[avg], aj] = _near_average(
-            lambda p, du2: _ring_kernel(du2, rj[p, None, None],
-                                        rj[p, None, None]),
-            y[ai], w[ai], y[aj], w[aj])
-        ys = y[s, None] + y[None, :]
-        ys *= ys
-        blk -= _ring_kernel(ys, rh[None, :], rh[None, :])
-        blk[a[twin], jj[twin]] = m[jj[twin], ii[twin]]
-    return m
+    return _wire_matrix(np.asarray(y, float), np.asarray(rbar, float) / 2.0,
+                        np.asarray(w, float), False)
 
 
 def flatwire_mutual(y1, y2, rbar2):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .constants import FF, GHZ, UM
 from .config import DesignConfig, load_config, parse_config, read_config
-from .geometry import ValidationError, assemble_design
+from .geometry import ValidationError, _labelled, assemble_design
 from . import analytic, tls
 from .bem.mesh import MeshCapError
 from .bem.solver import SolverError
@@ -213,9 +213,10 @@ def cmd_taper(args) -> int:
         return _fail(EXIT_CONFIG, "taper needs a wire structure in the config")
     spec = wires[0]
     r0, d, t = spec.r0, spec.d, spec.t
-    opt = analytic.optimize_taper_slope(r0, d, t)
-    u28 = analytic.tapered_wire_energy_quadrature(r0, 0.28, d, t)
-    u16 = analytic.tapered_wire_energy_quadrature(r0, 0.16, d, t)
+    with _labelled(spec):
+        opt = analytic.optimize_taper_slope(r0, d, t)
+        u28 = analytic.tapered_wire_energy_quadrature(r0, 0.28, d, t)
+        u16 = analytic.tapered_wire_energy_quadrature(r0, 0.16, d, t)
     print(f"wire {spec.label}: optimal slope S* = {_fmt(opt.slope, '.3f')}")
     print(f"metal line energy at S*: {_fmt(opt.energy)} (units U/(eps0 V^2))")
     print(f"energy at S=0.28: {_fmt(u28 / opt.energy, '.4f')} x minimum")
@@ -251,11 +252,13 @@ def cmd_tls(args) -> int:
         if model is None:
             print(f"{name}: no TLS model for this structure type; skipped")
             continue
-        spectrum = model(spec, cfg.stack, c_total, args.sections)
+        with _labelled(spec):
+            spectrum = model(spec, cfg.stack, c_total, args.sections)
         if len(spectrum.s_hz) == 1:
             # only the plate pair's uniform oxide field gives one patch
-            print(f"{name}: parallel plate S_max = {_fmt(spectrum.s_hz[0])} "
-                  f"Hz over effective area {_fmt(spectrum.area_um2[0])} um^2")
+            print(f"{name}: parallel plate S_max = "
+                  f"{_fmt(spectrum.s_hz[0], name=name)} Hz over effective "
+                  f"area {_fmt(spectrum.area_um2[0], name=name)} um^2")
             continue
         try:
             s_first = spectrum.s_at_area(tls.OBSERVABLE_AREA_UM2)
@@ -268,13 +271,14 @@ def cmd_tls(args) -> int:
         if math.isinf(count):
             return _fail(EXIT_NUMERICAL, f"{name}: expected count over the "
                                          "span overflows")
-        print(f"{name}: largest observable splitting {_fmt(s_first)} Hz "
-              f"(A = 1 um^2); {_fmt(s_spaced)} Hz at one-per-200-MHz spacing; "
-              f"expected count over span ~ {_fmt(count, '.0f')}")
+        print(f"{name}: largest observable splitting "
+              f"{_fmt(s_first, name=name)} Hz (A = 1 um^2); "
+              f"{_fmt(s_spaced, name=name)} Hz at one-per-200-MHz spacing; "
+              f"expected count over span ~ {_fmt(count, '.0f', name)}")
         if args.out:
             _save(args.out, f"tls_{name}.csv",
                   _csv(["s_max_hz", "cumulative_area_um2"],
-                       [[_fmt(s, ".10e"), _fmt(a, ".10e")]
+                       [[_fmt(s, ".10e", name), _fmt(a, ".10e", name)]
                         for s, a in zip(spectrum.s_hz, spectrum.area_um2)]))
     return EXIT_OK
 

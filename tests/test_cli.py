@@ -421,6 +421,21 @@ def test_numerical_error_names_the_structure(tmp_path, cmd, replace, label):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("replace, label", [
+    pytest.param(("w_um = 100", "w_um = 1e308"), "plate", id="plate-s-max"),
+    pytest.param(("length_um = 1391", "length_um = 1e-300"), "pads",
+                 id="pads-spectrum-overflow"),
+])
+def test_tls_numerical_error_names_the_structure(tmp_path, replace, label):
+    # analyze takes these designs; their TLS spectra leave the float range
+    path = tmp_path / "design.ini"
+    path.write_text(TABLE_CONFIG.replace(*replace))
+    res = run_cli("tls", "--config", str(path), "--sections", "20000")
+    assert res.returncode == 3
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error[3]: {label}: ")
+
+
 @pytest.mark.parametrize("cmd", ["analyze", "tls"])
 def test_plate_denominator_underflow_is_numerical_error(tmp_path, cmd):
     # s^2 underflows to zero in the plate's metal-air participation
@@ -447,7 +462,22 @@ def test_taper_quadrature_failure_is_numerical_error(tmp_path):
     assert "Warning" not in res.stderr and "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error[3]: wire line-energy quadrature")
+    assert lines[0].startswith("error[3]: taper: wire line-energy quadrature")
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("wire", [
+    "type = straight_wire\nhalf_width_um = 0.1\n",
+    "type = tapered_wire\nr0_um = 0.1\nslope = 0.2\n",
+], ids=["straight", "tapered"])
+def test_taper_numerical_error_names_the_wire(tmp_path, wire):
+    # a wire 1e300 um long: the line-energy quadrature does not converge
+    path = tmp_path / "long.ini"
+    path.write_text(f"[structure.wire]\n{wire}d_um = 1e300\nt_um = 0.1\n")
+    res = run_cli("taper", "--config", str(path))
+    assert res.returncode == 3
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[3]: wire: ")
     assert res.stdout == ""
 
 

@@ -89,14 +89,34 @@ def _run(argv):
     return rc, out.getvalue(), err.getvalue(), caught
 
 
+def _culprits(argv):
+    """What an exit-3 line of argv may name first: the config's structure
+    labels and, for sweep, the --param text."""
+    cp = configparser.ConfigParser(interpolation=None)
+    with contextlib.suppress(configparser.Error, UnicodeError):
+        cp.read(argv[argv.index("--config") + 1])
+    names = [sect.removeprefix("structure.") for sect in cp.sections()
+             if sect.startswith("structure.")]
+    if "--param" in argv:
+        names.append(argv[argv.index("--param") + 1])
+    return names
+
+
 def _assert_contract(argv):
     """Run argv and check the contract every command keeps; returns
-    stdout."""
+    stdout.  A command on a config names its culprit first on every
+    exit-3 line: a structure label, or sweep's --param."""
     rc, out, err, caught = _run(argv)
     assert rc in (0, 2, 3, 4), (argv, rc, err)
     assert not caught, [str(w.message) for w in caught]
     assert "Warning" not in err and "Traceback" not in err
     assert not _NON_FINITE.search(out), out
+    if "--config" in argv:
+        heads = tuple(f"error[3]: {name}{sep}" for name in _culprits(argv)
+                      for sep in ":.=")
+        for line in err.splitlines():
+            assert not line.startswith("error[3]:") \
+                or line.startswith(heads), (argv, line)
     return out
 
 

@@ -297,6 +297,31 @@ def test_straight_strip_averages_each_near_pair_once(monkeypatch, entries):
     assert np.array_equal(np.sort(cj), np.sort(y[jj]))
 
 
+def test_straight_strip_evaluates_each_far_pair_once(monkeypatch):
+    # a constant-width strip is built like a ring mesh: each block of rows
+    # against the columns from its first row on, for the kernel and for the
+    # image, and the entries below the diagonal are copied from above it
+    mesh = _straight_wires(150)[1]
+    n = mesh.n
+    monkeypatch.setattr(kern, "BLOCK_ENTRIES", 5000)      # 33 rows a block
+    entries = []
+    ring_kernel = kern._ring_kernel
+
+    def counting(rho2, ri, rj):
+        if rho2.ndim == 2:              # not a near pair's 16 x 16 grid
+            entries.append(rho2.size)
+        return ring_kernel(rho2, ri, rj)
+
+    monkeypatch.setattr(kern, "_ring_kernel", counting)
+    kern.flatwire_matrix(mesh.pos[:, 0], mesh.pos[:, 1], mesh.width)
+    self_term = n * kern._GAUSS_X.size
+    # the pairs i <= j, and each block's square below its diagonal
+    upper = sum((b.stop - b.start) * (n - b.start)
+                for b in kern.row_blocks(n, n))
+    assert len(kern.row_blocks(n, n)) == 5 and upper < 0.61 * n * n
+    assert sum(entries) - self_term == 2 * upper    # the kernel and the image
+
+
 # --------------------------------------------------------------------------
 # blocked layers: the output does not depend on the block size
 
@@ -385,6 +410,15 @@ def _tapered_wires(n):
     return rings, strip
 
 
+def _straight_wires(n):
+    from surfloss.bem.mesh import wire_rings, wire_strip
+    rings = wire_rings(20e-6, lambda y: np.full_like(y, 0.1e-6), y0=0.02e-6,
+                       n=n)
+    strip = wire_strip(20e-6, lambda y: np.full_like(y, 0.2e-6), y0=0.04e-6,
+                       n=n)
+    return rings, strip
+
+
 #: block sizes that end blocks mid-array: one row or pair per block (1, 7,
 #: 300), 38 rows and 19 pairs per block (5000), and the shipped size
 BLOCK_SIZES = [1, 7, 300, 5000, kern.BLOCK_ENTRIES]
@@ -395,23 +429,30 @@ BLOCK_SIZES = [1, 7, 300, 5000, kern.BLOCK_ENTRIES]
 def test_wire_matrices_do_not_depend_on_block_size(monkeypatch, entries,
                                                    mirror):
     # the reference subtracts the image in its own pass (mirror), or is
-    # the plain one-block matrix less the mutual matrix to the image
-    rings, strip = _tapered_wires(130)
-    assert rings.n == strip.n == 130
-    z, r, y, rb = rings.pos[:, 0], rings.pos[:, 1], strip.pos[:, 0], \
-        strip.pos[:, 1]
-    want_ring, near_ring = _ring_matrix_one_block(z, r, rings.width, mirror)
-    want_flat, near_flat = _flatwire_matrix_one_block(y, rb, strip.width,
-                                                      mirror)
-    if not mirror:
-        want_ring -= kern.ring_mutual(z, r, -z, r)
-        want_flat -= kern.flatwire_mutual(y, -y, rb)
-    assert near_ring % 16 and near_flat % 16
-    monkeypatch.setattr(kern, "BLOCK_ENTRIES", entries)
-    got_ring = kern.ring_matrix(z, r, rings.width)
-    got_flat = kern.flatwire_matrix(y, rb, strip.width)
-    assert np.array_equal(got_ring, want_ring)
-    assert np.array_equal(got_flat, want_flat)
+    # the plain one-block matrix less the mutual matrix to the image; the
+    # meshes are tapered and straight wires of 130 elements (a straight
+    # strip is built from the diagonal on, like rings) and the first 1 and
+    # 2 elements of the tapered ones
+    cases = []
+    for rings, strip in (_tapered_wires(130), _straight_wires(130)):
+        assert rings.n == strip.n == 130
+        cases.append((rings.pos[:, 0], rings.pos[:, 1], rings.width,
+                      strip.pos[:, 0], strip.pos[:, 1], strip.width))
+    cases += [tuple(a[:n] for a in cases[0]) for n in (1, 2)]
+    for z, r, wr, y, rb, wf in cases:
+        want_ring, near_ring = _ring_matrix_one_block(z, r, wr, mirror)
+        want_flat, near_flat = _flatwire_matrix_one_block(y, rb, wf, mirror)
+        if not mirror:
+            want_ring -= kern.ring_mutual(z, r, -z, r)
+            want_flat -= kern.flatwire_mutual(y, -y, rb)
+        if len(z) == 130:
+            assert near_ring % 16 and near_flat % 16
+        with monkeypatch.context() as mp:
+            mp.setattr(kern, "BLOCK_ENTRIES", entries)
+            got_ring = kern.ring_matrix(z, r, wr)
+            got_flat = kern.flatwire_matrix(y, rb, wf)
+        assert np.array_equal(got_ring, want_ring)
+        assert np.array_equal(got_flat, want_flat)
 
 
 def _coax_field_case():
