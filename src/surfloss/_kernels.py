@@ -17,11 +17,12 @@ BLOCK_ENTRIES doubles (512 KB), so they stay in cache.  segment_field
 takes blocks of field points whose temporaries together hold about
 BLOCK_ENTRIES doubles, reused in place from block to block.  The wire
 matrices take blocks of rows and their near-pair quadrature blocks of
-pairs (16 x 16 points each), and bem.solver.solve folds the planar
-matrix by blocks of rows, each of about BLOCK_ENTRIES doubles per
-temporary.  Blocking only reorders the loops: every entry is computed by
-the same operations in the same order, so the results do not depend on
-the block size.
+pairs (16 x 16 points each), and bem.solver.solve builds and folds the
+lower triangle of its reduced planar matrix by blocks of rows, each
+against the columns up to its last row and of at most BLOCK_ENTRIES
+doubles per temporary.  Blocking only reorders the loops: every entry is
+computed by the same operations in the same order, so the results do
+not depend on the block size.
 """
 
 from __future__ import annotations
@@ -63,33 +64,44 @@ BLOCK_ENTRIES = 1 << 16
 _FIELD_BUFFERS = 6
 
 
-def row_blocks(n_rows, row_len):
+def row_blocks(n_rows, row_len, most=None):
     """Slices over n_rows rows of row_len entries each, about BLOCK_ENTRIES
-    entries and at least one row per slice."""
+    entries and at least one row per slice, and at most `most` (>= 1)
+    rows if given."""
     step = max(BLOCK_ENTRIES // max(row_len, 1), 1)
+    if most is not None:
+        step = min(step, most)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def planar_matrix(x, y, w, rows=slice(None)):
+def planar_matrix(x, y, w, rows=slice(None), cols=slice(None)):
     """2-D logarithmic potential matrix for line-charge strip elements.
 
     Off-diagonal entries use the point kernel ln(1/rho)/(2 pi eps),
     evaluated in place as ln(rho^2)/(-4 pi eps) in the buffer that held
     rho^2; the self entries are the uniform-strip self term
     (ln(2/w) + 3/2)/(2 pi eps).  rows picks the elements whose rows are
-    built, each against every element; the default is the square matrix.
+    built and cols the elements of their columns, an element possibly more
+    than once; the defaults give the square matrix.  A row takes the self
+    term wherever its own element is among the columns, so each entry is
+    the one the square matrix holds for that row and column.
     """
     x = np.asarray(x, float); y = np.asarray(y, float); w = np.asarray(w, float)
-    m = x[rows, None] - x[None, :]
+    every = np.arange(len(x))
+    own, col = every[rows], every[cols]
+    m = x[own, None] - x[None, col]
     m *= m
-    dy = y[rows, None] - y[None, :]
+    dy = y[own, None] - y[None, col]
     dy *= dy
     m += dy
     with np.errstate(divide="ignore"):
         np.log(m, out=m)
     m /= -2.0 * _TWO_PI_EPS
-    own = np.arange(len(x))[rows]
-    m[np.arange(len(own)), own] = (np.log(2.0 / w[own]) + 1.5) / _TWO_PI_EPS
+    row_of = np.full(len(x), -1)        # element -> its row, or -1
+    row_of[own] = np.arange(len(own))
+    at = np.flatnonzero(row_of[col] >= 0)
+    i = row_of[col[at]]
+    m[i, at] = ((np.log(2.0 / w[own]) + 1.5) / _TWO_PI_EPS)[i]
     return m
 
 

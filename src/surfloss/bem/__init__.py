@@ -11,9 +11,12 @@ symmetric planar and ring kinds and LU for flatwire, with condition
 estimates.  A planar mesh that is its own mirror image in x or y
 (detected from the element positions, widths and drive, not declared) is
 solved for one element per orbit of images, up to 4x fewer unknowns;
-otherwise every orbit is one element.  The solution carries that group,
-and `ChargeSolution.field_at` filters it for the reflections that fix
-its points.  The suites module cross-verifies every closed form in
+otherwise every orbit is one element.  Of the reduced planar matrix only
+the lower triangle, which Cholesky reads, is built (in blocks of rows,
+each against the columns up to its last row) and then mirrored, so rcond
+and the residual refer to the exactly symmetric matrix that was
+factored.  The solution carries the group, and `ChargeSolution.field_at`
+filters it for the reflections that fix its points.  The suites module cross-verifies every closed form in
 `surfloss.analytic`.
 """
 

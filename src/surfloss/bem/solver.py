@@ -16,12 +16,17 @@ the mesh extent) and the drive onto plus or minus itself; it then solves
 for one element per orbit of images, building only those rows.  Where
 there is no such reflection, and for every ring and flat-wire mesh, each
 orbit is one element and the reduced system is the full one.  The rcond
-and the residual check refer to the reduced system.
+and the residual check refer to the reduced system, as it was factored.
 
-The planar rows are built and folded onto the orbits in blocks of about
-_kernels.BLOCK_ENTRIES entries, so the n/k x n matrix of representative
-rows is never held whole.  Blocking only reorders the loops; the reduced
-matrix does not depend on the block size.
+The planar rows are built and folded onto the orbits in blocks of rows,
+each against the orbits of the columns up to its last row: the lower
+triangle of the reduced matrix, which is all the Cholesky factorization
+reads, plus each block's own square above the diagonal.  A block holds
+at most about _kernels.BLOCK_ENTRIES entries and 1 / TRIANGLE_BLOCKS of
+the rows, so that square stays small; the strict upper triangle is
+copied from below the diagonal, making the matrix exactly symmetric.
+Blocking only reorders the loops; the lower triangle does not depend on
+the block size.
 
 ChargeSolution.field_at sums over the same orbits: it filters the group
 the solve found (ChargeSolution.group) for the reflections that map its
@@ -48,19 +53,26 @@ RCOND_LIMIT = 1e-13
 #: a mirror image must land this close to an element, relative to the
 #: mesh extent
 MIRROR_TOL = 1e-12
+#: a planar solve builds its reduced matrix in at least this many blocks
+#: of rows, each against the columns up to its last row; the part above
+#: the diagonal adds about 1 / TRIANGLE_BLOCKS to the triangle, each
+#: block costs a kernel call
+TRIANGLE_BLOCKS = 16
 
 
 class SolverError(RuntimeError):
     pass
 
 
-def assemble(mesh: Mesh, rows=slice(None)) -> np.ndarray:
+def assemble(mesh: Mesh, rows=slice(None), cols=slice(None)) -> np.ndarray:
     """Potential matrix for a mesh; the wire kinds subtract the
     antisymmetric image of the other wire of the pair.  rows picks the
-    rows, each against every element; planar meshes build only those."""
+    rows; planar meshes build only those, each against the elements cols
+    picks (a column may repeat), and the wire kinds against every
+    element."""
     if mesh.kind == "planar":
         m = kern.planar_matrix(mesh.pos[:, 0], mesh.pos[:, 1], mesh.width,
-                               rows)
+                               rows, cols)
     elif mesh.kind == "ring":
         m = kern.ring_matrix(mesh.pos[:, 0], mesh.pos[:, 1],
                              mesh.width)[rows]
@@ -234,6 +246,45 @@ def _mirror_group(mesh: Mesh, v: np.ndarray):
     return np.array(perms), np.array(signs), np.array(flips)
 
 
+def _reduced_planar_matrix(mesh, rows, root, perms, signs):
+    """The planar potential matrix in the orbit basis of solve(): entry
+    (i, j) sums row rows[i] over the orbit of element rows[j], each image
+    with its drive sign, and is scaled by root[i] root[j] / group order.
+
+    Rows are built in blocks (`_kernels.row_blocks`, at most 1 /
+    TRIANGLE_BLOCKS of them per block), each only against the orbits of
+    columns 0 up to its last row: the lower triangle that the Cholesky
+    factorization reads, and above the diagonal only the block's own
+    square.  A block builds its columns' orbits slot by slot, image g of
+    every column in slot g (an element that a reflection fixes fills two
+    slots of its orbit), so each image is a strided view; the images are
+    summed in the group's order, by np.add or np.subtract, while the
+    block is in cache.  The strict upper triangle is copied from below the
+    diagonal, block by block, so the matrix is exactly symmetric.
+    """
+    n, r, k = mesh.n, len(rows), len(perms)
+    m = np.empty((r, r))
+    orbit = perms[:, rows].T.ravel()    # column j's image g at j * k + g
+    folds = [np.add if s > 0 else np.subtract for s in signs[1:]]
+    scale = root / k
+    blocks = kern.row_blocks(r, n, most=-(-r // TRIANGLE_BLOCKS))
+    above = np.tri(blocks[0].stop, k=-1, dtype=bool).T
+    for blk in blocks:
+        lo, hi = blk.start, blk.stop
+        b = assemble(mesh, rows[blk], orbit[:k * hi])
+        b = b.reshape(hi - lo, hi, k).transpose(2, 0, 1)
+        mb = m[blk, :hi]
+        mb[...] = b[0]
+        for g, fold in enumerate(folds, 1):
+            fold(mb, b[g], out=mb)
+        mb *= root[blk, None]
+        mb *= scale[:hi]
+        m[:lo, blk] = m[blk, :lo].T
+        sq, up = m[blk, blk], above[:hi - lo, :hi - lo]
+        sq[up] = sq.T[up]
+    return m
+
+
 def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
     """Solve M q = V for the element charges.
 
@@ -243,16 +294,18 @@ def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
 
     The unknowns are one charge per orbit of mirror images
     (`_mirror_group`); the rest follow with the drive's sign.  Only the
-    representatives' rows are assembled, in blocks of rows
-    (`_kernels.row_blocks`); each orbit's columns are summed with their
-    signs while the block is in cache, and rows and columns are scaled by
-    sqrt(orbit size / group order).  That is M in an orthonormal basis of
-    the subspace, so symmetric positive definite when M is.  Ring and
-    flat-wire meshes have orbits of one element; their matrix is M as
-    assembled.  A
-    representative that a reflection with sign -1 fixes carries no
-    charge and is dropped.  rcond and the residual are the reduced
-    system's; for a symmetric q its residual norm equals the full one.
+    representatives' rows are assembled, each against the orbits of the
+    columns up to its block's last row (`_reduced_planar_matrix`); each
+    orbit's columns are summed with their signs while the block is in
+    cache, and rows and columns are scaled by sqrt(orbit size / group
+    order).  That is M in an orthonormal basis of the subspace, so
+    symmetric positive definite when M is; its strict upper triangle is
+    the mirror image of the lower one, which the factorization reads.
+    Ring and flat-wire meshes have orbits of one element; their matrix is
+    M as assembled.  A representative that a reflection with sign -1
+    fixes carries no charge and is dropped.  rcond and the residual are
+    those of the reduced matrix that was factored; for a symmetric q the
+    residual norm equals the full one.
     """
     n = mesh.n
     missing = [e for e in np.unique(mesh.electrode).tolist()
@@ -271,17 +324,7 @@ def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
     root = np.sqrt(np.bincount(rep, minlength=n)[rows])
 
     if mesh.kind == "planar":
-        m = np.empty((len(rows), len(rows)))
-        images = list(zip(perms[1:, rows], signs[1:]))
-        scale = root / len(perms)
-        for blk in kern.row_blocks(len(rows), n):
-            b = assemble(mesh, rows[blk])
-            mb = b[:, rows]
-            for p, s in images:
-                mb += s * b[:, p]
-            mb *= root[blk, None]
-            mb *= scale
-            m[blk] = mb
+        m = _reduced_planar_matrix(mesh, rows, root, perms, signs)
     else:                           # one element per orbit: M itself
         m = assemble(mesh)
     vr = root * v[rows]

@@ -20,7 +20,8 @@ import numpy as np
 
 from .constants import FF, GHZ, UM
 from .config import DesignConfig, load_config, parse_config, read_config
-from .geometry import ValidationError, _labelled, assemble_design
+from .geometry import (ValidationError, _explained, _labelled,
+                       assemble_design)
 from . import analytic, tls
 from .bem.mesh import MeshCapError
 from .bem.solver import SolverError
@@ -124,9 +125,11 @@ def cmd_analyze(args) -> int:
     rows.append(total)
     # formatted in full before printing, so a non-finite value prints nothing
     lines = _table(rows)
-    lines.append(f"L = {_fmt(design.length / UM)} um  "
-                 f"(C_total = {_fmt(design.capacitance / FF)} fF)")
-    lines.append(f"total loss tangent = {_fmt(design.total_loss_tangent)}")
+    lines.append(f"L = {_fmt(design.length / UM, name='L')} um  (C_total = "
+                 f"{_fmt(design.capacitance / FF, name='TOTAL.capacitance_ff')}"
+                 " fF)")
+    lines.append("total loss tangent = "
+                 f"{_fmt(design.total_loss_tangent, name='TOTAL.loss_tangent')}")
     print("\n".join(lines))
     if args.out:
         if args.format == "jsonl":
@@ -345,13 +348,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     # past validation, a ValueError is a formula or quadrature leaving its
     # domain
-    except (MeshCapError, SolverError, FloatingPointError, ValueError) as exc:
-        return _fail(EXIT_NUMERICAL, str(exc))
-    except OverflowError as exc:
-        return _fail(EXIT_NUMERICAL, f"floating-point overflow: {exc}")
-    except ZeroDivisionError:
-        return _fail(EXIT_NUMERICAL, "a denominator underflowed to zero; the "
-                                     "inputs are outside the range of a float")
+    except (MeshCapError, SolverError, ArithmeticError, ValueError) as exc:
+        return _fail(EXIT_NUMERICAL, _explained(exc))
 
 
 if __name__ == "__main__":

@@ -305,14 +305,29 @@ def validate_design(structures, stack: DielectricStack) -> list[str]:
     return problems
 
 
+def _explained(exc) -> str:
+    """An error's text, saying what an overflow or a division by zero
+    means: Python's own text for them ("(34, 'Numerical result out of
+    range')", "float division by zero") names no cause."""
+    if isinstance(exc, OverflowError):
+        return f"floating-point overflow: {exc}"
+    if isinstance(exc, ZeroDivisionError):
+        return ("a denominator underflowed to zero; the inputs are outside "
+                "the range of a float")
+    return str(exc)
+
+
 @contextmanager
 def _labelled(spec):
-    """Prefix the structure's label to a numerical error raised inside,
-    keeping the exception class."""
+    """Put the structure's label first in a numerical error raised inside.
+    A ValueError keeps its class; an arithmetic error becomes a
+    FloatingPointError with its text explained (`_explained`)."""
     try:
         yield
-    except (ValueError, FloatingPointError, OverflowError) as exc:
+    except ValueError as exc:
         raise type(exc)(f"{spec.label}: {exc}") from exc
+    except ArithmeticError as exc:
+        raise FloatingPointError(f"{spec.label}: {_explained(exc)}") from exc
 
 
 def assemble_design(structures, stack: DielectricStack,

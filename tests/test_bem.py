@@ -140,7 +140,8 @@ def test_singular_matrix_reported(monkeypatch):
     # the SolverError is the only report: no warning reaches stderr
     from surfloss.bem import solver as solver_mod
     monkeypatch.setattr(solver_mod, "assemble",
-                        lambda mesh, rows=None: np.ones((2, 2)))
+                        lambda mesh, rows, cols: np.ones((len(rows),
+                                                          len(cols))))
     m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -188,8 +189,8 @@ def test_indefinite_matrix_reported(monkeypatch):
     # factor: one SolverError, no warning and no fallback solve
     from surfloss.bem import solver as solver_mod
     monkeypatch.setattr(solver_mod, "assemble",
-                        lambda mesh, rows=None:
-                        np.array([[1.0, 2.0], [2.0, 1.0]]))
+                        lambda mesh, rows, cols:
+                        np.array([[1.0, 2.0], [2.0, 1.0]])[np.ix_(rows, cols)])
     m = meshes.Mesh("planar", np.zeros((2, 2)), np.ones(2), np.zeros(2, int))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -405,9 +406,9 @@ def _reduced_solve(monkeypatch, mesh, volts):
     its blocks of rows."""
     built = []
 
-    def counting_assemble(mesh, rows=slice(None)):
+    def counting_assemble(mesh, rows=slice(None), cols=slice(None)):
         built.append(len(np.arange(mesh.n)[rows]))
-        return assemble(mesh, rows)
+        return assemble(mesh, rows, cols)
 
     monkeypatch.setattr(solver_mod, "assemble", counting_assemble)
     sol = solve(mesh, volts)
@@ -537,12 +538,14 @@ def test_verify_runs_clean_under_floating_point_traps(suite, capsys):
 
 
 # --------------------------------------------------------------------------
-# the planar rows are folded in blocks: the output does not depend on the
-# block size
+# the planar rows are folded in blocks, each against the columns up to its
+# last row: the output does not depend on the block size, and the triangle
+# the factorization reads is the one a single block against every column
+# gives
 
 def _reduced_matrix_one_block(mesh, v):
     """solve()'s reduced matrix, with every representative row in one
-    block."""
+    block against every column: (matrix, rows, root, (perms, signs))."""
     perms, signs, _ = solver_mod._mirror_group(mesh, v)
     rep = perms.min(axis=0)
     onto_rep = perms == rep
@@ -555,7 +558,54 @@ def _reduced_matrix_one_block(mesh, v):
         m += s * b[:, p]
     m *= root[:, None]
     m *= root / len(perms)
-    return m, len(perms)
+    return m, rows, root, (perms, signs)
+
+
+def _one_block_charges(mesh, v):
+    """Element charges from the Cholesky factor of the one-block reduced
+    matrix (LAPACK reads its lower triangle), unfolded as solve() does."""
+    from scipy.linalg import cho_solve, lapack
+    m, rows, root, (perms, signs) = _reduced_matrix_one_block(mesh, v)
+    c, info = lapack.dpotrf(m.T, clean=False)
+    assert info == 0
+    q = np.zeros(mesh.n)
+    q[rows] = cho_solve((c, False), root * v[rows], check_finite=False) / root
+    rep = perms.min(axis=0)
+    plus = (perms == rep)[signs > 0].any(axis=0)
+    return np.where(plus, q[rep], -q[rep])
+
+
+@pytest.mark.parametrize("scale", [0.55, 1.0])
+def test_planar_solves_factor_the_one_block_triangle(monkeypatch, scale):
+    # every planar solve of a verify pass: bit for bit the charges of the
+    # one-block matrix, from at most 0.6 x (reduced rows x n) kernel
+    # entries, the count of every reduced row against every element
+    planar_matrix, solve_ = kern.planar_matrix, suites.solve
+    built, solves = [0], []
+
+    def counting(*args):
+        out = planar_matrix(*args)
+        built[0] += out.size
+        return out
+
+    def keeping_solve(mesh, volts):
+        before = built[0]
+        sol = solve_(mesh, volts)
+        if mesh.kind == "planar":
+            solves.append((sol, volts, built[0] - before))
+        return sol
+
+    monkeypatch.setattr(kern, "planar_matrix", counting)
+    monkeypatch.setattr(suites, "solve", keeping_solve)
+    for suite in ("coax", "flat-coax", "corner", "ribbon-ground"):
+        run_suite(suite, mesh_scale=scale)
+    monkeypatch.undo()
+    assert len(solves) == 40
+    for sol, volts, entries in solves:
+        v = _drive(sol.mesh, volts)
+        assert np.array_equal(sol.charge, _one_block_charges(sol.mesh, v))
+        rows = _reduced_matrix_one_block(sol.mesh, v)[1]
+        assert entries <= 0.6 * len(rows) * sol.mesh.n
 
 
 def _solved_matrix(monkeypatch, mesh, volts):
@@ -574,19 +624,28 @@ def _solved_matrix(monkeypatch, mesh, volts):
 
 
 @pytest.mark.parametrize("entries", [1, 7, 300, 1000, kern.BLOCK_ENTRIES])
-@pytest.mark.parametrize("case, order", [("coax", 4), ("nudged-element", 1)])
+@pytest.mark.parametrize("case, order", [("coax", 4), ("nudged-element", 1),
+                                         ("flat-coax", 4)])
 def test_reduced_planar_matrix_does_not_depend_on_block_size(
         monkeypatch, case, order, entries):
     # 1, 7 and 300 entries give one row per block, 1000 three rows, which
-    # neither 80 representatives (coax) nor 320 (nudged) is a multiple of
+    # neither 80 representatives (coax) nor 320 (nudged) is a multiple of;
+    # flat-coax's strip lies on y = 0, so its orbits hold each strip
+    # element twice.  The reference solve takes every row in one block
     mesh, volts, _ = _symmetry_cases()[case]
-    want, k = _reduced_matrix_one_block(mesh, _drive(mesh, volts))
-    assert k == order
+    want, _, _, (perms, _) = _reduced_matrix_one_block(mesh, _drive(mesh, volts))
+    assert len(perms) == order
     monkeypatch.setattr(kern, "BLOCK_ENTRIES", mesh.n ** 2)
-    want_sol, _ = _solved_matrix(monkeypatch, mesh, volts)
+    monkeypatch.setattr(solver_mod, "TRIANGLE_BLOCKS", 1)
+    want_sol, one = _solved_matrix(monkeypatch, mesh, volts)
+    monkeypatch.undo()
     monkeypatch.setattr(kern, "BLOCK_ENTRIES", entries)
     sol, got = _solved_matrix(monkeypatch, mesh, volts)
-    assert np.array_equal(got, want)
+    # the lower triangle, which the factorization reads, is the one-block
+    # matrix's; the strict upper triangle is its mirror image
+    for m in (one, got):
+        assert np.array_equal(np.tril(m), np.tril(want))
+        assert np.array_equal(m, m.T)
     assert np.array_equal(sol.charge, want_sol.charge)
 
 

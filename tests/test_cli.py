@@ -397,7 +397,7 @@ def test_permittivity_overflow_is_numerical_error(tmp_path, cmd):
     assert "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error[3]: floating-point overflow")
+    assert lines[0].startswith("error[3]: plate: floating-point overflow")
     assert res.stdout == ""
 
 

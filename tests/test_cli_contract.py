@@ -89,14 +89,22 @@ def _run(argv):
     return rc, out.getvalue(), err.getvalue(), caught
 
 
+#: design-wide culprits of the commands that print them: analyze's TOTAL
+#: row and L line, sweep's total column; a sum of finite per-structure
+#: values has no one structure
+DESIGN_NAMES = {"analyze": ["TOTAL", "L"], "sweep": ["total"]}
+
+
 def _culprits(argv):
     """What an exit-3 line of argv may name first: the config's structure
-    labels and, for sweep, the --param text."""
+    labels, the design-wide names argv's command prints and, for sweep,
+    the --param text."""
     cp = configparser.ConfigParser(interpolation=None)
     with contextlib.suppress(configparser.Error, UnicodeError):
         cp.read(argv[argv.index("--config") + 1])
     names = [sect.removeprefix("structure.") for sect in cp.sections()
              if sect.startswith("structure.")]
+    names += DESIGN_NAMES.get(argv[0], [])
     if "--param" in argv:
         names.append(argv[argv.index("--param") + 1])
     return names
@@ -337,6 +345,100 @@ def test_valid_strips_print_no_negative_number(tmp_path_factory, stype, a,
                for line in err.splitlines()), err
 
 
+#: the error[2] line of each validate rule that a boundary case crosses
+RULE_LINES = {
+    "taper": "error[2]: s.slope: need slope*(d - 5*t) > r0, or the taper "
+             "does not widen inside the wire",
+    "film": "error[2]: s.t: need t < {gap}, the gap the film faces",
+    "edge": "error[2]: s.c: need c > b - 0.15*(b - 1.2*a), the edge point "
+            "of the capacitance fit",
+}
+
+
+#: the boundaries drawn: the taper rule, the film rule on each strip type
+#: and each gap it faces, and the fit's edge point
+BOUNDARIES = ("taper", "ribbon", "coplanar", "ground b - a", "ground c - b",
+              "edge")
+
+
+@st.composite
+def boundary_cases(draw, rule, outside):
+    """(config text, the error[2] line or None): one structure a relative
+    eps inside or outside one BOUNDARIES rule, with room to spare on every
+    other rule.  The rules: a taper that widens inside its wire,
+    slope*(d - 5t) > r0; a film thinner than the gap it faces; a ground
+    beyond the fit's edge point."""
+    eps = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    past = 1 - eps if outside else 1 + eps  # below the bound is outside
+    t = draw(st.floats(0.01, 1.0))
+    if rule == "taper":
+        r0 = t * draw(st.floats(0.6, 19.0))
+        bound = draw(st.floats(1e-3, 0.4))  # the slope at the boundary
+        d = 5 * t + r0 / bound
+        keys = {"type": "tapered_wire", "r0_um": r0, "slope": bound * past,
+                "d_um": d, "t_um": t}
+        line = RULE_LINES["taper"]
+    elif rule == "edge":
+        # b < 1.2 a puts x_e past b; the film stays thicker than the oxides
+        a = draw(st.floats(10.0, 500.0))
+        b = a * draw(st.floats(1.01, 1.15))
+        c = (0.85 * b + 0.18 * a) * past
+        keys = {"type": "ribbon_with_ground", "a_um": a, "b_um": b,
+                "c_um": c, "length_um": 1000.0, "t_um": 0.1 * (c - b)}
+        line = RULE_LINES["edge"]
+    else:
+        # a film at the gap: t = gap * (1 +- eps), outside above it
+        a = draw(st.floats(1.0, 500.0))
+        gap = a * draw(st.floats(0.01, 0.5))
+        film = gap * (2 - past)
+        wide = max(2 * gap, 0.2 * a) * draw(st.floats(1.0, 10.0))
+        if rule == "ground c - b":
+            b = a + wide
+            keys = {"type": "ribbon_with_ground", "a_um": a, "b_um": b,
+                    "c_um": b + gap}
+        else:
+            b = a + gap
+            keys = {"type": "ribbon_with_ground" if rule == "ground b - a"
+                    else rule, "a_um": a, "b_um": b}
+            if rule == "ground b - a":
+                keys["c_um"] = b + wide
+        keys.update(length_um=1000.0, t_um=film)
+        line = RULE_LINES["film"].format(
+            gap="c - b" if rule == "ground c - b" else "b - a")
+    text = "[structure.s]\n" + "".join(
+        f"{k} = {v if isinstance(v, str) else repr(v)}\n"
+        for k, v in keys.items())
+    return text, line if outside else None
+
+
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("rule", BOUNDARIES)
+def test_each_rule_holds_at_its_boundary(tmp_path_factory, rule, outside):
+    # configs() draws a VALUES entry for one key in eight, so it seldom
+    # reaches a rule on one key of one structure type; these cases sit a
+    # relative 1e-9 to 1e-3 on either side of each rule's boundary
+    _boundary_holds(tmp_path_factory, rule, outside)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def _boundary_holds(tmp_path_factory, rule, outside, data):
+    text, line = data.draw(boundary_cases(rule, outside))
+    path = tmp_path_factory.mktemp("cfg") / "boundary.ini"
+    path.write_text(text)
+    rc, out, err, _ = _run(["analyze", "--config", str(path)])
+    if line is None:
+        assert (rc, err) == (0, ""), text
+        assert not _NEGATIVE.search(out), out
+    else:
+        assert (rc, out) == (2, ""), text
+        assert err.splitlines() == [line], text
+    for cmd in COMMANDS:
+        _assert_contract([cmd[0], "--config", str(path), *cmd[1:]])
+
+
 @pytest.mark.parametrize("stype, keys, gap", [
     ("ribbon", "a_um = 93.1\nb_um = 94.2\n", "b - a"),
     ("coplanar", "a_um = 93.1\nb_um = 94.2\n", "b - a"),
@@ -402,3 +504,60 @@ def test_ground_inside_the_fits_edge_point_is_config_error(tmp_path):
     assert err.splitlines() == [
         "error[2]: rg.c: need c > b - 0.15*(b - 1.2*a), the edge point of "
         "the capacitance fit"]
+
+
+def _shipped_with(tmp_path, old, new):
+    """The shipped config with old replaced by new, as a file."""
+    text = SHIPPED_CONFIG.read_text()
+    assert old in text
+    path = tmp_path / "design.ini"
+    path.write_text(text.replace(old, new))
+    return path
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "tls", "sweep"])
+def test_denominator_underflow_names_the_structure(tmp_path, cmd):
+    # a second plate at s = 4e-309 um: its s^2 underflows to zero.  The
+    # parent printed the line with no structure in it
+    path = _shipped_with(tmp_path, "[structure.pads]",
+                         "[structure.plate2]\ntype = parallel_plate\n"
+                         "s_um = 4e-309\nw_um = 100\nlength_um = 1130\n\n"
+                         "[structure.pads]")
+    extra = ["--param", "structure.pads.a_um", "--range=40:50", "--steps",
+             "2"] \
+        if cmd == "sweep" else []
+    argv = [cmd, "--config", str(path), *extra]
+    rc, out, err, _ = _run(argv)
+    assert (rc, out) == (3, "")
+    assert err == ("error[3]: plate2: a denominator underflowed to zero; the "
+                   "inputs are outside the range of a float\n")
+    _assert_contract(argv)
+
+
+def test_overflow_line_starts_with_the_structure(tmp_path):
+    # eps_s^2 overflows in the plate's weights; the parent printed
+    # "floating-point overflow: plate: ..."
+    path = _shipped_with(tmp_path, "eps_substrate = 11.7",
+                         "eps_substrate = 1e308")
+    rc, out, err, _ = _run(["analyze", "--config", str(path)])
+    assert (rc, out) == (3, "")
+    assert err == ("error[3]: plate: floating-point overflow: (34, "
+                   "'Numerical result out of range')\n")
+
+
+def test_design_wide_line_names_the_design_quantity(tmp_path):
+    # no [targets], so the structures' capacitances fix L; a coplanar of
+    # length 1e308 um makes L leave the float range.  The parent printed
+    # an unnamed "a result is not a finite number" line
+    text = SHIPPED_CONFIG.read_text()
+    stack = text[text.index("[stack]"):text.index("[targets]")]
+    path = tmp_path / "design.ini"
+    path.write_text(stack.replace("tan_ma = 0.005", "tan_ma = 100")
+                    + "[structure.cpw]\ntype = coplanar\na_um = 50\n"
+                    "b_um = 100\nlength_um = 1e308\nt_um = 0.1\n")
+    argv = ["analyze", "--config", str(path)]
+    rc, out, err, _ = _run(argv)
+    assert (rc, out) == (3, "")
+    assert err == ("error[3]: L: a result is not a finite number; the inputs "
+                   "are outside the range of a float\n")
+    _assert_contract(argv)

@@ -183,6 +183,22 @@ def test_planar_matrix_matches_hypot_form():
     assert np.array_equal(m, m.T)
 
 
+def test_planar_matrix_column_selection_is_the_square_matrix():
+    # rows and an index array of columns, an element more than once and
+    # the rows' own elements among them: each entry, self terms included,
+    # is the square matrix's, bit for bit
+    rng = np.random.default_rng(12)
+    x, y = rng.uniform(-1e-4, 1e-4, (2, 40))
+    w = rng.uniform(1e-9, 1e-6, 40)
+    rows = np.array([3, 17, 0, 39])
+    cols = np.array([5, 17, 3, 17, 0, 39, 39, 8, 3])
+    square = kern.planar_matrix(x, y, w)
+    got = kern.planar_matrix(x, y, w, rows, cols)
+    assert np.array_equal(got, square[np.ix_(rows, cols)])
+    assert np.array_equal(kern.planar_matrix(x, y, w, rows),
+                          square[rows])
+
+
 # Three charged segments (along x, along y, at 45 degrees) and field points
 # off every segment's line, on segment 0's line inside it and beyond both
 # of its ends, and on segment 1's line inside it and beyond its end.  The
@@ -507,14 +523,25 @@ def test_blocked_layers_stay_within_a_few_blocks_of_memory():
         < 8 * rings.n ** 2 + 16 * block
 
 
-@pytest.mark.parametrize("entries, n_rows, row_len, step", [
-    (1 << 16, 601, 1222, 53), (1 << 16, 100, 680, 96), (300, 5, 1222, 1),
-    (5000, 125, 125, 40), (1000, 80, 320, 3), (7, 9, 1, 7)])
+#: (BLOCK_ENTRIES, n_rows, row_len, most, rows per block)
+ROW_BLOCK_CASES = [
+    (1 << 16, 601, 1222, None, 53), (1 << 16, 100, 680, None, 96),
+    (300, 5, 1222, None, 1), (5000, 125, 125, None, 40),
+    (1000, 80, 320, None, 3), (7, 9, 1, None, 7), (1 << 16, 601, 1222, 76, 53),
+    (1 << 16, 601, 1222, 38, 38), (1 << 16, 80, 320, 10, 10),
+    (300, 5, 1222, 2, 1)]
+
+
+@pytest.mark.parametrize(
+    "entries, n_rows, row_len, most, step", ROW_BLOCK_CASES,
+    ids=["-".join(str(v) for v in case if v is not None)
+         for case in ROW_BLOCK_CASES])
 def test_row_blocks_cover_rows_in_whole_groups(monkeypatch, entries, n_rows,
-                                               row_len, step):
-    # about BLOCK_ENTRIES entries per block and at least one row
+                                               row_len, most, step):
+    # about BLOCK_ENTRIES entries per block, at most `most` rows if given,
+    # and at least one row
     monkeypatch.setattr(kern, "BLOCK_ENTRIES", entries)
-    blocks = kern.row_blocks(n_rows, row_len)
+    blocks = kern.row_blocks(n_rows, row_len, most)
     assert [b.stop - b.start for b in blocks[:-1]] == [step] * (len(blocks) - 1)
     assert 0 < blocks[-1].stop - blocks[-1].start <= step
     assert np.array_equal(np.concatenate([np.arange(b.start, b.stop)
