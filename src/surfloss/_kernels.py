@@ -129,20 +129,19 @@ def _ring_self(r, w):
     return asym + 2.0 * integral / w**2
 
 
-def _near_average(kernel, ci, wi, cj, wj):
-    """Kernel averaged over both extents of each element pair (centers c,
-    widths w) by a 16 x 16 Gauss rule, in blocks of pairs.
-
-    kernel(p, du2) gives the kernel for the pairs of slice p at the
-    squared point offsets du2, shaped (pairs, 16, 16); it may overwrite
-    du2.
-    """
+def _near_average(ci, wi, cj, wj, ri, rj, dr2):
+    """Ring kernel between radii ri and rj, averaged over both extents of
+    each element pair (centers c, widths w) by a 16 x 16 Gauss rule, in
+    blocks of pairs; dr2 is each pair's squared radial offset, added to
+    the squared offsets along the axis in place."""
     out = np.empty(len(ci))
     for p in row_blocks(len(ci), _GAUSS_X.size ** 2):
         ui = ci[p, None] + 0.5 * wi[p, None] * _GAUSS_X[None, :]
         uj = cj[p, None] + 0.5 * wj[p, None] * _GAUSS_X[None, :]
         du = ui[:, :, None] - uj[:, None, :]
-        kv = kernel(p, np.multiply(du, du, out=du))
+        rho2 = np.multiply(du, du, out=du)
+        rho2 += dr2[p, None, None]
+        kv = _ring_kernel(rho2, ri[p, None, None], rj[p, None, None])
         out[p] = np.einsum("i,j,pij->p", _GAUSS_W, _GAUSS_W, kv) / 4.0
     return out
 
@@ -189,11 +188,8 @@ def _wire_matrix(z, r, w, own_radius):
         rn, rm = r[ai if own_radius else aj], r[aj]
         pair_dr2 = rn - rm
         pair_dr2 *= pair_dr2
-        blk[a[avg], b[avg]] = _near_average(
-            lambda p, du2: _ring_kernel(
-                np.add(du2, pair_dr2[p, None, None], out=du2),
-                rn[p, None, None], rm[p, None, None]),
-            z[ai], w[ai], z[aj], w[aj])
+        blk[a[avg], b[avg]] = _near_average(z[ai], w[ai], z[aj], w[aj],
+                                            rn, rm, pair_dr2)
         # the image; on the diagonal dr2 is 0 and sqrt((2z)^2) exactly |2z|
         zs = zi + zj
         zs *= zs

@@ -16,6 +16,7 @@ is its participations weighted by the stack's interface loss tangents.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -89,19 +90,27 @@ def flat_coax_energies(rbar: float, R: float, t: float,
 # --------------------------------------------------------------------------
 # conformal section integrals shared by the strip capacitors
 
+def _edge_log(x: float, t: float) -> float:
+    """ln(4x/t), the edge logarithm of a film edge at x, also where 4x/t
+    overflows."""
+    q = 4 * x / t
+    return math.log(q) if q < math.inf \
+        else math.log(4.0) + math.log(x) - math.log(t)
+
+
 def surface_sum(a: float, b: float, t: float, c: float) -> float:
     """Dimensionless surface integral S_a(c); S_a(c)/a is the center integral
     with the corner correction c added to each edge logarithm."""
     gap_log = math.log((b - a) / (b + a))
-    return ((math.log(4 * a / t) + c + gap_log)
-            + (a / b) * (math.log(4 * b / t) + c + gap_log)) \
+    return ((_edge_log(a, t) + c + gap_log)
+            + (a / b) * (_edge_log(b, t) + c + gap_log)) \
         / (2.0 * (1.0 - a * a / (b * b)))
 
 
 def surface_sum_outer(b: float, c_gnd: float, t: float, c: float) -> float:
     """Outer-metal integral S_ao of a coplanar section between b and c_gnd."""
     gap_log = math.log((c_gnd - b) / (c_gnd + b))
-    return (gap_log + (b / c_gnd) * (math.log(4 * c_gnd / t) + c)) \
+    return (gap_log + (b / c_gnd) * (_edge_log(c_gnd, t) + c)) \
         / (2.0 * (1.0 - b * b / (c_gnd * c_gnd)))
 
 
@@ -128,14 +137,18 @@ def parallel_plate_capacitance(spec: ParallelPlate,
     return 0.5 * EPS0 * spec.length * spec.w / spec.s
 
 
+def _eps_eff(stack: DielectricStack) -> float:
+    """Effective permittivity of a film on the substrate, half in air."""
+    return 0.5 * (stack.eps_s + 1.0)
+
+
 def ribbon_capacitance(spec: Ribbon, stack: DielectricStack) -> float:
-    eps_eff = 0.5 * (stack.eps_s + 1.0)
-    return eps_eff * EPS0 * spec.length / ck_ratio(spec.a / spec.b)
+    return _eps_eff(stack) * EPS0 * spec.length / ck_ratio(spec.a / spec.b)
 
 
 def coplanar_capacitance(spec: Coplanar, stack: DielectricStack) -> float:
-    eps_eff = 0.5 * (stack.eps_s + 1.0)
-    c = 2.0 * eps_eff * EPS0 * spec.length * ck_ratio(spec.a / spec.b)
+    c = 2.0 * _eps_eff(stack) * EPS0 * spec.length \
+        * ck_ratio(spec.a / spec.b)
     return 2.0 * c if spec.single_ended else c
 
 
@@ -145,13 +158,12 @@ def ribbon_ground_capacitance(spec: RibbonWithGround, stack: DielectricStack) ->
 
 
 def straight_wire_capacitance(spec: StraightWire, stack: DielectricStack) -> float:
-    eps_eff = 0.5 * (stack.eps_s + 1.0)
-    return 4.1 * eps_eff * EPS0 * spec.d / math.log(spec.d / spec.half_width)
+    return 4.1 * _eps_eff(stack) * EPS0 * spec.d \
+        / math.log(spec.d / spec.half_width)
 
 
 def tapered_wire_capacitance(spec: TaperedWire, stack: DielectricStack) -> float:
-    eps_eff = 0.5 * (stack.eps_s + 1.0)
-    return 3.5 * eps_eff * EPS0 * math.sqrt(spec.slope) * spec.d
+    return 3.5 * _eps_eff(stack) * EPS0 * math.sqrt(spec.slope) * spec.d
 
 
 def ribbon_energies(spec: Ribbon, c_m: float,
@@ -182,7 +194,10 @@ def ribbon_ground_energies(spec: RibbonWithGround, c_m: float,
     """
     a, b, c, t, ell = spec.a, spec.b, spec.c, spec.t, spec.length
     k = ellipk((a / b) ** 2)
-    kp_bc = ellipkp((b / c) ** 2)
+    m_bc = (b / c) ** 2
+    # where (b/c)^2 underflows, K'(b/c) is its asymptote ln(4c/b)
+    kp_bc = ellipkp(m_bc) if m_bc >= sys.float_info.min \
+        else math.log(4.0) + math.log(c) - math.log(b)
     u_m = (0.98 * surface_sum(a, b, t, c_m) / (2 * k * k * a)
            + 1.70 * surface_sum_outer(b, c, t, c_m) / (2 * kp_bc * kp_bc * b))
     u_s = (0.95 * surface_sum(a, b, t, c_s) / (4 * k * k * a)

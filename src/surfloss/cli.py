@@ -2,7 +2,9 @@
 
 Subcommands: analyze, verify, sweep, taper, tls.  Output is deterministic
 (fixed formats, fixed ordering, no timestamps).  Exit codes: 0 success,
-2 config error, 3 numerical failure, 4 verification failure.
+2 config error, 3 numerical failure, 4 verification failure.  A command
+returns 0 or 4 and raises on any failure; `main` alone turns the error
+into its exit code and its ``error[code]: culprit: ...`` lines.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-
-def _fail(code: int, message: str) -> int:
-    print(f"error[{code}]: {message}", file=sys.stderr)
-    return code
+#: most sweep steps; a sweep of this many takes seconds
+MAX_STEPS = 10_000
 
 
 def _fmt(x: float, spec: str = ".2e", name: str = "") -> str:
@@ -72,13 +72,19 @@ def _positive_float(text: str) -> float:
     return val
 
 
-def _sections(text: str) -> int:
-    """argparse type: a wire-spectrum patch count of at least MIN_SECTIONS."""
-    val = int(text)
-    if val < tls.MIN_SECTIONS:
-        raise argparse.ArgumentTypeError(
-            f"must be at least {tls.MIN_SECTIONS}, got {val}")
-    return val
+def _count(lo: int, hi: int):
+    """argparse type: an integer from lo to hi, so that no command
+    allocates for a count past its bound."""
+    def count(text: str) -> int:
+        val = int(text)
+        if val < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lo}, got {val}")
+        if val > hi:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {hi}, got {val}")
+        return val
+    return count
 
 
 # --------------------------------------------------------------------------
@@ -158,40 +164,38 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     cp = read_config(args.config)
     parse_config(cp)        # the unswept config must be valid on its own
-    if args.steps < 1:
-        return _fail(EXIT_CONFIG, "sweep needs steps >= 1")
     try:
         lo, hi = (float(v) for v in args.range.split(":"))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError
     except ValueError:
-        return _fail(EXIT_CONFIG, f"bad --range {args.range!r}; use LO:HI "
-                                  "with finite numbers")
+        raise ValidationError([f"bad --range {args.range!r}; use LO:HI "
+                               "with finite numbers"])
     sect, _, key = args.param.rpartition(".")
     if not sect:
-        return _fail(EXIT_CONFIG, f"--param must be section.key, got {args.param!r}")
+        raise ValidationError(
+            [f"--param must be section.key, got {args.param!r}"])
     if not cp.has_section(sect) or key not in cp[sect]:
-        return _fail(EXIT_CONFIG, f"--param {args.param!r} not found in config")
+        raise ValidationError([f"--param {args.param!r} not found in config"])
 
     values = np.linspace(lo, hi, args.steps)
     out_rows = []
     for val in values:
+        culprit = f"{args.param}={val}"
         cp[sect][key] = repr(float(val))
         try:
             cfg_i = parse_config(cp)
             _, rows, total = _analysis_rows(cfg_i)
         except ValidationError as exc:
-            return _fail(EXIT_CONFIG, f"{args.param}={val}: {exc}")
+            raise ValidationError([f"{culprit}: {exc}"])
         row = {"param": float(val)}
         for spec, bd in zip(cfg_i.structures, rows):
             for c in _COLUMNS[1:]:
                 row[f"{spec.label}.{c}"] = bd[c]
             quadrature = analytic.WIRE_ENERGIES.get(type(spec))
             if quadrature:
-                try:
+                with _labelled(culprit):
                     row[f"{spec.label}.u_metal"] = quadrature(spec)
-                except ValueError as exc:
-                    return _fail(EXIT_NUMERICAL, f"{args.param}={val}: {exc}")
                 fit = analytic.CLOSED_FORMS[type(spec)][1]
                 row[f"{spec.label}.u_metal_fit"] = \
                     fit(spec, analytic.C_M_DEFAULT).u_metal
@@ -213,10 +217,10 @@ def cmd_taper(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     wires = [s for s in cfg.structures if type(s) in analytic.WIRE_ENERGIES]
     if not wires:
-        return _fail(EXIT_CONFIG, "taper needs a wire structure in the config")
+        raise ValidationError(["taper needs a wire structure in the config"])
     spec = wires[0]
     r0, d, t = spec.r0, spec.d, spec.t
-    with _labelled(spec):
+    with _labelled(spec.label):
         opt = analytic.optimize_taper_slope(r0, d, t)
         u28 = analytic.tapered_wire_energy_quadrature(r0, 0.28, d, t)
         u16 = analytic.tapered_wire_energy_quadrature(r0, 0.16, d, t)
@@ -243,8 +247,8 @@ def cmd_tls(args) -> int:
                              target_capacitance=cfg.target_capacitance)
     span_hz = args.span_ghz * GHZ if args.span_ghz else cfg.span_hz
     if math.isinf(span_hz):
-        return _fail(EXIT_CONFIG, f"--span-ghz: {args.span_ghz:g} GHz "
-                                  "overflows in Hz")
+        raise ValidationError([f"--span-ghz: {args.span_ghz:g} GHz "
+                               "overflows in Hz"])
 
     print(f"span = {_fmt(span_hz / GHZ, 'g')} GHz; observability threshold "
           f"{tls.OBSERVABLE_AREA_UM2:g} um^2")
@@ -255,7 +259,7 @@ def cmd_tls(args) -> int:
         if model is None:
             print(f"{name}: no TLS model for this structure type; skipped")
             continue
-        with _labelled(spec):
+        with _labelled(name):
             spectrum = model(spec, cfg.stack, c_total, args.sections)
         if len(spectrum.s_hz) == 1:
             # only the plate pair's uniform oxide field gives one patch
@@ -263,17 +267,15 @@ def cmd_tls(args) -> int:
                   f"{_fmt(spectrum.s_hz[0], name=name)} Hz over effective "
                   f"area {_fmt(spectrum.area_um2[0], name=name)} um^2")
             continue
-        try:
+        with _labelled(name):
             s_first = spectrum.s_at_area(tls.OBSERVABLE_AREA_UM2)
             s_spaced = spectrum.s_at_spacing(200e6)
-        except ValueError as exc:
-            return _fail(EXIT_NUMERICAL, f"{name}: {exc}")
-        # a Python float overflows to inf without a NumPy RuntimeWarning
-        count = tls.DENSITY_PER_UM2_GHZ * float(spectrum.area_um2[-1]) \
-            * span_hz / 1e9
-        if math.isinf(count):
-            return _fail(EXIT_NUMERICAL, f"{name}: expected count over the "
-                                         "span overflows")
+            # a Python float overflows to inf without a NumPy RuntimeWarning
+            count = tls.DENSITY_PER_UM2_GHZ * float(spectrum.area_um2[-1]) \
+                * span_hz / 1e9
+            if math.isinf(count):
+                raise FloatingPointError("expected count over the span "
+                                         "overflows")
         print(f"{name}: largest observable splitting "
               f"{_fmt(s_first, name=name)} Hz (A = 1 um^2); "
               f"{_fmt(s_spaced, name=name)} Hz at one-per-200-MHz spacing; "
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--param", required=True,
                     help="dotted path, e.g. structure.wire.d_um")
     ps.add_argument("--range", required=True, help="LO:HI in the key's units")
-    ps.add_argument("--steps", type=int, required=True)
+    ps.add_argument("--steps", type=_count(1, MAX_STEPS), required=True)
     ps.add_argument("--out", default=None)
 
     pt = sub.add_parser("taper", help="optimize the junction-wire taper slope")
@@ -323,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--config", required=True)
     pl.add_argument("--out", default=None)
     pl.add_argument("--span-ghz", type=_positive_float, default=None)
-    pl.add_argument("--sections", type=_sections, default=100_000)
+    pl.add_argument("--sections", type=_count(tls.MIN_SECTIONS,
+                                              tls.MAX_SECTIONS),
+                    default=100_000)
     return p
 
 
@@ -343,13 +347,14 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return fn(args)
     except ValidationError as exc:
-        for p in exc.problems:
-            _fail(EXIT_CONFIG, p)
-        return EXIT_CONFIG
+        code, problems = EXIT_CONFIG, exc.problems
     # past validation, a ValueError is a formula or quadrature leaving its
     # domain
     except (MeshCapError, SolverError, ArithmeticError, ValueError) as exc:
-        return _fail(EXIT_NUMERICAL, _explained(exc))
+        code, problems = EXIT_NUMERICAL, [_explained(exc)]
+    for p in problems:
+        print(f"error[{code}]: {p}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

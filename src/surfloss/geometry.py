@@ -77,14 +77,22 @@ def capacitance_to_length(c: float) -> float:
 # required keys, and a field with a bool default is a true/false flag.
 
 
-def _film_problems(spec, gaps: dict) -> list[str]:
-    """The film rule of the strip types: 0 < t < a, and a film thinner than
-    every gap it faces (gaps maps each gap's name to its width); a thicker
-    film drives the edge logarithms of the closed forms negative."""
+def _strip_problems(spec, ground=(), gaps=()) -> list[str]:
+    """The rules of the strip types, in this order: 0 < a < b, the ground's
+    own problems (ground), length > 0, and the film rule: 0 < t < a, and a
+    film thinner than b - a and every further gap it faces (gaps, pairs of
+    a gap's name and width); a thicker film drives the edge logarithms of
+    the closed forms negative."""
+    bad = []
+    if spec.a <= 0: bad.append(f"{spec.label}.a: must be > 0")
+    if spec.b <= spec.a: bad.append(f"{spec.label}.b: must exceed a")
+    bad += ground
+    if spec.length <= 0: bad.append(f"{spec.label}.length: must be > 0")
     if not 0 < spec.t < spec.a:
-        return [f"{spec.label}.t: need 0 < t < a"]
-    return [f"{spec.label}.t: need t < {name}, the gap the film faces"
-            for name, gap in gaps.items() if 0 < gap <= spec.t]
+        return bad + [f"{spec.label}.t: need 0 < t < a"]
+    return bad + [f"{spec.label}.t: need t < {name}, the gap the film faces"
+                  for name, gap in (("b - a", spec.b - spec.a), *gaps)
+                  if 0 < gap <= spec.t]
 
 
 @dataclass(frozen=True)
@@ -121,11 +129,7 @@ class Ribbon:
     label: str = "ribbon"
 
     def validate(self) -> list[str]:
-        bad = []
-        if self.a <= 0: bad.append(f"{self.label}.a: must be > 0")
-        if self.b <= self.a: bad.append(f"{self.label}.b: must exceed a")
-        if self.length <= 0: bad.append(f"{self.label}.length: must be > 0")
-        return bad + _film_problems(self, {"b - a": self.b - self.a})
+        return _strip_problems(self)
 
 
 @dataclass(frozen=True)
@@ -143,11 +147,7 @@ class Coplanar:
     label: str = "coplanar"
 
     def validate(self) -> list[str]:
-        bad = []
-        if self.a <= 0: bad.append(f"{self.label}.a: must be > 0")
-        if self.b <= self.a: bad.append(f"{self.label}.b: must exceed a")
-        if self.length <= 0: bad.append(f"{self.label}.length: must be > 0")
-        return bad + _film_problems(self, {"b - a": self.b - self.a})
+        return _strip_problems(self)
 
 
 @dataclass(frozen=True)
@@ -171,17 +171,13 @@ class RibbonWithGround:
         return self.b - 0.15 * (self.b - 1.2 * self.a)
 
     def validate(self) -> list[str]:
-        bad = []
-        if self.a <= 0: bad.append(f"{self.label}.a: must be > 0")
-        if self.b <= self.a: bad.append(f"{self.label}.b: must exceed a")
+        ground = []
         if self.c <= self.b:
-            bad.append(f"{self.label}.c: must exceed b")
+            ground.append(f"{self.label}.c: must exceed b")
         elif self.b > self.a and self.c <= self.edge_point:
-            bad.append(f"{self.label}.c: need c > b - 0.15*(b - 1.2*a), the "
-                       "edge point of the capacitance fit")
-        if self.length <= 0: bad.append(f"{self.label}.length: must be > 0")
-        return bad + _film_problems(self, {"b - a": self.b - self.a,
-                                           "c - b": self.c - self.b})
+            ground.append(f"{self.label}.c: need c > b - 0.15*(b - 1.2*a), "
+                          "the edge point of the capacitance fit")
+        return _strip_problems(self, ground, [("c - b", self.c - self.b)])
 
 
 @dataclass(frozen=True)
@@ -318,16 +314,17 @@ def _explained(exc) -> str:
 
 
 @contextmanager
-def _labelled(spec):
-    """Put the structure's label first in a numerical error raised inside.
-    A ValueError keeps its class; an arithmetic error becomes a
-    FloatingPointError with its text explained (`_explained`)."""
+def _labelled(name: str):
+    """Put the culprit's name (a structure label, a swept param=value)
+    first in a numerical error raised inside.  A ValueError keeps its
+    class; an arithmetic error becomes a FloatingPointError with its text
+    explained (`_explained`)."""
     try:
         yield
     except ValueError as exc:
-        raise type(exc)(f"{spec.label}: {exc}") from exc
+        raise type(exc)(f"{name}: {exc}") from exc
     except ArithmeticError as exc:
-        raise FloatingPointError(f"{spec.label}: {_explained(exc)}") from exc
+        raise FloatingPointError(f"{name}: {_explained(exc)}") from exc
 
 
 def assemble_design(structures, stack: DielectricStack,
@@ -347,7 +344,7 @@ def assemble_design(structures, stack: DielectricStack,
 
     caps = []
     for s in structures:
-        with _labelled(s):
+        with _labelled(s.label):
             caps.append(analytic.capacitance(s, stack))
     c_total = target_capacitance if target_capacitance is not None else sum(caps)
     if c_total <= 0:
@@ -356,7 +353,7 @@ def assemble_design(structures, stack: DielectricStack,
 
     breakdowns = []
     for s in structures:
-        with _labelled(s):
+        with _labelled(s.label):
             breakdowns.append(analytic.participation(
                 s, stack, length, corner_split=corner_split))
     total_loss = sum(b.loss_tangent for b in breakdowns)

@@ -34,8 +34,10 @@ DENSITY_REF_THICKNESS = 2e-9
 #: observability threshold for the default 2 GHz measurement span
 OBSERVABLE_AREA_UM2 = 1.0
 
-#: fewest wire patches that give a converged spectrum
+#: fewest wire sections that give a converged spectrum, and the most a
+#: spectrum may take: at 1e7 a `tls` run peaks near 0.5 GB
 MIN_SECTIONS = 10_000
+MAX_SECTIONS = 10_000_000
 
 
 def s_max_prefactor(capacitance: float) -> float:
@@ -120,6 +122,9 @@ def wire_tls_spectrum(spec, capacitance: float, stack: DielectricStack,
     if sections < MIN_SECTIONS:
         raise ValueError(f"use at least {MIN_SECTIONS} sections for a "
                          "converged spectrum")
+    if sections > MAX_SECTIONS:
+        raise ValueError(f"use at most {MAX_SECTIONS} sections; more take "
+                         "over half a gigabyte")
 
     n_edge = 40      # transverse bins outside the corner region
     n_corner = 12    # corner sub-bins below t/2

@@ -403,10 +403,6 @@ def test_permittivity_overflow_is_numerical_error(tmp_path, cmd):
 
 @pytest.mark.parametrize("cmd", ["analyze", "tls"])
 @pytest.mark.parametrize("replace, label", [
-    pytest.param(("[structure.plate]",
-                  "[structure.ground]\ntype = ribbon_with_ground\na_um = 50\n"
-                  "b_um = 100\nc_um = 1e308\nlength_um = 1000\nt_um = 0.1\n\n"
-                  "[structure.plate]"), "ground", id="ground-at-1e308"),
     pytest.param(("eps_substrate = 11.7", "eps_substrate = 1e200"), "plate",
                  id="eps-overflow"),
 ])
@@ -566,6 +562,22 @@ def test_tls_rejects_too_few_sections(table_config):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert "--sections" in res.stderr
+
+
+@pytest.mark.parametrize("flag, count, extra", [
+    ("--steps", "1000000000000",
+     ["--param", "structure.wire.d_um", "--range", "10:50"]),
+    ("--sections", "10000000000000", []),
+], ids=["sweep", "tls"])
+def test_count_past_its_bound_is_config_error(table_config, flag, count,
+                                              extra):
+    # the parent allocated for either count (7.28 TiB in linspace, 716 GiB
+    # in geomspace) and exited 1 with a NumPy memory-error traceback
+    cmd = "sweep" if flag == "--steps" else "tls"
+    res = run_cli(cmd, "--config", str(table_config), *extra, flag, count)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert f"argument {flag}: must be at most" in res.stderr
 
 
 def test_tls_small_wire_area_is_numerical_error(tmp_path):

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfloss import cli
+from surfloss import analytic, cli, tls
 from surfloss.bem import SUITES
 from surfloss.config import load_config
 from surfloss.geometry import (MAX_TAPER_SLOPE, STRUCTURE_TYPES,
@@ -49,6 +49,11 @@ BASE = {
 }
 
 COMMANDS = (["analyze"], ["tls", "--sections", "10000"], ["taper"])
+
+#: counts just past each bound of --sections and --steps, and far past
+SECTIONS = tuple(map(str, (tls.MIN_SECTIONS - 1, tls.MAX_SECTIONS + 1,
+                           10**12, 10**30)))
+OVER_STEPS = (cli.MAX_STEPS + 1, 10**12, 10**30)
 
 _NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
@@ -85,7 +90,10 @@ def _run(argv):
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        rc = cli.main(argv)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:       # argparse rejects the argv
+            rc = exc.code
     return rc, out.getvalue(), err.getvalue(), caught
 
 
@@ -133,8 +141,9 @@ def _assert_contract(argv):
 @pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(text=configs())
-def test_cli_contract_holds_for_random_configs(tmp_path_factory, text):
+@given(text=configs(), sections=st.sampled_from(SECTIONS))
+def test_cli_contract_holds_for_random_configs(tmp_path_factory, text,
+                                               sections):
     path = tmp_path_factory.mktemp("cfg") / "design.ini"
     path.write_text(text)
     for cmd in COMMANDS:
@@ -142,6 +151,9 @@ def test_cli_contract_holds_for_random_configs(tmp_path_factory, text):
         out = _assert_contract(argv)
         assert "-0.00e+00" not in out, out
         assert _run(argv)[1] == out
+    argv = ["tls", "--config", str(path), "--sections", sections]
+    assert _assert_contract(argv) == ""
+    assert _run(argv)[0] == 2
 
 
 SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" \
@@ -165,11 +177,29 @@ BOUNDS = st.one_of(st.sampled_from(VALUES + ("inf", "-inf")),
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(param=st.sampled_from(_shipped_params()), lo=BOUNDS, hi=BOUNDS,
-       steps=st.integers(1, 30))
+       steps=st.one_of(st.integers(1, 30), st.sampled_from(OVER_STEPS)))
 def test_sweep_contract_holds_for_random_argv(param, lo, hi, steps):
     # "--range=" keeps argparse from reading a bound of "-1" as a flag
     _assert_contract(["sweep", "--config", str(SHIPPED_CONFIG), "--param",
                       param, f"--range={lo}:{hi}", "--steps", str(steps)])
+
+
+def test_sweep_quadrature_failure_names_the_swept_value(monkeypatch):
+    # an arithmetic error in a step's wire quadrature; the parent printed
+    # "error[3]: floating-point overflow: math range error", with no
+    # culprit
+    def overflowing(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(analytic, "straight_wire_energy_quadrature",
+                        overflowing)
+    argv = ["sweep", "--config", str(SHIPPED_CONFIG), "--param",
+            "structure.wire.d_um", "--range=10:50", "--steps", "2"]
+    rc, out, err, _ = _run(argv)
+    assert (rc, out) == (3, "")
+    assert err == ("error[3]: structure.wire.d_um=10.0: floating-point "
+                   "overflow: math range error\n")
+    _assert_contract(argv)
 
 
 def test_sweep_rejects_non_finite_bounds():
@@ -472,6 +502,43 @@ def test_receding_ground_takes_the_fits_limit(tmp_path):
         assert (rc, err) == (0, "")
         tables.append(out)
     assert tables[0] == tables[1]
+
+
+def test_ground_past_the_float_range_takes_the_fits_limit(tmp_path):
+    # with b = 100 um, (b/c)^2 underflows from c = 6.7e155 um on, where K'
+    # is ln(4c/b); past c = 4.5e307*t, 4c/t overflows.  The parent exited
+    # 3 from c = 1e165 um on.  C, p_ma and p_ms reach the limit by 1e150;
+    # p_sa's outer term falls as 1/ln(4c/b)^2, so p_sa falls towards it
+    rows = []
+    for c_um in ("1e150", "1e165", "1e300", "1e308", "1.7e308"):
+        path = tmp_path / f"rg_{c_um}.ini"
+        path.write_text("[structure.rg]\ntype = ribbon_with_ground\n"
+                        f"a_um = 50\nb_um = 100\nc_um = {c_um}\n"
+                        "length_um = 1000\nt_um = 0.1\n")
+        rc, out, err, _ = _run(["analyze", "--config", str(path)])
+        assert (rc, err) == (0, "")
+        cfg = load_config(str(path))
+        rows.append(assemble_design(cfg.structures, cfg.stack).breakdowns[0])
+    for bd in rows[1:]:
+        for name in ("capacitance", "p_ma", "p_ms"):
+            assert getattr(bd, name) == pytest.approx(getattr(rows[0], name),
+                                                      rel=1e-12)
+    p_sa = [bd.p_sa for bd in rows]
+    assert p_sa == sorted(p_sa, reverse=True)
+    assert p_sa[-1] == pytest.approx(p_sa[0], rel=1e-5)
+
+
+def test_ground_energies_are_continuous_where_the_square_underflows():
+    # K'(b/c) from ellipkp just above the smallest normal (b/c)^2, from its
+    # asymptote just below
+    b = 100e-6
+    k_min = sys.float_info.min ** 0.5
+    pairs = [analytic.ribbon_ground_energies(
+        RibbonWithGround(50e-6, b, b / k, 1e-3, 0.1e-6), 5.0)
+        for k in (k_min * (1 + 1e-6), k_min * (1 - 1e-6))]
+    assert pairs[0].u_metal == pairs[1].u_metal
+    assert pairs[0].u_substrate == pytest.approx(pairs[1].u_substrate,
+                                                 rel=1e-12)
 
 
 def test_parser_is_built_once_and_commands_are_looked_up_per_call(

@@ -298,9 +298,9 @@ def test_straight_strip_averages_each_near_pair_once(monkeypatch, entries):
     seen = []
     average = kern._near_average
 
-    def counting(kernel, ci, wi, cj, wj):
+    def counting(ci, wi, cj, wj, *ring):
         seen.append((ci, cj))
-        return average(kernel, ci, wi, cj, wj)
+        return average(ci, wi, cj, wj, *ring)
 
     monkeypatch.setattr(kern, "_near_average", counting)
     monkeypatch.setattr(kern, "BLOCK_ENTRIES", entries)

@@ -79,6 +79,13 @@ def test_wire_sections_floor():
         tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3, sections=100)
 
 
+def test_wire_sections_ceiling():
+    # checked before any patch array is allocated
+    with pytest.raises(ValueError, match="at most"):
+        tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3,
+                              sections=tls.MAX_SECTIONS + 1)
+
+
 def test_straight_dominates_tapered():
     s_straight = tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3, sections=40_000)
     s_tapered = tls.wire_tls_spectrum(TAPER2, 0.1e-12, STACK3, sections=40_000)
