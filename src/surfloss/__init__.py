@@ -6,9 +6,12 @@ Closed-form participation ratios for the standard capacitor geometries
 junction wires), cross-verified by built-in surface-charge solvers, plus
 two-level-state splitting spectra.
 
-Importing the package loads NumPy only: SciPy is imported inside the
-functions that call it (quadrature, BEM solves and the vectorized
-elliptic integral).
+Importing the package, or its command line, loads neither NumPy nor
+SciPy: the closed forms run on ``math``, so `analyze` needs neither.
+The `tls`, `sweep`, `taper` and `verify` commands load NumPy, through
+``surfloss.tls``, ``surfloss.bem`` or the array helpers of
+``surfloss.analytic``; SciPy is imported inside the functions that call
+it (quadrature, BEM solves and the vectorized elliptic integral).
 """
 
 from .constants import EPS0

@@ -11,23 +11,27 @@ of the metal surface energy, the substrate-air interface the full
 substrate-line energy, with the optional corner split re-weighting the
 air/substrate sides of the film corners.  The loss tangent of a structure
 is its participations weighted by the stack's interface loss tangents.
+
+The closed forms run on ``math`` alone.  The array helpers (the field
+profiles, the taper profile and the taper optimizer) import NumPy when
+called, so a design analysis loads no NumPy.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .constants import EPS0
 from .geometry import (Coplanar, DielectricStack, ParallelPlate,
                        ParticipationBreakdown, Ribbon, RibbonWithGround,
                        StraightWire, StructureSpec, TaperedWire,
                        MAX_TAPER_SLOPE, interface_weights)
-from .special import ck_ratio, ellipk, ellipkp
+from .special import ck_ratio, ellipk, ellipkp_modulus
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: default corner corrections for a square film edge
 C_M_DEFAULT = 5.0
@@ -64,6 +68,7 @@ def flat_coax_center_field(rbar: float, R: float) -> float:
 
 def flat_coax_field(x, rbar: float, R: float):
     """|E(x)|/V of the flat coax along the film plane (metal or substrate)."""
+    import numpy as np
     ef = flat_coax_center_field(rbar, R)
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(np.abs(x) - rbar) == 0.0):
@@ -118,6 +123,7 @@ def strip_field(x, a: float, b: float):
     """|E(x)|/V of the conformal ribbon solution for a differential volt,
     normalized by 1/(2K).  Valid on all three sections of the plane.
     """
+    import numpy as np
     k = ellipk((a / b) ** 2)
     x = np.asarray(x, dtype=float)
     denom = np.abs((x * x - a * a) * (x * x - b * b))
@@ -178,7 +184,7 @@ def ribbon_energies(spec: Ribbon, c_m: float,
 def coplanar_energies(spec: Coplanar, c_m: float) -> SurfaceEnergyPair:
     """Differential (or single-ended) coplanar surface energies."""
     a, b, t, ell = spec.a, spec.b, spec.t, spec.length
-    kp = ellipkp((a / b) ** 2)
+    kp = ellipkp_modulus(a, b)
     mult = 2.0 if spec.single_ended else 1.0
     return SurfaceEnergyPair(
         mult * ell * surface_sum(a, b, t, c_m) / (kp * kp * a),
@@ -194,10 +200,7 @@ def ribbon_ground_energies(spec: RibbonWithGround, c_m: float,
     """
     a, b, c, t, ell = spec.a, spec.b, spec.c, spec.t, spec.length
     k = ellipk((a / b) ** 2)
-    m_bc = (b / c) ** 2
-    # where (b/c)^2 underflows, K'(b/c) is its asymptote ln(4c/b)
-    kp_bc = ellipkp(m_bc) if m_bc >= sys.float_info.min \
-        else math.log(4.0) + math.log(c) - math.log(b)
+    kp_bc = ellipkp_modulus(b, c)
     u_m = (0.98 * surface_sum(a, b, t, c_m) / (2 * k * k * a)
            + 1.70 * surface_sum_outer(b, c, t, c_m) / (2 * kp_bc * kp_bc * b))
     u_s = (0.95 * surface_sum(a, b, t, c_s) / (4 * k * k * a)
@@ -214,6 +217,7 @@ def wire_field(y, half_width, flat: bool = True):
     flat=True is the thin-film form with ln(4y/rbar); False the round-wire
     form with ln(2y/r).  half_width may be an array for tapered profiles.
     """
+    import numpy as np
     y = np.asarray(y, dtype=float)
     r = np.broadcast_to(np.asarray(half_width, dtype=float), y.shape)
     factor = 4.0 if flat else 2.0
@@ -242,6 +246,7 @@ def straight_wire_energy_quadrature(rbar: float, d: float, t: float) -> float:
 
 def taper_halfwidth(y, r0: float, slope: float, t: float):
     """Taper profile r(y) = max(r0, (y - 5t)*slope)."""
+    import numpy as np
     y = np.asarray(y, dtype=float)
     out = np.maximum(r0, (y - 5.0 * t) * slope)
     return out if out.shape else float(out)
@@ -340,6 +345,7 @@ def optimize_taper_slope(r0: float, d: float, t: float) -> TaperOptimum:
     S, sampled at 41 slopes from 0.05 to the slope cap and then refined."""
     if d <= 5 * t:
         raise ValueError("taper optimization needs d > 5*t")
+    import numpy as np
     f = lambda s: tapered_wire_energy_quadrature(r0, s, d, t)
     slopes = np.linspace(0.05, MAX_TAPER_SLOPE, 41)
     energies = np.array([f(s) for s in slopes])

@@ -13,13 +13,15 @@ from typing import Optional
 
 import numpy as np
 
+from ..geometry import NumericalError
+
 GRADE_RATIO = 1.15
 
 #: dense solves are capped here; refine selectively instead of globally
 MAX_UNKNOWNS = 20_000
 
 
-class MeshCapError(RuntimeError):
+class MeshCapError(NumericalError):
     pass
 
 

@@ -46,6 +46,7 @@ import numpy as np
 
 from .. import _kernels as kern
 from ..constants import EPS0
+from ..geometry import NumericalError
 from .mesh import Mesh
 
 RESIDUAL_LIMIT = 1e-10
@@ -60,7 +61,7 @@ MIRROR_TOL = 1e-12
 TRIANGLE_BLOCKS = 16
 
 
-class SolverError(RuntimeError):
+class SolverError(NumericalError):
     pass
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import analytic
 from .. import _kernels as kern
-from ..constants import EPS0
+from ..constants import EPS0, SUITES
 from ..special import ck_ratio
 from . import mesh as meshes
 from .mesh import MeshCapError
@@ -363,7 +363,6 @@ _SUITE_FN = {
     "cyl-wire": suite_cyl_wire,
     "flat-wire": suite_flat_wire,
 }
-SUITES = tuple(_SUITE_FN)
 
 
 def run_suite(name: str, mesh_scale: float = 1.0) -> list[Check]:

@@ -5,29 +5,25 @@ Subcommands: analyze, verify, sweep, taper, tls.  Output is deterministic
 2 config error, 3 numerical failure, 4 verification failure.  A command
 returns 0 or 4 and raises on any failure; `main` alone turns the error
 into its exit code and its ``error[code]: culprit: ...`` lines.
+
+Importing this module loads neither NumPy nor SciPy nor the solver
+package: each command imports what it needs when it runs, so `analyze`
+runs on ``math`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import math
 import sys
-from pathlib import Path
 
-import numpy as np
-
-from .constants import FF, GHZ, UM
+from .constants import FF, GHZ, MAX_SECTIONS, MIN_SECTIONS, SUITES, UM
 from .config import DesignConfig, load_config, parse_config, read_config
-from .geometry import (ValidationError, _explained, _labelled,
-                       assemble_design)
-from . import analytic, tls
-from .bem.mesh import MeshCapError
-from .bem.solver import SolverError
-from .bem.suites import SUITES, run_suite
+from .geometry import (NumericalError, ValidationError, _explained,
+                       _labelled, assemble_design)
+from . import analytic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,6 +46,7 @@ def _fmt(x: float, spec: str = ".2e", name: str = "") -> str:
 
 def _csv(header, rows) -> str:
     """CSV text of a header and rows of formatted cells."""
+    import csv
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
     wr.writerow(header)
@@ -59,6 +56,7 @@ def _csv(header, rows) -> str:
 
 def _save(out: str, name: str, text: str) -> None:
     """Write text to file name in the --out directory, creating it."""
+    from pathlib import Path
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     (path / name).write_text(text, newline="")
@@ -139,6 +137,7 @@ def cmd_analyze(args) -> int:
     print("\n".join(lines))
     if args.out:
         if args.format == "jsonl":
+            import json
             text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
         else:
             text = _csv(_COLUMNS, [[r["structure"]]
@@ -150,6 +149,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .bem.suites import run_suite
     checks = run_suite(args.suite, mesh_scale=args.mesh_scale)
     all_ok = True
     for c in checks:
@@ -162,6 +162,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
     cp = read_config(args.config)
     parse_config(cp)        # the unswept config must be valid on its own
     try:
@@ -179,6 +180,9 @@ def cmd_sweep(args) -> int:
         raise ValidationError([f"--param {args.param!r} not found in config"])
 
     values = np.linspace(lo, hi, args.steps)
+    # wire spec -> its quadrature; the spec is frozen, so a step that leaves
+    # a wire's keys alone reuses the energy an earlier step computed
+    wire_energy = {}
     out_rows = []
     for val in values:
         culprit = f"{args.param}={val}"
@@ -194,8 +198,10 @@ def cmd_sweep(args) -> int:
                 row[f"{spec.label}.{c}"] = bd[c]
             quadrature = analytic.WIRE_ENERGIES.get(type(spec))
             if quadrature:
-                with _labelled(culprit):
-                    row[f"{spec.label}.u_metal"] = quadrature(spec)
+                if spec not in wire_energy:
+                    with _labelled(culprit):
+                        wire_energy[spec] = quadrature(spec)
+                row[f"{spec.label}.u_metal"] = wire_energy[spec]
                 fit = analytic.CLOSED_FORMS[type(spec)][1]
                 row[f"{spec.label}.u_metal_fit"] = \
                     fit(spec, analytic.C_M_DEFAULT).u_metal
@@ -242,6 +248,7 @@ def cmd_taper(args) -> int:
 
 
 def cmd_tls(args) -> int:
+    from . import tls
     cfg = load_config(args.config)
     design = assemble_design(cfg.structures, cfg.stack,
                              target_capacitance=cfg.target_capacitance)
@@ -325,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--config", required=True)
     pl.add_argument("--out", default=None)
     pl.add_argument("--span-ghz", type=_positive_float, default=None)
-    pl.add_argument("--sections", type=_count(tls.MIN_SECTIONS,
-                                              tls.MAX_SECTIONS),
+    pl.add_argument("--sections", type=_count(MIN_SECTIONS, MAX_SECTIONS),
                     default=100_000)
     return p
 
@@ -342,6 +348,12 @@ def main(argv=None) -> int:
     # looked up at call time, so a later rebinding of cmd_<command> is seen
     fn = globals()[f"cmd_{args.command}"]
     try:
+        if args.command == "analyze":
+            # the closed forms run on math, which raises on an overflow or
+            # a domain error by itself; analyze makes no NumPy operation,
+            # so it neither imports NumPy nor needs errstate
+            return fn(args)
+        import numpy as np
         # a NumPy overflow, invalid value or division by zero raises
         # FloatingPointError instead of warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -350,7 +362,7 @@ def main(argv=None) -> int:
         code, problems = EXIT_CONFIG, exc.problems
     # past validation, a ValueError is a formula or quadrature leaving its
     # domain
-    except (MeshCapError, SolverError, ArithmeticError, ValueError) as exc:
+    except (NumericalError, ArithmeticError, ValueError) as exc:
         code, problems = EXIT_NUMERICAL, [_explained(exc)]
     for p in problems:
         print(f"error[{code}]: {p}", file=sys.stderr)

@@ -10,3 +10,15 @@ UM = 1e-6
 NM = 1e-9
 FF = 1e-15
 GHZ = 1e9
+
+# Values the command-line parser needs, kept here so that building it
+# imports neither the solver package nor NumPy.
+
+#: the verify suites, in the order `surfloss.bem.suites` dispatches them
+SUITES = ("coax", "flat-coax", "corner", "ribbon-ground", "cyl-wire",
+          "flat-wire")
+
+#: fewest wire sections that give a converged TLS spectrum, and the most a
+#: spectrum may take: at 1e7 a `tls` run peaks near 0.5 GB
+MIN_SECTIONS = 10_000
+MAX_SECTIONS = 10_000_000

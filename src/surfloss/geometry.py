@@ -23,6 +23,12 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+class NumericalError(RuntimeError):
+    """A solve that cannot be carried out as asked (a mesh past its cap, a
+    singular system); the solver's errors derive from it, so the CLI
+    reports them without importing the solver."""
+
+
 @dataclass(frozen=True)
 class DielectricStack:
     """Substrate and interface-oxide dielectric parameters (SI)."""

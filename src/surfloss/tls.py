@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import MAX_SECTIONS, MIN_SECTIONS
 from .geometry import (DielectricStack, ParallelPlate, Ribbon, StraightWire,
                        TaperedWire)
 from . import analytic
@@ -33,11 +34,6 @@ DENSITY_REF_THICKNESS = 2e-9
 
 #: observability threshold for the default 2 GHz measurement span
 OBSERVABLE_AREA_UM2 = 1.0
-
-#: fewest wire sections that give a converged spectrum, and the most a
-#: spectrum may take: at 1e7 a `tls` run peaks near 0.5 GB
-MIN_SECTIONS = 10_000
-MAX_SECTIONS = 10_000_000
 
 
 def s_max_prefactor(capacitance: float) -> float:

@@ -331,6 +331,21 @@ def test_verify_mesh_sizes_are_pinned(monkeypatch):
     assert got == VERIFY_MESH_SIZES
 
 
+def test_suites_dispatch_in_the_order_the_parser_offers():
+    # the CLI's parser takes SUITES from constants, without the solver
+    from surfloss import constants
+    assert suites.SUITES is constants.SUITES
+    assert tuple(suites._SUITE_FN) == SUITES
+
+
+def test_solver_errors_are_numerical_errors():
+    # cli.main reports NumericalError as exit 3 without importing the solver
+    from surfloss.geometry import NumericalError
+    assert issubclass(MeshCapError, NumericalError)
+    assert issubclass(SolverError, NumericalError)
+    assert issubclass(NumericalError, RuntimeError)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nope")

@@ -632,26 +632,33 @@ def test_verify_too_coarse_mesh_is_numerical_error(suite, scale):
 
 
 IMPORT_GUARD = """\
-import json, sys
-import surfloss, surfloss.cli, surfloss.bem
-from surfloss import cli
+import contextlib, io, json, sys
+import surfloss.cli as cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(*names):
+    return sorted(n for n in names
+                  if any(m == n or m.startswith(n + ".") for m in sys.modules))
 
 cfg = sys.argv[1]
-codes = [cli.main(["analyze", "--config", cfg]),
-         cli.main(["tls", "--config", cfg, "--sections", "20000"])]
-before = scipy_modules()
-codes.append(cli.main(["taper", "--config", cfg]))
-print(json.dumps([codes, before, "scipy.integrate" in sys.modules]))
+steps = [["import", 0, loaded("numpy", "scipy", "surfloss.bem")]]
+for argv in (["analyze", "--config", cfg],
+             ["analyze", "--config", cfg, "--corner-split"],
+             ["tls", "--config", cfg, "--sections", "20000"],
+             ["taper", "--config", cfg],
+             ["verify", "--suite", "flat-wire"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([" ".join(a for a in argv if a != cfg), code,
+                  loaded("numpy", "scipy", "scipy.integrate",
+                         "surfloss.bem")])
+print(json.dumps(steps))
 """
 
 
-def test_analyze_and_tls_load_no_scipy():
-    # SciPy is imported inside the functions that call it: importing the
-    # package and running analyze or tls must not load it, and the first
-    # quadrature (taper) must
+def test_each_command_loads_only_what_it_runs():
+    # one fresh interpreter: importing the CLI loads no NumPy, SciPy or
+    # solver package; analyze runs on math alone, tls adds NumPy, the
+    # first quadrature (taper) SciPy's integrate and verify the solver
     import os
     cfg = SRC.parent / "configs" / "transmon_100ff.ini"
     env = dict(os.environ)
@@ -659,7 +666,88 @@ def test_analyze_and_tls_load_no_scipy():
     res = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(cfg)],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    codes, before, integrate_loaded = json.loads(res.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0]
-    assert before == []
-    assert integrate_loaded
+    steps = json.loads(res.stdout.splitlines()[-1])
+    assert [step[:2] for step in steps] == [
+        ["import", 0], ["analyze --config", 0],
+        ["analyze --config --corner-split", 0],
+        ["tls --config --sections 20000", 0], ["taper --config", 0],
+        ["verify --suite flat-wire", 0]]
+    loaded = [step[2] for step in steps]
+    assert loaded[:3] == [[], [], []]
+    assert loaded[3] == ["numpy"]
+    assert "scipy.integrate" in loaded[4] and "surfloss.bem" not in loaded[4]
+    assert "surfloss.bem" in loaded[5]
+
+
+def _count_quadratures(monkeypatch):
+    """{quadrature name: calls}, counted from here on."""
+    from surfloss import analytic
+    counts = {}
+    for name in ("straight_wire_energy_quadrature",
+                 "tapered_wire_energy_quadrature"):
+        counts[name] = 0
+
+        def counted(*args, fn=getattr(analytic, name), name=name):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(analytic, name, counted)
+    return counts
+
+
+def test_sweep_computes_each_wire_quadrature_once(monkeypatch, capsys):
+    # a tan_ms sweep changes no wire key, so each of the two wires needs
+    # one quadrature, not one per step; every row carries its value
+    from surfloss import analytic, cli
+    from surfloss.config import load_config
+    cfg = str(SRC.parent / "configs" / "transmon_100ff.ini")
+    counts = _count_quadratures(monkeypatch)
+    assert cli.main(["sweep", "--config", cfg, "--param", "stack.tan_ms",
+                     "--range", "0:0.01", "--steps", "20"]) == 0
+    assert counts == {"straight_wire_energy_quadrature": 1,
+                      "tapered_wire_energy_quadrature": 1}
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 21
+    for spec in load_config(cfg).structures:
+        quadrature = analytic.WIRE_ENERGIES.get(type(spec))
+        if quadrature:
+            col = rows[0].index(f"{spec.label}.u_metal")
+            assert {row[col] for row in rows[1:]} \
+                == {format(quadrature(spec), ".12e")}
+
+
+def test_sweep_of_one_wire_reuses_the_other_wires_quadrature(monkeypatch,
+                                                             capsys):
+    from surfloss import cli
+    cfg = str(SRC.parent / "configs" / "transmon_100ff.ini")
+    counts = _count_quadratures(monkeypatch)
+    assert cli.main(["sweep", "--config", cfg, "--param",
+                     "structure.wire.d_um", "--range", "10:50",
+                     "--steps", "5"]) == 0
+    assert counts == {"straight_wire_energy_quadrature": 5,
+                      "tapered_wire_energy_quadrature": 1}
+
+
+K_UNDERFLOW = """\
+[stack]
+t_ma_nm = 1e-170
+t_ms_nm = 1e-170
+t_sa_nm = 1e-170
+
+[structure.pads]
+type = {stype}
+a_um = 1e-165
+b_um = 100
+length_um = 1000
+t_um = 1e-166
+"""
+
+
+@pytest.mark.parametrize("stype", ["ribbon", "coplanar"])
+def test_strip_whose_modulus_squared_underflows_is_analyzed(tmp_path, stype):
+    # (a/b)^2 underflows to 0, where K'(a/b) is ln(4b/a), not ellipk(1),
+    # which raises
+    path = tmp_path / "design.ini"
+    path.write_text(K_UNDERFLOW.format(stype=stype))
+    res = run_cli("analyze", "--config", str(path))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines()[2].startswith("pads ")

@@ -2,12 +2,14 @@
 quadrature and a slow power series)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from surfloss.special import _ellipk_nonpositive, ck_ratio, ellipk, ellipkp
+from surfloss.special import (_ellipk_nonpositive, ck_ratio, ellipk,
+                              ellipkp, ellipkp_modulus)
 
 
 def ellipk_quadrature(m: float) -> float:
@@ -119,6 +121,34 @@ def test_complementary_of_zero_is_a_domain_error():
     # K'(0) is infinite
     with pytest.raises(ValueError, match="m < 1, got m = 1.0"):
         ellipkp(0.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.1, 1.0), (50.0, 100.0), (2.5, 4.5),
+                                  (1e-150, 1.0), (3e-154, 2.0)])
+def test_complementary_of_a_modulus_is_ellipkp_where_its_square_is_normal(
+        a, b):
+    k = a / b
+    assert k * k >= sys.float_info.min
+    assert ellipkp_modulus(a, b) == ellipkp(k * k)
+
+
+@pytest.mark.parametrize("a, b", [(1e-165, 1e-4), (1e-160, 1.0),
+                                  (1e-20, 1e304)])
+def test_complementary_of_a_modulus_is_its_asymptote_where_its_square_underflows(
+        a, b):
+    # ln(4/k) from the logarithms of a and b, also where a/b underflows to 0
+    assert (a / b) ** 2 < sys.float_info.min
+    assert ellipkp_modulus(a, b) == pytest.approx(
+        math.log(4.0) + math.log(b) - math.log(a), rel=1e-15)
+    assert ellipkp_modulus(a, b) > ellipkp_modulus(1e-150, 1.0)
+
+
+def test_ck_ratio_where_the_square_of_its_modulus_underflows():
+    # k^2 underflows to 0: K' is ln(4/k), not ellipkp(0), which raises
+    k = 1e-170
+    assert k * k == 0.0
+    assert ck_ratio(k) == pytest.approx(
+        (math.pi / 2) / (math.log(4.0) - math.log(k)), rel=1e-15)
 
 
 def test_ck_ratio_limit_small():
