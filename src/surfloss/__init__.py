@@ -10,8 +10,9 @@ Importing the package, or its command line, loads neither NumPy nor
 SciPy: the closed forms run on ``math``, so `analyze` needs neither.
 The `tls`, `sweep`, `taper` and `verify` commands load NumPy, through
 ``surfloss.tls``, ``surfloss.bem`` or the array helpers of
-``surfloss.analytic``; SciPy is imported inside the functions that call
-it (quadrature, BEM solves and the vectorized elliptic integral).
+``surfloss.analytic``.  Only `verify` loads SciPy, inside the functions
+that call it (BEM solves and the vectorized elliptic integral); the
+quadratures run on ``surfloss._quadpack``.
 """
 
 from .constants import EPS0

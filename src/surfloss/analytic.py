@@ -14,7 +14,10 @@ is its participations weighted by the stack's interface loss tangents.
 
 The closed forms run on ``math`` alone.  The array helpers (the field
 profiles, the taper profile and the taper optimizer) import NumPy when
-called, so a design analysis loads no NumPy.
+called, so a design analysis loads no NumPy.  The wire quadratures run on
+``_quadpack``, a Python transcription of the QUADPACK routines behind
+SciPy's ``quad`` with bit-identical results, so `taper` and `sweep` load
+NumPy only, and no SciPy.
 """
 
 from __future__ import annotations
@@ -226,13 +229,17 @@ def wire_field(y, half_width, flat: bool = True):
 
 
 def _quad(f, a: float, b: float, **kwargs) -> float:
-    """scipy's quad, raising ValueError where it would warn that the
-    integral did not converge."""
-    from scipy.integrate import quad
-    val, _, _, *msg = quad(f, a, b, full_output=1, **kwargs)
-    if msg:
-        raise ValueError("wire line-energy quadrature did not converge: "
-                         + msg[0].splitlines()[0])
+    """QUADPACK's QAGS, or QAGP with break points, as scipy's quad runs it
+    (``_quadpack.quad``, same keywords, a < b), raising ValueError where
+    quad would warn that the integral did not converge."""
+    # imported on first use: analyze never integrates, and its start-up
+    # does not load the module
+    from . import _quadpack
+    val, _, ier, _ = _quadpack.quad(f, a, b, **kwargs)
+    if ier:
+        raise ValueError(
+            "wire line-energy quadrature did not converge: "
+            + _quadpack.MESSAGES[ier].format(limit=kwargs.get("limit", 50)))
     return val
 
 
@@ -348,15 +355,18 @@ def optimize_taper_slope(r0: float, d: float, t: float) -> TaperOptimum:
     import numpy as np
     f = lambda s: tapered_wire_energy_quadrature(r0, s, d, t)
     slopes = np.linspace(0.05, MAX_TAPER_SLOPE, 41)
-    energies = np.array([f(s) for s in slopes])
+    # the integrand runs on Python floats: an np.float64 slope would make
+    # each of its evaluations NumPy scalar arithmetic, same values, slower
+    scan = slopes.tolist()
+    energies = [f(s) for s in scan]
     # refine around the best sample, honoring the slope cap
     i = int(np.argmin(energies))
-    lo = slopes[max(i - 1, 0)]
-    hi = slopes[min(i + 1, len(slopes) - 1)]
+    lo = scan[max(i - 1, 0)]
+    hi = scan[min(i + 1, len(scan) - 1)]
     s_opt, u_opt = golden_section_min(f, lo, hi)
     if u_opt > energies[i]:
-        s_opt, u_opt = float(slopes[i]), float(energies[i])
-    return TaperOptimum(s_opt, u_opt, slopes, energies)
+        s_opt, u_opt = scan[i], energies[i]
+    return TaperOptimum(s_opt, u_opt, slopes, np.array(energies))
 
 
 # --------------------------------------------------------------------------

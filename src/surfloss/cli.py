@@ -8,7 +8,7 @@ into its exit code and its ``error[code]: culprit: ...`` lines.
 
 Importing this module loads neither NumPy nor SciPy nor the solver
 package: each command imports what it needs when it runs, so `analyze`
-runs on ``math`` alone.
+runs on ``math`` alone, and `taper`, `sweep` and `tls` load NumPy only.
 """
 
 from __future__ import annotations
@@ -228,8 +228,12 @@ def cmd_taper(args) -> int:
     r0, d, t = spec.r0, spec.d, spec.t
     with _labelled(spec.label):
         opt = analytic.optimize_taper_slope(r0, d, t)
-        u28 = analytic.tapered_wire_energy_quadrature(r0, 0.28, d, t)
-        u16 = analytic.tapered_wire_energy_quadrature(r0, 0.16, d, t)
+        # both slopes are points of the optimizer's scan, which has their
+        # energies
+        scanned = dict(zip(opt.slopes.tolist(), opt.energies.tolist()))
+        u28, u16 = (scanned[s] if s in scanned
+                    else analytic.tapered_wire_energy_quadrature(r0, s, d, t)
+                    for s in (0.28, 0.16))
     print(f"wire {spec.label}: optimal slope S* = {_fmt(opt.slope, '.3f')}")
     print(f"metal line energy at S*: {_fmt(opt.energy)} (units U/(eps0 V^2))")
     print(f"energy at S=0.28: {_fmt(u28 / opt.energy, '.4f')} x minimum")
@@ -266,6 +270,9 @@ def cmd_tls(args) -> int:
         if model is None:
             print(f"{name}: no TLS model for this structure type; skipped")
             continue
+        # drop the last structure's spectrum (80 MB at the most sections)
+        # before the next one is built
+        spectrum = None
         with _labelled(name):
             spectrum = model(spec, cfg.stack, c_total, args.sections)
         if len(spectrum.s_hz) == 1:

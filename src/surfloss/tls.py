@@ -67,11 +67,12 @@ class TlsSpectrum:
         return self.s_at_area(area)
 
 
-def _spectrum_from_patches(s_values, areas_um2) -> TlsSpectrum:
-    order = np.argsort(-np.asarray(s_values))
-    s_sorted = np.asarray(s_values)[order]
-    a_sorted = np.cumsum(np.asarray(areas_um2)[order])
-    return TlsSpectrum(s_sorted, a_sorted)
+def _spectrum_from_patches(s_values: np.ndarray,
+                           areas_um2: np.ndarray) -> TlsSpectrum:
+    order = np.argsort(-s_values)
+    a_sorted = areas_um2[order]
+    np.cumsum(a_sorted, out=a_sorted)
+    return TlsSpectrum(s_values[order], a_sorted)
 
 
 # --------------------------------------------------------------------------
@@ -120,7 +121,7 @@ def wire_tls_spectrum(spec, capacitance: float, stack: DielectricStack,
                          "converged spectrum")
     if sections > MAX_SECTIONS:
         raise ValueError(f"use at most {MAX_SECTIONS} sections; more take "
-                         "over half a gigabyte")
+                         "over a quarter of a gigabyte")
 
     n_edge = 40      # transverse bins outside the corner region
     n_corner = 12    # corner sub-bins below t/2
@@ -133,31 +134,42 @@ def wire_tls_spectrum(spec, capacitance: float, stack: DielectricStack,
     pre = s_max_prefactor(capacitance)
     e_env = analytic.wire_field(y, rb, flat=True)
 
+    # every patch goes straight into one pair of arrays, the face bins of
+    # all slices first, then their corner sub-bins; the per-slice temporaries
+    # are freed before the sort, which needs its own copies
+    n_face = n_y * n_edge
+    s_all = np.empty(n_face + n_y * n_corner)
+    a_all = np.empty_like(s_all)
+    s_face = s_all[:n_face].reshape(n_y, n_edge)
+    a_face = a_all[:n_face].reshape(n_y, n_edge)
+
     # transverse bins by distance from the edge, log-spaced t/2 .. rb per slice
     u = np.linspace(0.0, 1.0, n_edge + 1)
     delta_edges = (t / 2) * (2.0 * rb[:, None] / t) ** u[None, :]
     delta = 0.5 * (delta_edges[:, :-1] + delta_edges[:, 1:])
-    ddelta = np.diff(delta_edges, axis=1)
+    # 2 wires, both +-x halves
+    np.multiply(4.0 * dy[:, None], np.diff(delta_edges, axis=1), out=a_face)
+    del delta_edges
     prof = np.sqrt(rb[:, None] / (2.0 * rb[:, None] - delta)) \
         * np.sqrt(rb[:, None] / delta)
-    s_face = pre * weight * e_env[:, None] * prof
-    # 2 wires, both +-x halves
-    a_face = 4.0 * dy[:, None] * ddelta
+    del delta
+    np.multiply(pre * weight * e_env[:, None], prof, out=s_face)
+    del prof
 
     # corner sub-bins: r_c in [t/200, t/2], field ~ r_c^(-1/3)
     rc_edges = np.geomspace(t / 200, t / 2, n_corner + 1)
     rc = 0.5 * (rc_edges[:-1] + rc_edges[1:])
     drc = np.diff(rc_edges)
     e_cut = e_env * np.sqrt(rb / (2 * rb - t / 2)) * np.sqrt(rb / (t / 2))
-    s_corner = pre * weight * e_cut[:, None] \
-        * (rc[None, :] / (t / 2)) ** analytic.CORNER_EXPONENT
+    np.multiply(pre * weight * e_cut[:, None],
+                (rc[None, :] / (t / 2)) ** analytic.CORNER_EXPONENT,
+                out=s_all[n_face:].reshape(n_y, n_corner))
     # 2 wires, 2 edges per face
-    a_corner = 4.0 * dy[:, None] * drc[None, :]
+    np.multiply(4.0 * dy[:, None], drc[None, :],
+                out=a_all[n_face:].reshape(n_y, n_corner))
 
-    thickness_scale = stack.t_ms / DENSITY_REF_THICKNESS
-    s_all = np.concatenate([s_face.ravel(), s_corner.ravel()])
-    a_all = np.concatenate([a_face.ravel(), a_corner.ravel()]) \
-        * thickness_scale * 1e12
+    a_all *= stack.t_ms / DENSITY_REF_THICKNESS
+    a_all *= 1e12
     return _spectrum_from_patches(s_all, a_all)
 
 

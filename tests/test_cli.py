@@ -640,25 +640,30 @@ def loaded(*names):
                   if any(m == n or m.startswith(n + ".") for m in sys.modules))
 
 cfg = sys.argv[1]
-steps = [["import", 0, loaded("numpy", "scipy", "surfloss.bem")]]
+steps = [["import", 0, loaded("numpy", "scipy", "surfloss.bem",
+                              "surfloss._quadpack")]]
 for argv in (["analyze", "--config", cfg],
              ["analyze", "--config", cfg, "--corner-split"],
              ["tls", "--config", cfg, "--sections", "20000"],
              ["taper", "--config", cfg],
-             ["verify", "--suite", "flat-wire"]):
+             ["sweep", "--config", cfg, "--param", "structure.wire.d_um",
+              "--range", "10:50", "--steps", "3"],
+             ["verify", "--suite", "flat-coax"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     steps.append([" ".join(a for a in argv if a != cfg), code,
                   loaded("numpy", "scipy", "scipy.integrate",
-                         "surfloss.bem")])
+                         "surfloss.bem", "surfloss._quadpack")])
 print(json.dumps(steps))
 """
 
 
 def test_each_command_loads_only_what_it_runs():
-    # one fresh interpreter: importing the CLI loads no NumPy, SciPy or
-    # solver package; analyze runs on math alone, tls adds NumPy, the
-    # first quadrature (taper) SciPy's integrate and verify the solver
+    # one fresh interpreter: importing the CLI loads no NumPy, SciPy,
+    # solver package or quadrature; analyze runs on math alone, tls adds
+    # NumPy, taper and sweep the pure-Python QUADPACK and no SciPy, and
+    # verify loads the solver, but not SciPy's integrate for flat-coax's
+    # voltage integral
     import os
     cfg = SRC.parent / "configs" / "transmon_100ff.ini"
     env = dict(os.environ)
@@ -671,12 +676,15 @@ def test_each_command_loads_only_what_it_runs():
         ["import", 0], ["analyze --config", 0],
         ["analyze --config --corner-split", 0],
         ["tls --config --sections 20000", 0], ["taper --config", 0],
-        ["verify --suite flat-wire", 0]]
+        ["sweep --config --param structure.wire.d_um --range 10:50 "
+         "--steps 3", 0],
+        ["verify --suite flat-coax", 0]]
     loaded = [step[2] for step in steps]
     assert loaded[:3] == [[], [], []]
-    assert loaded[3] == ["numpy"]
-    assert "scipy.integrate" in loaded[4] and "surfloss.bem" not in loaded[4]
-    assert "surfloss.bem" in loaded[5]
+    assert loaded[3:6] == [["numpy"], ["numpy", "surfloss._quadpack"],
+                           ["numpy", "surfloss._quadpack"]]
+    assert "surfloss.bem" in loaded[6]
+    assert "scipy.integrate" not in loaded[6]
 
 
 def _count_quadratures(monkeypatch):
@@ -713,6 +721,19 @@ def test_sweep_computes_each_wire_quadrature_once(monkeypatch, capsys):
             col = rows[0].index(f"{spec.label}.u_metal")
             assert {row[col] for row in rows[1:]} \
                 == {format(quadrature(spec), ".12e")}
+
+
+def test_taper_reads_its_two_report_slopes_from_the_scan(monkeypatch, capsys):
+    # S = 0.28 and S = 0.16 are points of the 41-slope scan, so the report
+    # takes their energies from it and taper makes only the optimizer's
+    # quadratures: here 41 scan and 15 golden-section ones
+    from surfloss import cli
+    cfg = str(SRC.parent / "configs" / "transmon_100ff.ini")
+    counts = _count_quadratures(monkeypatch)
+    assert cli.main(["taper", "--config", cfg]) == 0
+    assert counts == {"straight_wire_energy_quadrature": 0,
+                      "tapered_wire_energy_quadrature": 56}
+    assert "energy at S=0.28: " in capsys.readouterr().out
 
 
 def test_sweep_of_one_wire_reuses_the_other_wires_quadrature(monkeypatch,

@@ -86,6 +86,26 @@ def test_wire_sections_ceiling():
                               sections=tls.MAX_SECTIONS + 1)
 
 
+def test_wire_spectrum_peak_memory_is_five_patch_arrays():
+    # the patches go into one preallocated pair of arrays and the
+    # per-slice temporaries are freed before the sort, so the peak holds
+    # those two, the sort order and the two sorted copies (11 at first)
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        spectrum = tls.wire_tls_spectrum(TAPER2, 0.1e-12, STACK3,
+                                         sections=1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * spectrum.s_hz.nbytes
+    # 1e6 // 104 slices of 40 face and 12 corner patches each
+    assert len(spectrum.s_hz) == len(spectrum.area_um2) == 9615 * 52
+    assert np.all(np.diff(spectrum.s_hz) <= 0) and spectrum.s_hz[-1] > 0
+    assert np.all(np.diff(spectrum.area_um2) > 0) and spectrum.area_um2[0] > 0
+    assert np.isfinite(spectrum.s_hz[0]) and np.isfinite(spectrum.area_um2[-1])
+
+
 def test_straight_dominates_tapered():
     s_straight = tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3, sections=40_000)
     s_tapered = tls.wire_tls_spectrum(TAPER2, 0.1e-12, STACK3, sections=40_000)
