@@ -7,12 +7,11 @@ junction wires), cross-verified by built-in surface-charge solvers, plus
 two-level-state splitting spectra.
 
 Importing the package, or its command line, loads neither NumPy nor
-SciPy: the closed forms run on ``math``, so `analyze` needs neither.
-The `tls`, `sweep`, `taper` and `verify` commands load NumPy, through
-``surfloss.tls``, ``surfloss.bem`` or the array helpers of
-``surfloss.analytic``.  Only `verify` loads SciPy, inside the functions
-that call it (BEM solves and the vectorized elliptic integral); the
-quadratures run on ``surfloss._quadpack``.
+SciPy: the closed forms run on ``math``, so `analyze` needs neither, and
+`taper` and `sweep` add only the quadratures of ``surfloss._quadpack``.
+The `tls` and `verify` commands load NumPy, through ``surfloss.tls`` or
+``surfloss.bem``.  Only `verify` loads SciPy, inside the functions that
+call it (BEM solves and the vectorized elliptic integral).
 """
 
 from .constants import EPS0

@@ -13,18 +13,19 @@ air/substrate sides of the film corners.  The loss tangent of a structure
 is its participations weighted by the stack's interface loss tangents.
 
 The closed forms run on ``math`` alone.  The array helpers (the field
-profiles, the taper profile and the taper optimizer) import NumPy when
-called, so a design analysis loads no NumPy.  The wire quadratures run on
+profiles on arrays and the taper profile) import NumPy when called, so a
+design analysis loads no NumPy.  The wire quadratures run on
 ``_quadpack``, a Python transcription of the QUADPACK routines behind
-SciPy's ``quad`` with bit-identical results, so `taper` and `sweep` load
-NumPy only, and no SciPy.
+SciPy's ``quad`` with bit-identical results, and the taper optimizer
+scans slopes from ``linspace``, a float transcription of NumPy's, so
+`taper` and `sweep` load neither NumPy nor SciPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .constants import EPS0
 from .geometry import (Coplanar, DielectricStack, ParallelPlate,
@@ -32,9 +33,6 @@ from .geometry import (Coplanar, DielectricStack, ParallelPlate,
                        StraightWire, StructureSpec, TaperedWire,
                        MAX_TAPER_SLOPE, interface_weights)
 from .special import ck_ratio, ellipk, ellipkp_modulus
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: default corner corrections for a square film edge
 C_M_DEFAULT = 5.0
@@ -70,9 +68,18 @@ def flat_coax_center_field(rbar: float, R: float) -> float:
 
 
 def flat_coax_field(x, rbar: float, R: float):
-    """|E(x)|/V of the flat coax along the film plane (metal or substrate)."""
-    import numpy as np
+    """|E(x)|/V of the flat coax along the film plane (metal or substrate).
+
+    A scalar x is evaluated on ``math`` (a quadrature's integrand), an
+    array on NumPy; both make the same correctly rounded operations, so
+    they give the same bits."""
     ef = flat_coax_center_field(rbar, R)
+    if isinstance(x, (int, float)):
+        if abs(x) == rbar:
+            raise ValueError("field diverges at the film edge x = +-rbar")
+        return ef * math.sqrt(rbar / abs(rbar + x)) \
+            * math.sqrt(rbar / abs(rbar - x))
+    import numpy as np
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(np.abs(x) - rbar) == 0.0):
         raise ValueError("field diverges at the film edge x = +-rbar")
@@ -315,6 +322,23 @@ def tapered_wire_energies(spec: TaperedWire, c_m: float) -> SurfaceEnergyPair:
 # --------------------------------------------------------------------------
 # taper optimization
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """num >= 1 evenly spaced floats from start to stop, bit for bit those
+    of ``numpy.linspace(start, stop, num)``: its operations in its order."""
+    div = num - 1
+    delta = stop - start
+    if num == 1:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:
+        # a subnormal span, where the step underflows
+        out = [i / div * delta + start for i in range(num)]
+    else:
+        out = [i * step + start for i in range(num)]
+    out[-1] = stop
+    return out
+
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -343,8 +367,8 @@ def golden_section_min(f: Callable[[float], float], lo: float,
 class TaperOptimum:
     slope: float
     energy: float               # U/(eps0 V^2) at the optimum
-    slopes: np.ndarray          # sampled curve
-    energies: np.ndarray
+    slopes: tuple[float, ...]   # sampled curve
+    energies: tuple[float, ...]
 
 
 def optimize_taper_slope(r0: float, d: float, t: float) -> TaperOptimum:
@@ -352,21 +376,17 @@ def optimize_taper_slope(r0: float, d: float, t: float) -> TaperOptimum:
     S, sampled at 41 slopes from 0.05 to the slope cap and then refined."""
     if d <= 5 * t:
         raise ValueError("taper optimization needs d > 5*t")
-    import numpy as np
     f = lambda s: tapered_wire_energy_quadrature(r0, s, d, t)
-    slopes = np.linspace(0.05, MAX_TAPER_SLOPE, 41)
-    # the integrand runs on Python floats: an np.float64 slope would make
-    # each of its evaluations NumPy scalar arithmetic, same values, slower
-    scan = slopes.tolist()
-    energies = [f(s) for s in scan]
-    # refine around the best sample, honoring the slope cap
-    i = int(np.argmin(energies))
-    lo = scan[max(i - 1, 0)]
-    hi = scan[min(i + 1, len(scan) - 1)]
+    slopes = tuple(linspace(0.05, MAX_TAPER_SLOPE, 41))
+    energies = tuple(f(s) for s in slopes)
+    # refine around the first best sample, honoring the slope cap
+    i = energies.index(min(energies))
+    lo = slopes[max(i - 1, 0)]
+    hi = slopes[min(i + 1, len(slopes) - 1)]
     s_opt, u_opt = golden_section_min(f, lo, hi)
     if u_opt > energies[i]:
-        s_opt, u_opt = scan[i], energies[i]
-    return TaperOptimum(s_opt, u_opt, slopes, np.array(energies))
+        s_opt, u_opt = slopes[i], energies[i]
+    return TaperOptimum(s_opt, u_opt, slopes, energies)
 
 
 # --------------------------------------------------------------------------

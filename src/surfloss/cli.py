@@ -8,7 +8,8 @@ into its exit code and its ``error[code]: culprit: ...`` lines.
 
 Importing this module loads neither NumPy nor SciPy nor the solver
 package: each command imports what it needs when it runs, so `analyze`
-runs on ``math`` alone, and `taper`, `sweep` and `tls` load NumPy only.
+runs on ``math`` alone, `taper` and `sweep` on ``math`` and the package's
+own QUADPACK, and `tls` loads NumPy only.
 """
 
 from __future__ import annotations
@@ -162,7 +163,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import numpy as np
     cp = read_config(args.config)
     parse_config(cp)        # the unswept config must be valid on its own
     try:
@@ -172,6 +172,9 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ValidationError([f"bad --range {args.range!r}; use LO:HI "
                                "with finite numbers"])
+    if not math.isfinite(hi - lo):
+        raise ValidationError([f"bad --range {args.range!r}; HI - LO "
+                               "overflows a float"])
     sect, _, key = args.param.rpartition(".")
     if not sect:
         raise ValidationError(
@@ -179,20 +182,20 @@ def cmd_sweep(args) -> int:
     if not cp.has_section(sect) or key not in cp[sect]:
         raise ValidationError([f"--param {args.param!r} not found in config"])
 
-    values = np.linspace(lo, hi, args.steps)
+    values = analytic.linspace(lo, hi, args.steps)
     # wire spec -> its quadrature; the spec is frozen, so a step that leaves
     # a wire's keys alone reuses the energy an earlier step computed
     wire_energy = {}
     out_rows = []
     for val in values:
         culprit = f"{args.param}={val}"
-        cp[sect][key] = repr(float(val))
+        cp[sect][key] = repr(val)
         try:
             cfg_i = parse_config(cp)
             _, rows, total = _analysis_rows(cfg_i)
         except ValidationError as exc:
             raise ValidationError([f"{culprit}: {exc}"])
-        row = {"param": float(val)}
+        row = {"param": val}
         for spec, bd in zip(cfg_i.structures, rows):
             for c in _COLUMNS[1:]:
                 row[f"{spec.label}.{c}"] = bd[c]
@@ -230,7 +233,7 @@ def cmd_taper(args) -> int:
         opt = analytic.optimize_taper_slope(r0, d, t)
         # both slopes are points of the optimizer's scan, which has their
         # energies
-        scanned = dict(zip(opt.slopes.tolist(), opt.energies.tolist()))
+        scanned = dict(zip(opt.slopes, opt.energies))
         u28, u16 = (scanned[s] if s in scanned
                     else analytic.tapered_wire_energy_quadrature(r0, s, d, t)
                     for s in (0.28, 0.16))
@@ -355,16 +358,17 @@ def main(argv=None) -> int:
     # looked up at call time, so a later rebinding of cmd_<command> is seen
     fn = globals()[f"cmd_{args.command}"]
     try:
-        if args.command == "analyze":
-            # the closed forms run on math, which raises on an overflow or
-            # a domain error by itself; analyze makes no NumPy operation,
-            # so it neither imports NumPy nor needs errstate
-            return fn(args)
-        import numpy as np
-        # a NumPy overflow, invalid value or division by zero raises
-        # FloatingPointError instead of warning
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return fn(args)
+        if args.command in ("tls", "verify"):
+            import numpy as np
+            # the two commands that make NumPy operations: a NumPy
+            # overflow, invalid value or division by zero raises
+            # FloatingPointError instead of warning
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return fn(args)
+        # analyze, taper and sweep run on math, which raises on an overflow
+        # or a domain error by itself; they make no NumPy operation, so
+        # they neither import NumPy nor need errstate
+        return fn(args)
     except ValidationError as exc:
         code, problems = EXIT_CONFIG, exc.problems
     # past validation, a ValueError is a formula or quadrature leaving its

@@ -644,10 +644,10 @@ steps = [["import", 0, loaded("numpy", "scipy", "surfloss.bem",
                               "surfloss._quadpack")]]
 for argv in (["analyze", "--config", cfg],
              ["analyze", "--config", cfg, "--corner-split"],
-             ["tls", "--config", cfg, "--sections", "20000"],
              ["taper", "--config", cfg],
              ["sweep", "--config", cfg, "--param", "structure.wire.d_um",
               "--range", "10:50", "--steps", "3"],
+             ["tls", "--config", cfg, "--sections", "20000"],
              ["verify", "--suite", "flat-coax"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -660,10 +660,11 @@ print(json.dumps(steps))
 
 def test_each_command_loads_only_what_it_runs():
     # one fresh interpreter: importing the CLI loads no NumPy, SciPy,
-    # solver package or quadrature; analyze runs on math alone, tls adds
-    # NumPy, taper and sweep the pure-Python QUADPACK and no SciPy, and
-    # verify loads the solver, but not SciPy's integrate for flat-coax's
-    # voltage integral
+    # solver package or quadrature; analyze runs on math alone, taper and
+    # sweep add the pure-Python QUADPACK and neither NumPy nor SciPy, tls
+    # adds NumPy, and verify loads the solver, but not SciPy's integrate
+    # for flat-coax's voltage integral.  What a command loads stays loaded,
+    # so the commands that load less run first.
     import os
     cfg = SRC.parent / "configs" / "transmon_100ff.ini"
     env = dict(os.environ)
@@ -674,14 +675,14 @@ def test_each_command_loads_only_what_it_runs():
     steps = json.loads(res.stdout.splitlines()[-1])
     assert [step[:2] for step in steps] == [
         ["import", 0], ["analyze --config", 0],
-        ["analyze --config --corner-split", 0],
-        ["tls --config --sections 20000", 0], ["taper --config", 0],
+        ["analyze --config --corner-split", 0], ["taper --config", 0],
         ["sweep --config --param structure.wire.d_um --range 10:50 "
          "--steps 3", 0],
+        ["tls --config --sections 20000", 0],
         ["verify --suite flat-coax", 0]]
     loaded = [step[2] for step in steps]
     assert loaded[:3] == [[], [], []]
-    assert loaded[3:6] == [["numpy"], ["numpy", "surfloss._quadpack"],
+    assert loaded[3:6] == [["surfloss._quadpack"], ["surfloss._quadpack"],
                            ["numpy", "surfloss._quadpack"]]
     assert "surfloss.bem" in loaded[6]
     assert "scipy.integrate" not in loaded[6]

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfloss import analytic, cli, tls
@@ -168,8 +168,8 @@ def _shipped_params():
 
 
 #: a sweep bound: an edge of the float range, a non-number or an ordinary
-#: value
-BOUNDS = st.one_of(st.sampled_from(VALUES + ("inf", "-inf")),
+#: value; -1e308 against 1e308 makes a span that overflows
+BOUNDS = st.one_of(st.sampled_from(VALUES + ("inf", "-inf", "-1e308")),
                    st.floats(-1e3, 1e3).map(repr))
 
 
@@ -178,6 +178,8 @@ BOUNDS = st.one_of(st.sampled_from(VALUES + ("inf", "-inf")),
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(param=st.sampled_from(_shipped_params()), lo=BOUNDS, hi=BOUNDS,
        steps=st.one_of(st.integers(1, 30), st.sampled_from(OVER_STEPS)))
+# the derandomized draws do not pair -1e308 with 1e308
+@example(param="stack.tan_ms", lo="-1e308", hi="1e308", steps=3)
 def test_sweep_contract_holds_for_random_argv(param, lo, hi, steps):
     # "--range=" keeps argparse from reading a bound of "-1" as a flag
     _assert_contract(["sweep", "--config", str(SHIPPED_CONFIG), "--param",
@@ -204,14 +206,18 @@ def test_sweep_quadrature_failure_names_the_swept_value(monkeypatch):
 
 def test_sweep_rejects_non_finite_bounds():
     # a non-finite bound that reaches linspace exits 3 with "invalid value
-    # encountered in multiply"
-    for bounds in ("inf:1", "1:-inf", "nan:2"):
+    # encountered in multiply"; finite bounds whose difference overflows
+    # exited 3 with "overflow encountered in subtract", naming no culprit
+    finite = "use LO:HI with finite numbers"
+    span = "HI - LO overflows a float"
+    for bounds, why in (("inf:1", finite), ("1:-inf", finite),
+                        ("nan:2", finite), ("-1e308:1e308", span),
+                        ("1e308:-1e308", span)):
         rc, out, err, _ = _run(["sweep", "--config", str(SHIPPED_CONFIG),
                                 "--param", "structure.wire.d_um",
                                 f"--range={bounds}", "--steps", "3"])
         assert (rc, out) == (2, "")
-        assert err == (f"error[2]: bad --range {bounds!r}; use LO:HI with "
-                       "finite numbers\n")
+        assert err == f"error[2]: bad --range {bounds!r}; {why}\n"
 
 
 @pytest.mark.filterwarnings(
