@@ -372,8 +372,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         code, problems = EXIT_CONFIG, exc.problems
     # past validation, a ValueError is a formula or quadrature leaving its
-    # domain
-    except (NumericalError, ArithmeticError, ValueError) as exc:
+    # domain; a MemoryError is an allocation the host refused, such as a
+    # verify mesh near the unknown cap on a small machine
+    except (NumericalError, ArithmeticError, ValueError, MemoryError) as exc:
         code, problems = EXIT_NUMERICAL, [_explained(exc)]
     for p in problems:
         print(f"error[{code}]: {p}", file=sys.stderr)

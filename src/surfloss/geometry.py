@@ -308,9 +308,12 @@ def validate_design(structures, stack: DielectricStack) -> list[str]:
 
 
 def _explained(exc) -> str:
-    """An error's text, saying what an overflow or a division by zero
-    means: Python's own text for them ("(34, 'Numerical result out of
-    range')", "float division by zero") names no cause."""
+    """An error's text, saying what an overflow, a division by zero or a
+    refused allocation means: Python's own text for them ("(34, 'Numerical
+    result out of range')", "float division by zero", often none for a
+    MemoryError) names no cause."""
+    if isinstance(exc, MemoryError):
+        return "out of memory" + (f": {exc}" if str(exc) else "")
     if isinstance(exc, OverflowError):
         return f"floating-point overflow: {exc}"
     if isinstance(exc, ZeroDivisionError):

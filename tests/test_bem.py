@@ -3,6 +3,7 @@ verification suites (the full sweeps run in the acceptance module)."""
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,6 +26,22 @@ UM = 1e-6
 def test_coax_suite_passes():
     for check in suite_coax(mesh_scale=0.6):
         assert check.passed, check
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+def test_max_asymmetry_is_the_dense_value_exactly(n):
+    # n below, at, just above and well past one block of 256 rows
+    a = np.random.default_rng(n).standard_normal((n, n))
+    got = suites._max_asymmetry(n, lambda rows, cols: a[rows][:, cols])
+    assert got == np.max(np.abs(a - a.T))
+
+
+def test_coax_planar_matrix_is_exactly_symmetric_by_blocks():
+    # the first mesh of suite_coax at mesh scale 1
+    m = meshes.concat([meshes.circle(10e-6, 400, electrode=0),
+                       meshes.circle(100e-6, 1200, electrode=1)])
+    assert suites._max_asymmetry(
+        m.n, partial(kern.planar_matrix, *m.pos.T, m.width)) == 0.0
 
 
 def test_prolate_spheroid_capacitance():

@@ -631,6 +631,25 @@ def test_verify_too_coarse_mesh_is_numerical_error(suite, scale):
     assert len(res.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error[3]: out of memory"),
+    (MemoryError("Unable to allocate 1.47 GiB for an array"),
+     "error[3]: out of memory: Unable to allocate 1.47 GiB for an array"),
+])
+def test_verify_out_of_memory_is_numerical_error(monkeypatch, capsys, exc,
+                                                 line):
+    # an allocation the host refuses, as a large --mesh-scale can ask for
+    from surfloss import cli
+
+    def refused(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_verify", refused)
+    assert cli.main(["verify", "--suite", "coax", "--mesh-scale", "6"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [line]
+
+
 IMPORT_GUARD = """\
 import contextlib, io, json, sys
 import surfloss.cli as cli

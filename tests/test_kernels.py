@@ -1,6 +1,7 @@
 """Kernel math checks and kernel values frozen from the AGM implementation."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -521,6 +522,27 @@ def test_blocked_layers_stay_within_a_few_blocks_of_memory():
     kern.ring_matrix(z[:20], r[:20], w[:20])     # SciPy's import is not traced
     assert _traced_peak(kern.ring_matrix, z, r, w) \
         < 8 * rings.n ** 2 + 16 * block
+
+
+def test_coax_symmetry_check_holds_a_few_blocks_not_the_matrix():
+    # by pairs of 256-row blocks the check holds two blocks and their
+    # difference, never the 1600 x 1600 matrix (20 MB)
+    from surfloss.bem import mesh as meshes, suites
+    m = meshes.concat([meshes.circle(10e-6, 400, electrode=0),
+                       meshes.circle(100e-6, 1200, electrode=1)])
+    assert m.n == 1600
+    assert _traced_peak(suites._max_asymmetry, m.n,
+                        partial(kern.planar_matrix, *m.pos.T, m.width)) \
+        < 4 * 8 * kern.BLOCK_ENTRIES
+
+
+def test_coax_suite_peaks_at_its_doubled_solve():
+    # the doubled mesh's 800^2 reduced matrix and its Cholesky copy, about
+    # 10 MiB, set the peak; a symmetry check holding the full matrix would
+    # not fit under it
+    from surfloss.bem import suites
+    suites.suite_coax(mesh_scale=0.25)          # imports are not traced
+    assert _traced_peak(suites.suite_coax) < 16 * 2 ** 20
 
 
 #: (BLOCK_ENTRIES, n_rows, row_len, most, rows per block)
