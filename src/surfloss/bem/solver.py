@@ -3,10 +3,12 @@ fields and energies.
 
 The solves run in vacuum; substrate weighting happens in the analytic
 layer ((eps_s+1)/2 for effective capacitance, eps factors in the
-participations).  Dense factorizations with a reciprocal-condition
-estimate: Cholesky for the symmetric kinds (planar and ring), whose
-single-layer log kernel is positive definite on domains this small; LU
-for flatwire, whose matrix is not symmetric.  Systems are capped at 20k
+participations).  Every solve ends in one dense LAPACK factorization
+with a reciprocal-condition estimate and a residual check
+(`_factor_solve`): Cholesky (dpotrf, dpocon, dpotrs) for the symmetric
+kinds (planar and ring), whose single-layer log kernel is positive
+definite on domains this small; LU (dgetrf, dgecon, dgetrs) for
+flatwire, whose matrix is not symmetric.  Systems are capped at 20k
 unknowns.
 
 Every solve runs in the subspace of the mesh's mirror symmetries.  For a
@@ -38,7 +40,6 @@ fixes the points it is the plain sum over every element.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -168,39 +169,41 @@ def _point_image(px, py, flip):
     return None
 
 
-def _check_rcond(rcond: float) -> None:
+def _factor_solve(m, v, symmetric: bool):
+    """Solve m y = v by one dense LAPACK factorization; returns (y, rcond).
+
+    symmetric: the upper Cholesky factor (dpotrf, dpocon, dpotrs); m is
+    symmetric, and its F-ordered view m.T is copied into the factor's
+    buffer as it lies, without a transpose.  Otherwise LU with partial
+    pivoting (dgetrf, dgecon, dgetrs).  Raises SolverError where the
+    Cholesky factorization fails, where the 1-norm condition estimate
+    rcond is 0 or below RCOND_LIMIT, or where the relative residual
+    exceeds RESIDUAL_LIMIT or is not a number (a drive with a NaN).
+    """
+    from scipy.linalg import lapack
+
+    anorm = np.linalg.norm(m, 1)
+    if symmetric:
+        f, info = lapack.dpotrf(m.T, clean=False)
+        if info > 0:
+            raise SolverError("potential matrix is singular or indefinite: "
+                              f"Cholesky factorization failed at pivot {info}")
+        rcond = float(lapack.dpocon(f, anorm)[0])
+    else:
+        # an exactly zero pivot (info > 0) gives rcond = 0 below
+        f, piv, _ = lapack.dgetrf(m)
+        rcond = float(lapack.dgecon(f, anorm, norm="1")[0])
     if rcond == 0.0:
         raise SolverError("potential matrix is singular: condition estimate "
                           "rcond = 0")
     if rcond < RCOND_LIMIT:
         raise SolverError(
             f"potential matrix ill-conditioned: condition estimate {1.0 / rcond:.2e}")
-
-
-def _solve_cholesky(m, v, anorm):
-    from scipy.linalg import cho_solve, lapack
-
-    # upper factor; m is symmetric, and its F-ordered view m.T is copied
-    # into the factor's buffer as it lies, without a transpose
-    c, info = lapack.dpotrf(m.T, clean=False)
-    if info > 0:
-        raise SolverError("potential matrix is singular or indefinite: "
-                          f"Cholesky factorization failed at pivot {info}")
-    rcond = float(lapack.dpocon(c, anorm)[0])
-    _check_rcond(rcond)
-    return cho_solve((c, False), v, check_finite=False), rcond
-
-
-def _solve_lu(m, v, anorm):
-    from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
-
-    with warnings.catch_warnings():
-        # a singular matrix is reported by the rcond check below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(m)
-    rcond = float(lapack.dgecon(lu, anorm, norm="1")[0])
-    _check_rcond(rcond)
-    return lu_solve((lu, piv), v), rcond
+    y = lapack.dpotrs(f, v)[0] if symmetric else lapack.dgetrs(f, piv, v)[0]
+    r, b = np.linalg.norm(m @ y - v), np.linalg.norm(v)
+    if not r <= RESIDUAL_LIMIT * b:
+        raise SolverError(f"solve residual {r / b:.2e} exceeds {RESIDUAL_LIMIT}")
+    return y, rcond
 
 
 def _mirror_group(mesh: Mesh, v: np.ndarray):
@@ -328,15 +331,9 @@ def solve(mesh: Mesh, voltages: dict) -> ChargeSolution:
         m = _reduced_planar_matrix(mesh, rows, root, perms, signs)
     else:                           # one element per orbit: M itself
         m = assemble(mesh)
-    vr = root * v[rows]
-    anorm = np.linalg.norm(m, 1)
-    if mesh.kind == "flatwire":     # column j uses rbar[j]: not symmetric
-        y, rcond = _solve_lu(m, vr, anorm)
-    else:
-        y, rcond = _solve_cholesky(m, vr, anorm)
-    resid = np.linalg.norm(m @ y - vr) / np.linalg.norm(vr)
-    if resid > RESIDUAL_LIMIT:
-        raise SolverError(f"solve residual {resid:.2e} exceeds {RESIDUAL_LIMIT}")
+    # a flat wire's column j uses rbar[j]: its matrix is not symmetric
+    y, rcond = _factor_solve(m, root * v[rows],
+                             symmetric=mesh.kind != "flatwire")
     q = np.zeros(n)
     q[rows] = y / root
     q = np.where(plus, q[rep], -q[rep])

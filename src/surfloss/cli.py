@@ -234,9 +234,7 @@ def cmd_taper(args) -> int:
         # both slopes are points of the optimizer's scan, which has their
         # energies
         scanned = dict(zip(opt.slopes, opt.energies))
-        u28, u16 = (scanned[s] if s in scanned
-                    else analytic.tapered_wire_energy_quadrature(r0, s, d, t)
-                    for s in (0.28, 0.16))
+        u28, u16 = scanned[0.28], scanned[0.16]
     print(f"wire {spec.label}: optimal slope S* = {_fmt(opt.slope, '.3f')}")
     print(f"metal line energy at S*: {_fmt(opt.energy)} (units U/(eps0 V^2))")
     print(f"energy at S=0.28: {_fmt(u28 / opt.energy, '.4f')} x minimum")

@@ -62,7 +62,8 @@ def _parse_float(raw: str, where: str, problems: list[str]) -> float:
 def _section_fields(items, cls, section: str, unknown: str,
                     problems: list[str]) -> dict:
     """Field values of one section's (key, raw) items, keyed through
-    ``cls.INI_KEYS``; a field with a bool default is a true/false flag."""
+    ``cls.INI_KEYS``; a field with a bool default is a true/false flag,
+    given as one of configparser's boolean words in any case."""
     flags = {f.name for f in fields(cls) if isinstance(f.default, bool)}
     kwargs = {}
     for key, raw in items:
@@ -71,7 +72,11 @@ def _section_fields(items, cls, section: str, unknown: str,
             continue
         field_name = cls.INI_KEYS[key]
         if field_name in flags:
-            kwargs[field_name] = raw.strip().lower() in ("1", "true", "yes")
+            states = configparser.ConfigParser.BOOLEAN_STATES
+            word = raw.strip().lower()
+            if word not in states:
+                problems.append(f"{section}.{key}: not true or false: {raw!r}")
+            kwargs[field_name] = states.get(word, False)
         else:
             scale = _UNITS.get("_" + key.rpartition("_")[2], 1.0)
             kwargs[field_name] = _parse_float(raw, f"{section}.{key}",

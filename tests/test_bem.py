@@ -215,6 +215,53 @@ def test_indefinite_matrix_reported(monkeypatch):
             solve(m, {0: 1.0})
 
 
+def _solve_assembled(monkeypatch, kind, matrix, volts):
+    """solve() on a two-element mesh of the given kind whose assembled
+    matrix is `matrix`, with warnings raised as errors."""
+    monkeypatch.setattr(solver_mod, "assemble",
+                        lambda mesh, rows=slice(None), cols=slice(None):
+                        np.array(matrix, float)[rows][:, cols])
+    m = meshes.Mesh(kind, np.ones((2, 2)), np.ones(2), np.zeros(2, int))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return solve(m, volts)
+
+
+def test_singular_lu_reported_without_a_warning(monkeypatch):
+    # an exactly zero LU pivot gives rcond = 0: one SolverError, and no
+    # LinAlgWarning on the way
+    with pytest.raises(SolverError, match="singular: condition estimate"):
+        _solve_assembled(monkeypatch, "flatwire", [[1.0, 2.0], [2.0, 4.0]],
+                         {0: 1.0})
+
+
+@pytest.mark.parametrize("kind", ["flatwire", "ring"])
+def test_ill_conditioned_matrix_reported(monkeypatch, kind):
+    # LU (flatwire) and Cholesky (ring) both estimate rcond = 1e-14,
+    # below RCOND_LIMIT
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        _solve_assembled(monkeypatch, kind, [[1.0, 0.0], [0.0, 1e-14]],
+                         {0: 1.0})
+
+
+@pytest.mark.parametrize("kind", ["flatwire", "ring"])
+def test_nan_drive_fails_the_residual_check(monkeypatch, kind):
+    # a NaN voltage gives a NaN residual, which the residual check
+    # reports instead of returning NaN charges
+    with pytest.raises(SolverError, match="solve residual nan"):
+        _solve_assembled(monkeypatch, kind, [[2.0, 1.0], [1.0, 2.0]],
+                         {0: math.nan})
+
+
+@pytest.mark.parametrize("kind", ["flatwire", "ring"])
+def test_zero_drive_gives_zero_charges(monkeypatch, kind):
+    # the residual check compares |r| with the limit times |v|, so a zero
+    # drive divides nothing by zero
+    sol = _solve_assembled(monkeypatch, kind, [[2.0, 1.0], [1.0, 2.0]],
+                           {0: 0.0})
+    assert np.array_equal(sol.charge, np.zeros(2))
+
+
 def test_drive_must_name_every_electrode():
     # an electrode without a voltage would be driven by uninitialized memory
     m = meshes.concat([meshes.circle(10e-6, 40, electrode=0),
@@ -644,14 +691,14 @@ def _solved_matrix(monkeypatch, mesh, volts):
     """solve(mesh, volts) and the reduced matrix it factored."""
     seen = []
 
-    def keeping_cholesky(m, v, anorm):
+    def keeping_factor(m, v, symmetric):
         seen.append(m.copy())
-        return factor(m, v, anorm)
+        return factor(m, v, symmetric)
 
-    factor = solver_mod._solve_cholesky
-    monkeypatch.setattr(solver_mod, "_solve_cholesky", keeping_cholesky)
+    factor = solver_mod._factor_solve
+    monkeypatch.setattr(solver_mod, "_factor_solve", keeping_factor)
     sol = solve(mesh, volts)
-    monkeypatch.setattr(solver_mod, "_solve_cholesky", factor)
+    monkeypatch.setattr(solver_mod, "_factor_solve", factor)
     return sol, seen[0]
 
 

@@ -746,14 +746,20 @@ def test_sweep_computes_each_wire_quadrature_once(monkeypatch, capsys):
 def test_taper_reads_its_two_report_slopes_from_the_scan(monkeypatch, capsys):
     # S = 0.28 and S = 0.16 are points of the 41-slope scan, so the report
     # takes their energies from it and taper makes only the optimizer's
-    # quadratures: here 41 scan and 15 golden-section ones
+    # quadratures: here 41 scan and 15 golden-section ones.  A change to
+    # the scan or its cap that drops either slope fails here, not in
+    # cmd_taper with a KeyError
     from surfloss import cli
+    from surfloss.analytic import linspace
+    from surfloss.geometry import MAX_TAPER_SLOPE
+    assert {0.28, 0.16} <= set(linspace(0.05, MAX_TAPER_SLOPE, 41))
     cfg = str(SRC.parent / "configs" / "transmon_100ff.ini")
     counts = _count_quadratures(monkeypatch)
     assert cli.main(["taper", "--config", cfg]) == 0
     assert counts == {"straight_wire_energy_quadrature": 0,
                       "tapered_wire_energy_quadrature": 56}
-    assert "energy at S=0.28: " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "energy at S=0.28: " in out and "energy at S=0.16: " in out
 
 
 def test_sweep_of_one_wire_reuses_the_other_wires_quadrature(monkeypatch,

@@ -1,6 +1,7 @@
 """INI config loading: the stack and every structure type round-trip to
-their specs."""
+their specs, and a flag key takes only configparser's boolean words."""
 
+import configparser
 from dataclasses import fields
 
 import pytest
@@ -9,7 +10,7 @@ from surfloss.config import load_config
 from surfloss.constants import NM, UM
 from surfloss.geometry import (STRUCTURE_TYPES, Coplanar, DielectricStack,
                                ParallelPlate, Ribbon, RibbonWithGround,
-                               StraightWire, TaperedWire)
+                               StraightWire, TaperedWire, ValidationError)
 
 #: (INI type, every key of the section, the spec built directly in SI)
 SECTIONS = [
@@ -73,3 +74,34 @@ def test_every_structure_type_is_covered():
     from surfloss.analytic import CLOSED_FORMS
     assert {s[0] for s in SECTIONS} == set(STRUCTURE_TYPES)
     assert set(STRUCTURE_TYPES.values()) <= set(CLOSED_FORMS)
+
+
+def _coplanar(tmp_path, single_ended: str):
+    path = tmp_path / "design.ini"
+    path.write_text("[structure.s]\ntype = coplanar\na_um = 50\nb_um = 100\n"
+                    f"length_um = 1138\nt_um = 0.1\nsingle_ended = {single_ended}\n")
+    return path
+
+
+@pytest.mark.parametrize("word, value",
+                         configparser.ConfigParser.BOOLEAN_STATES.items())
+def test_flag_takes_every_configparser_boolean_word(tmp_path, word, value):
+    for spelling in (word, word.upper(), word.capitalize()):
+        spec, = load_config(_coplanar(tmp_path, spelling)).structures
+        assert spec.single_ended is value
+
+
+@pytest.mark.parametrize("raw", ["flase", "2", ""])
+def test_flag_rejects_other_words(tmp_path, capsys, raw):
+    # reported with the other problems, not read as false; the CLI exits 2
+    from surfloss import cli
+    path = _coplanar(tmp_path, raw)
+    path.write_text(path.read_text().replace("a_um = 50", "a_um = wide"))
+    with pytest.raises(ValidationError) as exc:
+        load_config(path)
+    assert exc.value.problems == [
+        "structure.s.a_um: not a number: 'wide'",
+        f"structure.s.single_ended: not true or false: {raw!r}"]
+    assert cli.main(["analyze", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error[2]: structure.s.single_ended: not true or false: {raw!r}" in err
