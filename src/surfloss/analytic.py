@@ -24,8 +24,7 @@ scans slopes from ``linspace``, a float transcription of NumPy's, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .constants import EPS0
 from .geometry import (Coplanar, DielectricStack, ParallelPlate,
@@ -49,8 +48,7 @@ C_M_SUBSTRATE = 0.5 * C_M_DEFAULT
 CORNER_EXPONENT = -1.0 / 3.0
 
 
-@dataclass(frozen=True)
-class SurfaceEnergyPair:
+class SurfaceEnergyPair(NamedTuple):
     """Metal/substrate surface energies normalized as U/(eps0 V^2)."""
 
     u_metal: float
@@ -363,8 +361,7 @@ def golden_section_min(f: Callable[[float], float], lo: float,
     return x, f(x)
 
 
-@dataclass(frozen=True)
-class TaperOptimum:
+class TaperOptimum(NamedTuple):
     slope: float
     energy: float               # U/(eps0 V^2) at the optimum
     slopes: tuple[float, ...]   # sampled curve

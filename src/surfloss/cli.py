@@ -18,6 +18,7 @@ import argparse
 import functools
 import io
 import math
+import os
 import sys
 
 from .constants import FF, GHZ, MAX_SECTIONS, MIN_SECTIONS, SUITES, UM
@@ -58,9 +59,12 @@ def _csv(header, rows) -> str:
 def _save(out: str, name: str, text: str) -> None:
     """Write text to file name in the --out directory, creating it."""
     from pathlib import Path
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    (path / name).write_text(text, newline="")
+    path = Path(out) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, newline="")
+    except OSError as exc:
+        raise ValidationError([f"--out: cannot write {path}: {exc.strerror}"])
 
 
 def _positive_float(text: str) -> float:
@@ -183,7 +187,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError([f"--param {args.param!r} not found in config"])
 
     values = analytic.linspace(lo, hi, args.steps)
-    # wire spec -> its quadrature; the spec is frozen, so a step that leaves
+    # wire spec -> its quadrature; the spec is immutable, so a step that leaves
     # a wire's keys alone reuses the energy an earlier step computed
     wire_energy = {}
     out_rows = []
@@ -362,11 +366,22 @@ def main(argv=None) -> int:
             # overflow, invalid value or division by zero raises
             # FloatingPointError instead of warning
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                return fn(args)
-        # analyze, taper and sweep run on math, which raises on an overflow
-        # or a domain error by itself; they make no NumPy operation, so
-        # they neither import NumPy nor need errstate
-        return fn(args)
+                code = fn(args)
+        else:
+            # analyze, taper and sweep run on math, which raises on an
+            # overflow or a domain error by itself; they make no NumPy
+            # operation, so they neither import NumPy nor need errstate
+            code = fn(args)
+        # a closed stdout raises here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: the rest of the output goes to devnull, so
+        # the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ValidationError as exc:
         code, problems = EXIT_CONFIG, exc.problems
     # past validation, a ValueError is a formula or quadrature leaving its

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .constants import FF, GHZ, NM, UM
 from .geometry import (MAX_TAPER_SLOPE, STRUCTURE_TYPES, DielectricStack,
@@ -39,8 +38,7 @@ from .geometry import (MAX_TAPER_SLOPE, STRUCTURE_TYPES, DielectricStack,
 _UNITS = {"_um": UM, "_nm": NM}
 
 
-@dataclass
-class DesignConfig:
+class DesignConfig(NamedTuple):
     stack: DielectricStack
     structures: list            # [StructureSpec], labelled by section
     target_capacitance: Optional[float]   # F, or None
@@ -64,7 +62,7 @@ def _section_fields(items, cls, section: str, unknown: str,
     """Field values of one section's (key, raw) items, keyed through
     ``cls.INI_KEYS``; a field with a bool default is a true/false flag,
     given as one of configparser's boolean words in any case."""
-    flags = {f.name for f in fields(cls) if isinstance(f.default, bool)}
+    flags = {n for n, v in cls._field_defaults.items() if isinstance(v, bool)}
     kwargs = {}
     for key, raw in items:
         if key not in cls.INI_KEYS:
@@ -149,10 +147,9 @@ def parse_config(cp: configparser.ConfigParser,
             problems.append(f"{section}.type: unknown structure type {stype!r}")
             continue
         cls = STRUCTURE_TYPES[stype]
-        required = {f.name for f in fields(cls) if f.default is MISSING}
         kwargs = _section_fields(items.items(), cls, section,
                                  f"unknown key for {stype}", problems)
-        missing = required - set(kwargs)
+        missing = set(cls._fields) - set(cls._field_defaults) - set(kwargs)
         if missing:
             problems.append(f"[{section}]: missing keys for {stype}: "
                             f"{', '.join(sorted(missing))}")

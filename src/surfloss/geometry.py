@@ -9,8 +9,7 @@ all structures and interfaces.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .constants import EPS0
 
@@ -29,8 +28,7 @@ class NumericalError(RuntimeError):
     reports them without importing the solver."""
 
 
-@dataclass(frozen=True)
-class DielectricStack:
+class DielectricStack(NamedTuple):
     """Substrate and interface-oxide dielectric parameters (SI)."""
 
     INI_KEYS = {"eps_substrate": "eps_s", "eps_ma": "eps_ma",
@@ -101,8 +99,7 @@ def _strip_problems(spec, ground=(), gaps=()) -> list[str]:
                   if 0 < gap <= spec.t]
 
 
-@dataclass(frozen=True)
-class ParallelPlate:
+class ParallelPlate(NamedTuple):
     """Differential pair of plates, each w x length at spacing s to ground."""
 
     INI_KEYS = {"s_um": "s", "w_um": "w", "length_um": "length"}
@@ -122,8 +119,7 @@ class ParallelPlate:
         return bad
 
 
-@dataclass(frozen=True)
-class Ribbon:
+class Ribbon(NamedTuple):
     """Two differential strips spanning a..b from the centerline."""
 
     INI_KEYS = {"a_um": "a", "b_um": "b", "length_um": "length", "t_um": "t"}
@@ -138,8 +134,7 @@ class Ribbon:
         return _strip_problems(self)
 
 
-@dataclass(frozen=True)
-class Coplanar:
+class Coplanar(NamedTuple):
     """Strip of half-width a against a ground plane beyond b."""
 
     INI_KEYS = {"a_um": "a", "b_um": "b", "length_um": "length",
@@ -156,8 +151,7 @@ class Coplanar:
         return _strip_problems(self)
 
 
-@dataclass(frozen=True)
-class RibbonWithGround:
+class RibbonWithGround(NamedTuple):
     """Differential ribbon with a surrounding ground plane beyond +-c."""
 
     INI_KEYS = {"a_um": "a", "b_um": "b", "c_um": "c",
@@ -186,8 +180,7 @@ class RibbonWithGround:
         return _strip_problems(self, ground, [("c - b", self.c - self.b)])
 
 
-@dataclass(frozen=True)
-class StraightWire:
+class StraightWire(NamedTuple):
     """Pair of junction leads, half-width r_bar, length d per side."""
 
     INI_KEYS = {"half_width_um": "half_width", "d_um": "d", "t_um": "t"}
@@ -220,8 +213,7 @@ class StraightWire:
 MAX_TAPER_SLOPE = 0.45
 
 
-@dataclass(frozen=True)
-class TaperedWire:
+class TaperedWire(NamedTuple):
     """Junction leads tapering as r(y) = max(r0, (y - 5t)*slope)."""
 
     INI_KEYS = {"r0_um": "r0", "slope": "slope", "d_um": "d", "t_um": "t"}
@@ -253,7 +245,7 @@ class TaperedWire:
 
 
 #: INI ``type`` name -> spec class.  A structure type is declared by its
-#: dataclass above, its entry here and its row in ``analytic.CLOSED_FORMS``.
+#: NamedTuple above, its entry here and its row in ``analytic.CLOSED_FORMS``.
 STRUCTURE_TYPES = {
     "parallel_plate": ParallelPlate,
     "ribbon": Ribbon,
@@ -266,8 +258,7 @@ STRUCTURE_TYPES = {
 StructureSpec = Union[tuple(STRUCTURE_TYPES.values())]
 
 
-@dataclass(frozen=True)
-class ParticipationBreakdown:
+class ParticipationBreakdown(NamedTuple):
     """Interface participation ratios of one structure at a shared L, and
     the loss tangent they give with the stack's interface loss tangents."""
 
@@ -279,8 +270,7 @@ class ParticipationBreakdown:
     loss_tangent: float
 
 
-@dataclass(frozen=True)
-class DesignAssembly:
+class DesignAssembly(NamedTuple):
     """A multi-structure design resolved at a shared qubit capacitance."""
 
     breakdowns: tuple

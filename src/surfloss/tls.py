@@ -12,7 +12,7 @@ spectrum; the plate pair's uniform oxide field makes its spectrum one patch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ def s_max(e_over_v: float, capacitance: float) -> float:
     return s_max_prefactor(capacitance) * e_over_v
 
 
-@dataclass(frozen=True)
-class TlsSpectrum:
+class TlsSpectrum(NamedTuple):
     """Descending splitting sizes vs cumulative effective area."""
 
     s_hz: np.ndarray          # descending

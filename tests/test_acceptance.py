@@ -354,7 +354,7 @@ def test_criterion_10_property_suites():
     # 1/D size scaling for the closed-form capacitor structures
     for spec in (PLATE, RIBBON, COPLANAR):
         kw = {f: getattr(spec, f) * 2.0 if isinstance(getattr(spec, f), float)
-              else getattr(spec, f) for f in spec.__dataclass_fields__}
+              else getattr(spec, f) for f in spec._fields}
         big = type(spec)(**kw)
         b1 = analytic.participation(spec, TABLE_STACK,
                                     analytic.capacitance(spec, TABLE_STACK) / EPS0)

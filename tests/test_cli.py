@@ -118,6 +118,53 @@ def test_analyze_jsonl_output_matches_csv(table_config, tmp_path):
             assert float(cell) == pytest.approx(obj[key], rel=1e-12)
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["sweep", "--param", "structure.wire.d_um", "--range", "10:50",
+     "--steps", "3"]], ids=["analyze", "sweep"])
+def test_closed_stdout_ends_quietly(table_config, argv, unbuffered):
+    # a reader that has gone (`| head -n 1` after its line) is no failure:
+    # exit 0 and nothing on stderr, whether the write that finds the pipe
+    # closed is a print (unbuffered) or the flush of the buffer
+    import os
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "surfloss.cli", *argv,
+                              "--config", str(table_config)],
+                             stdout=write_end, stderr=subprocess.PIPE,
+                             text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["analyze"], "analyze.csv"),
+    (["taper"], "taper_curve.csv"),
+    (["sweep", "--param", "stack.tan_ms", "--range", "0:0.01",
+      "--steps", "2"], "sweep.csv"),
+    (["tls", "--sections", "20000"], "tls_pads.csv"),
+], ids=["analyze", "taper", "sweep", "tls"])
+def test_unusable_out_path_is_config_error(table_config, tmp_path, capsys,
+                                           argv, name):
+    # a regular file where --out needs a directory: one error[2] line that
+    # names the file that could not be written, not a traceback
+    from surfloss import cli
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for out, cause in ((blocker, "File exists"),
+                       (blocker / "sub", "Not a directory")):
+        assert cli.main([*argv, "--config", str(table_config),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error[2]: --out: cannot write {out / name}: {cause}"]
+    assert blocker.read_text() == ""
+
+
 def test_analyze_rejects_table_format(table_config, tmp_path):
     out = tmp_path / "out"
     res = run_cli("analyze", "--config", str(table_config),
@@ -660,7 +707,7 @@ def loaded(*names):
 
 cfg = sys.argv[1]
 steps = [["import", 0, loaded("numpy", "scipy", "surfloss.bem",
-                              "surfloss._quadpack")]]
+                              "surfloss._quadpack", "dataclasses")]]
 for argv in (["analyze", "--config", cfg],
              ["analyze", "--config", cfg, "--corner-split"],
              ["taper", "--config", cfg],
@@ -672,7 +719,8 @@ for argv in (["analyze", "--config", cfg],
         code = cli.main(argv)
     steps.append([" ".join(a for a in argv if a != cfg), code,
                   loaded("numpy", "scipy", "scipy.integrate",
-                         "surfloss.bem", "surfloss._quadpack")])
+                         "surfloss.bem", "surfloss._quadpack",
+                         "dataclasses")])
 print(json.dumps(steps))
 """
 
@@ -682,8 +730,10 @@ def test_each_command_loads_only_what_it_runs():
     # solver package or quadrature; analyze runs on math alone, taper and
     # sweep add the pure-Python QUADPACK and neither NumPy nor SciPy, tls
     # adds NumPy, and verify loads the solver, but not SciPy's integrate
-    # for flat-coax's voltage integral.  What a command loads stays loaded,
-    # so the commands that load less run first.
+    # for flat-coax's voltage integral.  Only verify loads ``dataclasses``
+    # (the solver's records): every record the design commands load is a
+    # NamedTuple.  What a command loads stays loaded, so the commands that
+    # load less run first.
     import os
     cfg = SRC.parent / "configs" / "transmon_100ff.ini"
     env = dict(os.environ)
@@ -703,7 +753,7 @@ def test_each_command_loads_only_what_it_runs():
     assert loaded[:3] == [[], [], []]
     assert loaded[3:6] == [["surfloss._quadpack"], ["surfloss._quadpack"],
                            ["numpy", "surfloss._quadpack"]]
-    assert "surfloss.bem" in loaded[6]
+    assert "surfloss.bem" in loaded[6] and "dataclasses" in loaded[6]
     assert "scipy.integrate" not in loaded[6]
 
 

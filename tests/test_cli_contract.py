@@ -13,7 +13,6 @@ loss tangents.
 
 import configparser
 import contextlib
-import dataclasses
 import io
 import re
 import sys
@@ -78,8 +77,10 @@ def configs(draw, min_structures=1):
                           min_size=min_structures, max_size=2))
     for i, stype in enumerate(types):
         cls = STRUCTURE_TYPES[stype]
-        # a field with a default is a class attribute of the dataclass
-        optional = {k for k, name in cls.INI_KEYS.items() if hasattr(cls, name)}
+        # on a NamedTuple every field is a class attribute; the optional
+        # ones are those with a default
+        optional = {k for k, name in cls.INI_KEYS.items()
+                    if name in cls._field_defaults}
         text += section(f"[structure.s{i}]\ntype = {stype}", cls.INI_KEYS,
                         optional)
     return "\n".join(text) + "\n"
@@ -332,7 +333,7 @@ def test_participations_are_linear_in_each_oxide_thickness(tmp_path_factory,
     if not _ordinary(text):
         return
     for t, p in OXIDES:
-        thinner = dataclasses.replace(stack, **{t: getattr(stack, t) / 2})
+        thinner = stack._replace(**{t: getattr(stack, t) / 2})
         half = assemble_design(cfg.structures, thinner,
                                target_capacitance=cfg.target_capacitance)
         for bd, bd_half in zip(design.breakdowns, half.breakdowns):

@@ -2,7 +2,6 @@
 their specs, and a flag key takes only configparser's boolean words."""
 
 import configparser
-from dataclasses import fields
 
 import pytest
 
@@ -43,7 +42,9 @@ def test_structure_section_round_trip(tmp_path, stype, keys, expected):
     path = tmp_path / "design.ini"
     path.write_text("\n".join(lines) + "\n")
     cfg = load_config(path)
+    # records are tuples, so equal values of another type compare equal
     assert cfg.structures == [expected]
+    assert type(cfg.structures[0]) is type(expected)
 
 
 def test_stack_section_round_trip(tmp_path):
@@ -66,8 +67,38 @@ def test_stack_section_round_trip(tmp_path):
                          ids=["stack", *STRUCTURE_TYPES])
 def test_ini_keys_map_to_fields(cls):
     # every field but the label (the section name) has exactly one key
-    names = [f.name for f in fields(cls) if f.name != "label"]
+    names = [name for name in cls._fields if name != "label"]
     assert sorted(cls.INI_KEYS.values()) == sorted(names)
+
+
+#: the fields of each record that have a default: every stack field, and a
+#: structure's label and flags
+OPTIONAL = {DielectricStack: set(DielectricStack.INI_KEYS.values()),
+            Coplanar: {"single_ended", "label"}}
+
+
+@pytest.mark.parametrize("cls", [DielectricStack, *STRUCTURE_TYPES.values()],
+                         ids=["stack", *STRUCTURE_TYPES])
+def test_record_contract(cls):
+    # the parser builds every record by keyword from its INI_KEYS fields and
+    # tells a required key from an optional one by _field_defaults; a
+    # record is immutable and hashable, so sweep can key its cache on it
+    values = {name: True if isinstance(cls._field_defaults.get(name), bool)
+              else float(i + 1)
+              for i, name in enumerate(cls.INI_KEYS.values())}
+    record = cls(**values)
+    assert {name: getattr(record, name) for name in values} == values
+    assert set(cls._field_defaults) == OPTIONAL.get(cls, {"label"})
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.5)
+    twin = cls(**values)
+    assert twin == record and hash(twin) == hash(record)
+    name = next(iter(values))
+    changed = record._replace(**{name: -1.0})
+    assert type(changed) is cls and changed is not record
+    assert getattr(changed, name) == -1.0 and getattr(record, name) == 1.0
+    assert changed._replace(**{name: 1.0}) == record
 
 
 def test_every_structure_type_is_covered():

@@ -123,7 +123,7 @@ def test_oxide_thickness_linearity():
 
 def _scaled(spec, factor):
     kw = {}
-    for name in spec.__dataclass_fields__:
+    for name in spec._fields:
         val = getattr(spec, name)
         kw[name] = val * factor if isinstance(val, float) and name != "slope" \
             else val
