@@ -25,6 +25,10 @@ whose few differences branch on whether break points were given.  Sums
 run as explicit loops (``sum`` of floats may compensate), and
 ``min(1, r**1.5)`` is taken as 1 when r >= 1, where ``pow`` gives at least
 1 anyway but Python's ``**`` raises on overflow.
+
+``quad`` is the one entry point: it runs ``_qag`` at SciPy's default
+tolerances and returns the integral, raising ValueError where SciPy's
+``quad`` would warn.  The tests compare ``_qag`` itself with SciPy.
 """
 
 from __future__ import annotations
@@ -566,20 +570,19 @@ def _qag(f, a: float, b: float, points, epsabs: float, epsrel: float,
     return result, abserr, ier, last
 
 
-def quad(f, a: float, b: float, points=None, limit: int = 50,
-         epsabs: float = EPSABS, epsrel: float = EPSREL):
+def quad(f, a: float, b: float, limit: int, points=None) -> float:
     """Integral of f over the finite interval [a, b], a < b, as SciPy's
-    ``quad`` computes it: QAGS without break points, QAGP with the points
-    strictly inside (a, b), sorted and made unique.  Returns (result,
-    abserr, ier, last); ier 0 is success and 1-5 are the codes of
-    ``MESSAGES``.  Invalid input raises ValueError."""
+    ``quad`` computes it at its default tolerances: QAGS without break
+    points, QAGP with the points, which must be sorted and strictly inside
+    (a, b).  Raises ValueError on invalid input, and where ``quad`` would
+    warn that the integral did not converge (the codes of ``MESSAGES``)."""
     if not a < b:
         raise ValueError(f"quadrature needs a < b, got a = {a!r}, b = {b!r}")
-    if points is not None:
-        points = sorted({float(p) for p in points if a < p < b})
-    out = _qag(f, a, b, points, epsabs, epsrel, limit)
-    if out[2] == 6:
+    val, _, ier, _ = _qag(f, a, b, points, EPSABS, EPSREL, limit)
+    if ier == 6:
         raise ValueError("the quadrature input is invalid: need limit > "
-                         "the number of break points, and epsabs > 0 or "
-                         "epsrel >= max(50 eps, 5e-29)")
-    return out
+                         "the number of break points")
+    if ier:
+        raise ValueError("wire line-energy quadrature did not converge: "
+                         + MESSAGES[ier].format(limit=limit))
+    return val

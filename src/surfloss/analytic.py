@@ -12,13 +12,13 @@ substrate-line energy, with the optional corner split re-weighting the
 air/substrate sides of the film corners.  The loss tangent of a structure
 is its participations weighted by the stack's interface loss tangents.
 
-The closed forms run on ``math`` alone.  The array helpers (the field
-profiles on arrays and the taper profile) import NumPy when called, so a
-design analysis loads no NumPy.  The wire quadratures run on
-``_quadpack``, a Python transcription of the QUADPACK routines behind
-SciPy's ``quad`` with bit-identical results, and the taper optimizer
-scans slopes from ``linspace``, a float transcription of NumPy's, so
-`taper` and `sweep` load neither NumPy nor SciPy.
+The closed forms, ``flat_coax_field`` among them, run on ``math`` alone.
+The array helpers (``strip_field``, ``wire_field`` and ``taper_halfwidth``)
+import NumPy when called, so a design analysis loads no NumPy.  The wire
+quadratures call ``_quadpack.quad``, a Python transcription of the
+QUADPACK routines behind SciPy's ``quad`` with bit-identical results, and
+the taper optimizer scans slopes from ``linspace``, a float transcription
+of NumPy's, so `taper` and `sweep` load neither NumPy nor SciPy.
 """
 
 from __future__ import annotations
@@ -65,24 +65,13 @@ def flat_coax_center_field(rbar: float, R: float) -> float:
     return 1.0 / (rbar * math.log(2.0 * R / rbar))
 
 
-def flat_coax_field(x, rbar: float, R: float):
-    """|E(x)|/V of the flat coax along the film plane (metal or substrate).
-
-    A scalar x is evaluated on ``math`` (a quadrature's integrand), an
-    array on NumPy; both make the same correctly rounded operations, so
-    they give the same bits."""
+def flat_coax_field(x: float, rbar: float, R: float) -> float:
+    """|E(x)|/V of the flat coax along the film plane (metal or substrate)."""
     ef = flat_coax_center_field(rbar, R)
-    if isinstance(x, (int, float)):
-        if abs(x) == rbar:
-            raise ValueError("field diverges at the film edge x = +-rbar")
-        return ef * math.sqrt(rbar / abs(rbar + x)) \
-            * math.sqrt(rbar / abs(rbar - x))
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(np.abs(x) - rbar) == 0.0):
+    if abs(x) == rbar:
         raise ValueError("field diverges at the film edge x = +-rbar")
-    out = ef * np.sqrt(rbar / np.abs(rbar + x)) * np.sqrt(rbar / np.abs(rbar - x))
-    return out if out.shape else float(out)
+    return ef * math.sqrt(rbar / abs(rbar + x)) \
+        * math.sqrt(rbar / abs(rbar - x))
 
 
 def flat_coax_energies(rbar: float, R: float, t: float,
@@ -233,27 +222,15 @@ def wire_field(y, half_width, flat: bool = True):
     return out if out.shape else float(out)
 
 
-def _quad(f, a: float, b: float, **kwargs) -> float:
-    """QUADPACK's QAGS, or QAGP with break points, as scipy's quad runs it
-    (``_quadpack.quad``, same keywords, a < b), raising ValueError where
-    quad would warn that the integral did not converge."""
-    # imported on first use: analyze never integrates, and its start-up
-    # does not load the module
-    from . import _quadpack
-    val, _, ier, _ = _quadpack.quad(f, a, b, **kwargs)
-    if ier:
-        raise ValueError(
-            "wire line-energy quadrature did not converge: "
-            + _quadpack.MESSAGES[ier].format(limit=kwargs.get("limit", 50)))
-    return val
-
-
 def straight_wire_energy_quadrature(rbar: float, d: float, t: float) -> float:
     """U/(eps0 V^2) of both straight wires by direct quadrature from 2*rbar,
     at the corner constant C_M_DEFAULT."""
+    # imported on first use: analyze never integrates, and its start-up
+    # does not load the module
+    from ._quadpack import quad
     coef = (math.log(4 * rbar / t) + C_M_DEFAULT) / (2.0 * rbar)
-    return coef * _quad(lambda y: 1.0 / math.log(4 * y / rbar) ** 2,
-                        2 * rbar, d, limit=200)
+    return coef * quad(lambda y: 1.0 / math.log(4 * y / rbar) ** 2,
+                       2 * rbar, d, 200)
 
 
 def taper_halfwidth(y, r0: float, slope: float, t: float):
@@ -283,7 +260,8 @@ def tapered_wire_energy_quadrature(r0: float, slope: float, d: float,
 
     y_kink = 5.0 * t + r0 / slope
     pts = [y_kink] if 5.0 * t < y_kink < d else None
-    return _quad(integrand, 5.0 * t, d, points=pts, limit=400)
+    from ._quadpack import quad
+    return quad(integrand, 5.0 * t, d, 400, pts)
 
 
 def tapered_wire_energy_fit(r0: float, slope: float, d: float, t: float,

@@ -56,12 +56,19 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def _make_out_dir(out: str) -> None:
+    """Create the --out directory, before the command prints anything."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError([f"--out: cannot write {out}: {exc.strerror}"])
+
+
 def _save(out: str, name: str, text: str) -> None:
-    """Write text to file name in the --out directory, creating it."""
+    """Write text to file name in the --out directory."""
     from pathlib import Path
     path = Path(out) / name
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, newline="")
     except OSError as exc:
         raise ValidationError([f"--out: cannot write {path}: {exc.strerror}"])
@@ -360,6 +367,8 @@ def main(argv=None) -> int:
     # looked up at call time, so a later rebinding of cmd_<command> is seen
     fn = globals()[f"cmd_{args.command}"]
     try:
+        if getattr(args, "out", None):
+            _make_out_dir(args.out)
         if args.command in ("tls", "verify"):
             import numpy as np
             # the two commands that make NumPy operations: a NumPy

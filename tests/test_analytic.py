@@ -49,22 +49,9 @@ def test_flat_coax_energy_ratio():
 def test_flat_coax_domain():
     with pytest.raises(ValueError):
         analytic.flat_coax_energies(10 * UM, 100 * UM, 20 * UM)
-    with pytest.raises(ValueError):
-        analytic.flat_coax_field(10 * UM, 10 * UM, 100 * UM)
-    with pytest.raises(ValueError):
-        analytic.flat_coax_field(np.array([0.0, -10 * UM]), 10 * UM, 100 * UM)
-
-
-def test_flat_coax_field_scalar_is_the_array_value_bit_for_bit():
-    # a scalar runs on math, an array on NumPy: same operations, same bits
-    rbar, shield = 10 * UM, 100 * UM
-    rng = np.random.default_rng(7)
-    x = np.concatenate([rng.uniform(-shield, shield, 5000),
-                        rbar * (1 + np.geomspace(1e-12, 1e-3, 200)),
-                        -rbar * (1 - np.geomspace(1e-12, 1e-3, 200))])
-    scalar = np.array([analytic.flat_coax_field(v, rbar, shield)
-                       for v in x.tolist()])
-    assert scalar.tobytes() == analytic.flat_coax_field(x, rbar, shield).tobytes()
+    for edge in (10 * UM, -10 * UM):
+        with pytest.raises(ValueError):
+            analytic.flat_coax_field(edge, 10 * UM, 100 * UM)
 
 
 # ---------------------------------------------------------------- corners

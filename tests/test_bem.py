@@ -253,6 +253,25 @@ def test_nan_drive_fails_the_residual_check(monkeypatch, kind):
                          {0: math.nan})
 
 
+@pytest.mark.parametrize("kind, routine", [("flatwire", "dgetrs"),
+                                           ("ring", "dpotrs")])
+def test_inexact_solve_fails_the_residual_check(monkeypatch, kind, routine):
+    # an LU (flatwire) or Cholesky (ring) back substitution whose solution
+    # is 1e-6 too large leaves a finite relative residual of 1e-6, which
+    # the residual check reports
+    from scipy.linalg import lapack
+    exact = getattr(lapack, routine)
+
+    def scaled(*args):
+        y, *rest = exact(*args)
+        return (y * (1.0 + 1e-6), *rest)
+    monkeypatch.setattr(lapack, routine, scaled)
+    with pytest.raises(SolverError,
+                       match=r"^solve residual 1\.00e-06 exceeds 1e-10$"):
+        _solve_assembled(monkeypatch, kind, [[2.0, 1.0], [1.0, 2.0]],
+                         {0: 1.0})
+
+
 @pytest.mark.parametrize("kind", ["flatwire", "ring"])
 def test_zero_drive_gives_zero_charges(monkeypatch, kind):
     # the residual check compares |r| with the limit times |v|, so a zero

@@ -151,7 +151,8 @@ def test_closed_stdout_ends_quietly(table_config, argv, unbuffered):
 def test_unusable_out_path_is_config_error(table_config, tmp_path, capsys,
                                            argv, name):
     # a regular file where --out needs a directory: one error[2] line that
-    # names the file that could not be written, not a traceback
+    # names the directory that could not be made, not a traceback, and
+    # nothing on stdout, as the directory is made before the command runs
     from surfloss import cli
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -159,10 +160,19 @@ def test_unusable_out_path_is_config_error(table_config, tmp_path, capsys,
                        (blocker / "sub", "Not a directory")):
         assert cli.main([*argv, "--config", str(table_config),
                          "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
-            f"error[2]: --out: cannot write {out / name}: {cause}"]
+        res = capsys.readouterr()
+        assert res.err.splitlines() == [
+            f"error[2]: --out: cannot write {out}: {cause}"]
+        assert res.out == ""
     assert blocker.read_text() == ""
+    # a directory where the file goes: the write itself fails, after the
+    # command has printed
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert cli.main([*argv, "--config", str(table_config),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[2]: --out: cannot write {out / name}: Is a directory"]
 
 
 def test_analyze_rejects_table_format(table_config, tmp_path):

@@ -1,5 +1,7 @@
 """The pure-Python QUADPACK against its oracle, scipy.integrate.quad: value,
-error estimate and subinterval count must be equal, not close."""
+error estimate and subinterval count of the transcription ``_qag`` must be
+equal, not close, and the entry point ``quad`` must return that value or
+raise with SciPy's message."""
 
 import configparser
 import math
@@ -18,8 +20,10 @@ from surfloss.config import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: the port itself, whatever a test installs on the module
+#: the entry point itself, whatever a test installs on the module
 PORT = _quadpack.quad
+
+NOT_CONVERGED = "wire line-energy quadrature did not converge: "
 
 
 def scipy_quad(f, a, b, points=None, limit=50, epsabs=_quadpack.EPSABS,
@@ -33,32 +37,51 @@ def scipy_quad(f, a, b, points=None, limit=50, epsabs=_quadpack.EPSABS,
     return out[0], out[1], out[2]["last"], msg
 
 
-def port_quad(f, a, b, points=None, limit=50, epsabs=_quadpack.EPSABS,
-              epsrel=_quadpack.EPSREL):
-    """The same four values from the port."""
-    val, err, ier, last = PORT(f, a, b, points=points, limit=limit,
-                               epsabs=epsabs, epsrel=epsrel)
+def qag(f, a, b, points=None, limit=50, epsabs=_quadpack.EPSABS,
+        epsrel=_quadpack.EPSREL):
+    """(result, abserr, ier, last) from the transcription."""
+    return _quadpack._qag(f, a, b, points, epsabs, epsrel, limit)
+
+
+def port_quad(f, a, b, points=None, limit=50, **tolerances):
+    """The same four values as ``scipy_quad`` from the transcription."""
+    val, err, ier, last = qag(f, a, b, points, limit, **tolerances)
     msg = _quadpack.MESSAGES[ier].format(limit=limit) if ier else None
     return val, err, last, msg
 
 
+def entry_point_outcome(got):
+    """What ``quad`` gives for the port_quad values got: the value, or the
+    text of the ValueError it raises."""
+    val, _, _, msg = got
+    return val if msg is None else NOT_CONVERGED + msg
+
+
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every call the program makes to the port, as (f, a, b, keywords)."""
+    """Every call the program makes to the entry point, as (f, a, b,
+    keywords, outcome), the outcome being the value or the error text."""
     calls = []
 
-    def spy(f, a, b, **kwargs):
-        calls.append((f, a, b, kwargs))
-        return PORT(f, a, b, **kwargs)
+    def spy(f, a, b, limit, points=None):
+        kwargs = {"limit": limit, "points": points}
+        try:
+            val = PORT(f, a, b, limit, points)
+        except ValueError as exc:
+            calls.append((f, a, b, kwargs, str(exc)))
+            raise
+        calls.append((f, a, b, kwargs, val))
+        return val
     monkeypatch.setattr(_quadpack, "quad", spy)
     return calls
 
 
 def assert_bit_identical(calls):
     assert calls
-    for f, a, b, kwargs in calls:
-        assert port_quad(f, a, b, **kwargs) == scipy_quad(f, a, b, **kwargs), \
-            (a, b, kwargs)
+    for f, a, b, kwargs, outcome in calls:
+        got = port_quad(f, a, b, **kwargs)
+        assert got == scipy_quad(f, a, b, **kwargs), (a, b, kwargs)
+        assert outcome == entry_point_outcome(got), (a, b, kwargs)
 
 
 def _random_wires(n, seed):
@@ -164,42 +187,42 @@ PATHOLOGICAL = [
 @pytest.mark.parametrize("name, f, a, b, kwargs, ier", PATHOLOGICAL,
                          ids=[p[0] for p in PATHOLOGICAL])
 def test_pathological_integrands_match_scipy(name, f, a, b, kwargs, ier,
-                                             with_points):
+                                             with_points, monkeypatch):
     if with_points:
         kwargs = dict(kwargs, points=[0.5 * (a + b)])
     got = port_quad(f, a, b, **kwargs)
     assert got == scipy_quad(f, a, b, **kwargs)
-    assert _quadpack.quad(f, a, b, **kwargs)[2] == ier
+    assert qag(f, a, b, **kwargs)[2] == ier
+    # the entry point runs at the module's tolerances
+    monkeypatch.setattr(_quadpack, "EPSABS",
+                        kwargs.get("epsabs", _quadpack.EPSABS))
+    monkeypatch.setattr(_quadpack, "EPSREL",
+                        kwargs.get("epsrel", _quadpack.EPSREL))
     with pytest.raises(ValueError) as exc:
-        analytic._quad(f, a, b, **kwargs)
-    assert str(exc.value) == "wire line-energy quadrature did not converge: " \
-        + got[3]
+        _quadpack.quad(f, a, b, kwargs.get("limit", 50), kwargs.get("points"))
+    assert str(exc.value) == entry_point_outcome(got)
 
 
-@pytest.mark.parametrize("points", [None, [0.6, 0.3]])
+@pytest.mark.parametrize("points", [None, [0.3, 0.6]])
 def test_extrapolation_roundoff_code_matches_scipy(points):
     # ier 4: roundoff in the extrapolation table, at a strict tolerance
     f = _pow_abs if points else (lambda x: x ** -0.99 if x else 0.0)
     kwargs = {"points": points, "epsabs": 1e-14, "epsrel": 0.0}
     got = port_quad(f, 0.0, 1.0, **kwargs)
     assert got == scipy_quad(f, 0.0, 1.0, **kwargs)
-    assert _quadpack.quad(f, 0.0, 1.0, **kwargs)[2] == 4
-
-
-def test_break_points_outside_or_repeated_are_dropped_as_scipy_does():
-    f = lambda x: math.sqrt(abs(x - 0.25))
-    points = [0.75, 0.25, -1.0, 0.25, 1.0, 0.0, 3.0]
-    assert port_quad(f, 0.0, 1.0, points=points) \
-        == scipy_quad(f, 0.0, 1.0, points=points)
-    assert port_quad(f, 0.0, 1.0, points=points) \
-        == port_quad(f, 0.0, 1.0, points=[0.25, 0.75])
+    assert qag(f, 0.0, 1.0, **kwargs)[2] == 4
 
 
 @pytest.mark.parametrize("a, b, kwargs", [
-    (1.0, 1.0, {}), (1.0, 0.0, {}), (0.0, 1.0, {"limit": 0}),
-    (0.0, 1.0, {"limit": 2, "points": [0.2, 0.4]}),
-    (0.0, 1.0, {"epsabs": 0.0, "epsrel": 1e-20}),
+    (1.0, 1.0, {"limit": 50}), (1.0, 0.0, {"limit": 50}),
+    (0.0, 1.0, {"limit": 0}), (0.0, 1.0, {"limit": 2, "points": [0.2, 0.4]}),
 ])
 def test_invalid_input_raises(a, b, kwargs):
     with pytest.raises(ValueError):
         _quadpack.quad(math.exp, a, b, **kwargs)
+
+
+def test_zero_tolerance_is_invalid_input():
+    # QUADPACK's ier 6: no absolute tolerance and a relative one below
+    # max(50 eps, 5e-29)
+    assert qag(math.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-20)[2] == 6
