@@ -284,13 +284,16 @@ def segment_field(px, py, mx, my, tx, ty, w, q):
         u2 = np.subtract(u, w, out=b1)
         vv = np.multiply(v, v, out=b0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            # log((u^2 + v^2) / (u2^2 + v^2))
-            log_ratio = np.multiply(u, u, out=b4)
-            log_ratio += vv
+            # log((u^2 + v^2) / (u2^2 + v^2)) as log1p(w (2u - w) / (u2^2 +
+            # v^2)), since u^2 - u2^2 = w (2u - w): far from a short
+            # segment the ratio is near 1, and its log would lose digits
+            log_ratio = np.multiply(u, 2.0, out=b4)
+            log_ratio -= w
+            log_ratio *= w
             den = np.multiply(u2, u2, out=b5)
             den += vv
             log_ratio /= den
-            np.log(log_ratio, out=log_ratio)
+            np.log1p(log_ratio, out=log_ratio)
             # sign(v) * arctan2(w |v|, v^2 + u u2)
             dot = np.multiply(u, u2, out=b5)
             dot += vv

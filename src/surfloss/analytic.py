@@ -19,17 +19,19 @@ quadratures call ``_quadpack.quad``, a Python transcription of the
 QUADPACK routines behind SciPy's ``quad`` with bit-identical results, and
 the taper optimizer scans slopes from ``linspace``, a float transcription
 of NumPy's, so `taper` and `sweep` load neither NumPy nor SciPy.
+
+``CLOSED_FORMS`` is the one registry of structure types: its row for a
+spec class lists every closed form the type has, and ``STRUCTURE_TYPES``,
+the INI ``type`` name of each class, is derived from it.
 """
 
-from __future__ import annotations
-
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .constants import EPS0
 from .geometry import (Coplanar, DielectricStack, ParallelPlate,
                        ParticipationBreakdown, Ribbon, RibbonWithGround,
-                       StraightWire, StructureSpec, TaperedWire,
+                       StraightWire, TaperedWire,
                        MAX_TAPER_SLOPE, interface_weights)
 from .special import ck_ratio, ellipk, ellipkp_modulus
 
@@ -121,7 +123,8 @@ def strip_field(x, a: float, b: float):
     normalized by 1/(2K).  Valid on all three sections of the plane.
     """
     import numpy as np
-    k = ellipk((a / b) ** 2)
+    mod = a / b                 # the modulus, squared as in ck_ratio
+    k = ellipk(mod * mod)
     x = np.asarray(x, dtype=float)
     denom = np.abs((x * x - a * a) * (x * x - b * b))
     if np.any(denom == 0.0):
@@ -173,7 +176,8 @@ def ribbon_energies(spec: Ribbon, c_m: float,
                     c_s: float = C_S_DEFAULT) -> SurfaceEnergyPair:
     """Differential ribbon surface energies over its length."""
     a, b, t, ell = spec.a, spec.b, spec.t, spec.length
-    k = ellipk((a / b) ** 2)
+    mod = a / b                 # the modulus, squared as in ck_ratio
+    k = ellipk(mod * mod)
     return SurfaceEnergyPair(ell * surface_sum(a, b, t, c_m) / (2.0 * k * k * a),
                              ell * surface_sum(a, b, t, c_s) / (4.0 * k * k * a))
 
@@ -196,7 +200,8 @@ def ribbon_ground_energies(spec: RibbonWithGround, c_m: float,
     ribbon outer edge b and the ground at c.
     """
     a, b, c, t, ell = spec.a, spec.b, spec.c, spec.t, spec.length
-    k = ellipk((a / b) ** 2)
+    mod = a / b                 # the modulus, squared as in ck_ratio
+    k = ellipk(mod * mod)
     kp_bc = ellipkp_modulus(b, c)
     u_m = (0.98 * surface_sum(a, b, t, c_m) / (2 * k * k * a)
            + 1.70 * surface_sum_outer(b, c, t, c_m) / (2 * kp_bc * kp_bc * b))
@@ -367,42 +372,55 @@ def optimize_taper_slope(r0: float, d: float, t: float) -> TaperOptimum:
 # --------------------------------------------------------------------------
 # dispatch
 
-#: closed forms of each structure type: spec class -> (capacitance(spec,
-#: stack), energies(spec, c_m)).  A plate pair has no film edges and only a
-#: metal-air interface, so it has no energies; ``participation`` states its
-#: metal-air term.
-CLOSED_FORMS = {
-    ParallelPlate: (parallel_plate_capacitance, None),
-    Ribbon: (ribbon_capacitance, ribbon_energies),
-    Coplanar: (coplanar_capacitance, coplanar_energies),
-    RibbonWithGround: (ribbon_ground_capacitance, ribbon_ground_energies),
-    StraightWire: (straight_wire_capacitance, straight_wire_energies),
-    TaperedWire: (tapered_wire_capacitance, tapered_wire_energies),
-}
+class ClosedForms(NamedTuple):
+    """The closed forms of one structure type.
 
-#: junction-wire types: spec class -> metal energy U/(eps0 V^2) of the wire
-#: pair by quadrature.  The quadratures are looked up when called, so a
+    capacitance(spec, stack) and energies(spec, c_m); a plate pair has no
+    film edges and only a metal-air interface, so it has no energies, and
+    ``participation`` states its metal-air term.  A junction-wire type
+    also has wire_energy(spec), the metal energy U/(eps0 V^2) of the wire
+    pair by quadrature.
+    """
+
+    capacitance: Callable
+    energies: Optional[Callable]
+    wire_energy: Optional[Callable] = None
+
+
+#: spec class -> its closed forms; a new structure type is its spec class
+#: and one row here.  The wire quadratures are looked up when called, so a
 #: wrapper installed on this module sees these calls too.
-WIRE_ENERGIES = {
-    StraightWire: lambda w: straight_wire_energy_quadrature(w.r0, w.d, w.t),
-    TaperedWire: lambda w: tapered_wire_energy_quadrature(w.r0, w.slope,
-                                                          w.d, w.t),
+CLOSED_FORMS = {
+    ParallelPlate: ClosedForms(parallel_plate_capacitance, None),
+    Ribbon: ClosedForms(ribbon_capacitance, ribbon_energies),
+    Coplanar: ClosedForms(coplanar_capacitance, coplanar_energies),
+    RibbonWithGround: ClosedForms(ribbon_ground_capacitance,
+                                  ribbon_ground_energies),
+    StraightWire: ClosedForms(
+        straight_wire_capacitance, straight_wire_energies,
+        lambda w: straight_wire_energy_quadrature(w.r0, w.d, w.t)),
+    TaperedWire: ClosedForms(
+        tapered_wire_capacitance, tapered_wire_energies,
+        lambda w: tapered_wire_energy_quadrature(w.r0, w.slope, w.d, w.t)),
 }
 
+#: INI ``type`` name -> spec class; a spec's default label is its type name
+STRUCTURE_TYPES = {cls._field_defaults["label"]: cls for cls in CLOSED_FORMS}
 
-def _closed_forms(spec: StructureSpec):
+
+def _closed_forms(spec) -> ClosedForms:
     try:
         return CLOSED_FORMS[type(spec)]
     except KeyError:
         raise TypeError(f"unknown structure type {type(spec)!r}") from None
 
 
-def capacitance(spec: StructureSpec, stack: DielectricStack) -> float:
+def capacitance(spec, stack: DielectricStack) -> float:
     """Capacitance of any structure (SI farads)."""
-    return _closed_forms(spec)[0](spec, stack)
+    return _closed_forms(spec).capacitance(spec, stack)
 
 
-def participation(spec: StructureSpec, stack: DielectricStack, length: float,
+def participation(spec, stack: DielectricStack, length: float,
                   corner_split: bool = False) -> ParticipationBreakdown:
     """Participation breakdown of any structure at a shared design length.
 
@@ -413,7 +431,8 @@ def participation(spec: StructureSpec, stack: DielectricStack, length: float,
     C_M_DEFAULT on both.  The loss tangent is
     p_ma*tan_ma + p_ms*tan_ms + p_sa*tan_sa.
     """
-    cap, energies = _closed_forms(spec)
+    forms = _closed_forms(spec)
+    energies = forms.energies
     w_ma, w_ms, w_sa = interface_weights(stack)
     if energies is None:
         p_ma = w_ma * stack.t_ma * spec.length * spec.w / (spec.s**2 * length)
@@ -429,5 +448,5 @@ def participation(spec: StructureSpec, stack: DielectricStack, length: float,
         p_ms = w_ms * stack.t_ms * s_ms / length
         p_sa = w_sa * stack.t_sa * (2.0 * pair.u_substrate) / length
     return ParticipationBreakdown(
-        spec.label, p_ma, p_ms, p_sa, cap(spec, stack),
+        spec.label, p_ma, p_ms, p_sa, forms.capacitance(spec, stack),
         p_ma * stack.tan_ma + p_ms * stack.tan_ms + p_sa * stack.tan_sa)

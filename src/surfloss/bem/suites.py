@@ -28,7 +28,8 @@ class Check:
     name: str
     target: float
     computed: float
-    tol: float        # |computed - target| <= tol passes
+    tol: float        # _abs passes on |computed - target| <= tol, _rel
+                      # on |computed/target - 1| <= tol
     passed: bool
     note: str = ""
 

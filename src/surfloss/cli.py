@@ -210,15 +210,14 @@ def cmd_sweep(args) -> int:
         for spec, bd in zip(cfg_i.structures, rows):
             for c in _COLUMNS[1:]:
                 row[f"{spec.label}.{c}"] = bd[c]
-            quadrature = analytic.WIRE_ENERGIES.get(type(spec))
-            if quadrature:
+            forms = analytic.CLOSED_FORMS[type(spec)]
+            if forms.wire_energy:
                 if spec not in wire_energy:
                     with _labelled(culprit):
-                        wire_energy[spec] = quadrature(spec)
+                        wire_energy[spec] = forms.wire_energy(spec)
                 row[f"{spec.label}.u_metal"] = wire_energy[spec]
-                fit = analytic.CLOSED_FORMS[type(spec)][1]
                 row[f"{spec.label}.u_metal_fit"] = \
-                    fit(spec, analytic.C_M_DEFAULT).u_metal
+                    forms.energies(spec, analytic.C_M_DEFAULT).u_metal
         row["total.loss_tangent"] = total["loss_tangent"]
         out_rows.append(row)
 
@@ -235,7 +234,8 @@ def cmd_taper(args) -> int:
     cfg = load_config(args.config, clamp_slope=True)
     for w in cfg.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    wires = [s for s in cfg.structures if type(s) in analytic.WIRE_ENERGIES]
+    wires = [s for s in cfg.structures
+             if analytic.CLOSED_FORMS[type(s)].wire_energy]
     if not wires:
         raise ValidationError(["taper needs a wire structure in the config"])
     spec = wires[0]

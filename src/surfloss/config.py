@@ -23,15 +23,14 @@ Example::
     t_um = 0.1
 """
 
-from __future__ import annotations
-
 import configparser
 import math
 from typing import NamedTuple, Optional
 
 from .constants import FF, GHZ, NM, UM
-from .geometry import (MAX_TAPER_SLOPE, STRUCTURE_TYPES, DielectricStack,
-                       ValidationError, validate_design)
+from .analytic import STRUCTURE_TYPES
+from .geometry import (MAX_TAPER_SLOPE, DielectricStack, ValidationError,
+                       validate_design)
 
 #: key suffix -> the unit a key's value is given in; any other key is read
 #: as is
@@ -40,7 +39,7 @@ _UNITS = {"_um": UM, "_nm": NM}
 
 class DesignConfig(NamedTuple):
     stack: DielectricStack
-    structures: list            # [StructureSpec], labelled by section
+    structures: list            # specs of STRUCTURE_TYPES, labelled by section
     target_capacitance: Optional[float]   # F, or None
     span_hz: float
     warnings: list

@@ -4,12 +4,14 @@ Participation ratios are normalized by the qubit capacitance expressed as
 a length L = C/eps0.  A design is a list of structures sharing one L;
 capacitances add, and the total loss tangent is the sum of p_i*tan_i over
 all structures and interfaces.
+
+Each structure type is a NamedTuple here whose default ``label`` is its
+INI ``type`` name; its closed forms are its row in
+``analytic.CLOSED_FORMS``, which also gives ``STRUCTURE_TYPES``.
 """
 
-from __future__ import annotations
-
 from contextlib import contextmanager
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .constants import EPS0
 
@@ -242,20 +244,6 @@ class TaperedWire(NamedTuple):
             bad.append(f"{self.label}.r0: need r0 < 20*t; beyond it the line "
                        "energy the wire fits stand for diverges")
         return bad
-
-
-#: INI ``type`` name -> spec class.  A structure type is declared by its
-#: NamedTuple above, its entry here and its row in ``analytic.CLOSED_FORMS``.
-STRUCTURE_TYPES = {
-    "parallel_plate": ParallelPlate,
-    "ribbon": Ribbon,
-    "coplanar": Coplanar,
-    "ribbon_with_ground": RibbonWithGround,
-    "straight_wire": StraightWire,
-    "tapered_wire": TaperedWire,
-}
-
-StructureSpec = Union[tuple(STRUCTURE_TYPES.values())]
 
 
 class ParticipationBreakdown(NamedTuple):

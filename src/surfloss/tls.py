@@ -9,8 +9,6 @@ one splitting expected per (0.5/um^2/GHz)^-1 of area-bandwidth product.
 spectrum; the plate pair's uniform oxide field makes its spectrum one patch.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -112,7 +110,8 @@ def wire_tls_spectrum(spec, capacitance: float, stack: DielectricStack,
     S_max and their areas accumulated.
     """
     weight = stack.eps_s / stack.eps_ms
-    if type(spec) not in analytic.WIRE_ENERGIES:
+    forms = analytic.CLOSED_FORMS.get(type(spec))
+    if forms is None or forms.wire_energy is None:
         raise TypeError("wire spectrum needs a StraightWire or TaperedWire")
     r0, d, t = spec.r0, spec.d, spec.t
     if sections < MIN_SECTIONS:

@@ -107,6 +107,34 @@ def test_ribbon_surface_integral_vs_quadrature():
     assert analytic.surface_sum(a, b, t, 0.0) / a == pytest.approx(exact, rel=2e-4)
 
 
+def test_ribbon_forms_take_k_from_the_parameter_of_ck_ratio(monkeypatch):
+    # at this a/b, (a/b)**2 and (a/b)*(a/b) differ in the last bit, and so
+    # do their K; the ribbon's capacitance (ck_ratio), its energies, the
+    # ribbon-with-ground energies and strip_field all square a/b as k * k
+    from surfloss import RibbonWithGround, special
+    a, b, t, ell = 73.976 * UM, 159.945 * UM, 0.1 * UM, 1391 * UM
+    k = a / b
+    assert k ** 2 != k * k
+    assert special.ellipk(k ** 2) != special.ellipk(k * k)
+    params, plain = [], special.ellipk
+
+    def ellipk(m):
+        params.append(m)
+        return plain(m)
+
+    monkeypatch.setattr(special, "ellipk", ellipk)
+    special.ck_ratio(k)
+    assert params[0] == k * k
+    monkeypatch.setattr(analytic, "ellipk", ellipk)
+    for form in (lambda: analytic.ribbon_energies(Ribbon(a, b, ell, t), 5.0),
+                 lambda: analytic.ribbon_ground_energies(
+                     RibbonWithGround(a, b, 2 * b, ell, t), 5.0),
+                 lambda: analytic.strip_field(0.5 * a, a, b)):
+        params.clear()
+        form()
+        assert params[0] == k * k
+
+
 def self_participation(spec, stack):
     """Participations when the ribbon supplies all the qubit capacitance,
     at L = C_ribbon/eps0."""

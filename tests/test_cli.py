@@ -796,7 +796,7 @@ def test_sweep_computes_each_wire_quadrature_once(monkeypatch, capsys):
     rows = [row.split(",") for row in capsys.readouterr().out.splitlines()]
     assert len(rows) == 21
     for spec in load_config(cfg).structures:
-        quadrature = analytic.WIRE_ENERGIES.get(type(spec))
+        quadrature = analytic.CLOSED_FORMS[type(spec)].wire_energy
         if quadrature:
             col = rows[0].index(f"{spec.label}.u_metal")
             assert {row[col] for row in rows[1:]} \

@@ -27,9 +27,10 @@ from hypothesis import strategies as st
 from surfloss import analytic, cli, tls
 from surfloss.bem import SUITES
 from surfloss.config import load_config
-from surfloss.geometry import (MAX_TAPER_SLOPE, STRUCTURE_TYPES,
-                               DielectricStack, RibbonWithGround,
-                               ValidationError, assemble_design)
+from surfloss.analytic import STRUCTURE_TYPES
+from surfloss.geometry import (MAX_TAPER_SLOPE, DielectricStack,
+                               RibbonWithGround, ValidationError,
+                               assemble_design)
 
 #: extremes of the float range, ordinary values and non-numbers
 VALUES = ("0", "-1", "1e-300", "4e-309", "1e200", "1e308", "nan",

@@ -5,11 +5,12 @@ import configparser
 
 import pytest
 
+from surfloss.analytic import CLOSED_FORMS, STRUCTURE_TYPES
 from surfloss.config import load_config
 from surfloss.constants import NM, UM
-from surfloss.geometry import (STRUCTURE_TYPES, Coplanar, DielectricStack,
-                               ParallelPlate, Ribbon, RibbonWithGround,
-                               StraightWire, TaperedWire, ValidationError)
+from surfloss.geometry import (Coplanar, DielectricStack, ParallelPlate,
+                               Ribbon, RibbonWithGround, StraightWire,
+                               TaperedWire, ValidationError)
 
 #: (INI type, every key of the section, the spec built directly in SI)
 SECTIONS = [
@@ -102,9 +103,19 @@ def test_record_contract(cls):
 
 
 def test_every_structure_type_is_covered():
-    from surfloss.analytic import CLOSED_FORMS
     assert {s[0] for s in SECTIONS} == set(STRUCTURE_TYPES)
-    assert set(STRUCTURE_TYPES.values()) <= set(CLOSED_FORMS)
+
+
+def test_registry_derives_the_type_names_and_the_wires():
+    # STRUCTURE_TYPES reads each class's default label off CLOSED_FORMS, in
+    # the registry's order; only the junction wires have a quadrature
+    assert list(STRUCTURE_TYPES) == ["parallel_plate", "ribbon", "coplanar",
+                                     "ribbon_with_ground", "straight_wire",
+                                     "tapered_wire"]
+    assert list(STRUCTURE_TYPES.values()) == list(CLOSED_FORMS)
+    assert [name for name, cls in STRUCTURE_TYPES.items()
+            if CLOSED_FORMS[cls].wire_energy] == ["straight_wire",
+                                                  "tapered_wire"]
 
 
 def _coplanar(tmp_path, single_ended: str):

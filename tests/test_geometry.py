@@ -246,7 +246,7 @@ def test_participation_is_the_energy_split(spec):
     # substrate energy on SA
     unit = DielectricStack(eps_s=1.0, eps_ma=1.0, eps_ms=1.0, eps_sa=1.0,
                            t_ma=1.0, t_ms=1.0, t_sa=1.0)
-    energies = analytic.CLOSED_FORMS[type(spec)][1]
+    energies = analytic.CLOSED_FORMS[type(spec)].energies
     bd = analytic.participation(spec, unit, 1.0)
     assert bd.p_ma == bd.p_ms == energies(spec, 5.0).u_metal
     assert bd.p_sa == 2 * energies(spec, 5.0).u_substrate

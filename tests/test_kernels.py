@@ -226,6 +226,28 @@ def test_segment_field_frozen_values():
     np.testing.assert_allclose(ey, _SEG_EY, rtol=1e-14, atol=0)
 
 
+def test_segment_field_far_from_a_short_segment_keeps_its_digits():
+    # one 4 nm segment along x from the origin (q = w, so lam = 1) and
+    # points 50-620 um away: the along-segment field is log(|r - a|^2 /
+    # |r - b|^2) / (4 pi eps0), a log of a ratio near 1.  The reference
+    # takes the ratio minus 1 exactly, w (2u - w) / ((u - w)^2 + v^2), and
+    # rounds it once into log1p
+    from fractions import Fraction
+    w = 4e-9
+    r = np.geomspace(50e-6, 620e-6, 7)
+    angles = np.radians([0.0, 30.0, 60.0, 150.0])
+    px = np.outer(r, np.cos(angles)).ravel()
+    py = np.outer(r, np.sin(angles)).ravel()
+    ex, _ = kern.segment_field(px, py, np.array([0.5 * w]), np.array([0.0]),
+                               np.array([1.0]), np.array([0.0]),
+                               np.array([w]), np.array([w]))
+    got = ex * (4.0 * np.pi * EPS0)
+    for x, y, g in zip(px, py, got):
+        u, v, fw = Fraction(x), Fraction(y), Fraction(w)
+        want = math.log1p(float(fw * (2 * u - fw) / ((u - fw) ** 2 + v * v)))
+        assert abs(g / want - 1.0) <= 1e-14
+
+
 def _squared_form(dz, dr, ri, rj):
     """The shipped ring kernel at the offsets (dz, dr)."""
     return kern._ring_kernel(dz * dz + dr * dr, ri, rj)
@@ -410,7 +432,8 @@ def _segment_field_one_block(px, py, mx, my, tx, ty, w, q):
     u2 = u - w[None, :]
     vv = v * v
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log((u * u + vv) / (u2 * u2 + vv))
+        log_ratio = np.log1p((2.0 * u - w[None, :]) * w[None, :]
+                             / (u2 * u2 + vv))
         angle = np.sign(v) * np.arctan2(w[None, :] * np.abs(v), vv + u * u2)
     lam_u = lam / (4.0 * np.pi * EPS0)
     lam_v = lam / (2.0 * np.pi * EPS0)

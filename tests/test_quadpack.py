@@ -110,7 +110,7 @@ def _random_wires(n, seed):
 def test_random_wire_integrals_are_bit_identical(recorded):
     for spec in _random_wires(1000, seed=20240601):
         try:
-            analytic.WIRE_ENERGIES[type(spec)](spec)
+            analytic.CLOSED_FORMS[type(spec)].wire_energy(spec)
         except ValueError:
             pass            # not converged: the call is still compared
     assert len(recorded) == 2000
@@ -140,9 +140,9 @@ def test_design_pool_wires_and_taper_scans_are_bit_identical(recorded):
         except ValidationError:
             continue
         wires = [s for s in cfg.structures
-                 if type(s) in analytic.WIRE_ENERGIES]
+                 if analytic.CLOSED_FORMS[type(s)].wire_energy]
         for spec in wires:
-            analytic.WIRE_ENERGIES[type(spec)](spec)
+            analytic.CLOSED_FORMS[type(spec)].wire_energy(spec)
         if wires:
             analytic.optimize_taper_slope(wires[0].r0, wires[0].d, wires[0].t)
             n_scans += 1

@@ -8,7 +8,7 @@ import pytest
 from surfloss import (DielectricStack, ParallelPlate, Ribbon, StraightWire,
                       TaperedWire)
 from surfloss import cli, tls
-from surfloss.geometry import STRUCTURE_TYPES
+from surfloss.analytic import STRUCTURE_TYPES
 
 from paper_forms import area_at
 
@@ -84,6 +84,15 @@ def test_wire_sections_ceiling():
     with pytest.raises(ValueError, match="at most"):
         tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3,
                               sections=tls.MAX_SECTIONS + 1)
+
+
+@pytest.mark.parametrize("spec", [Ribbon(50 * UM, 100 * UM, 1391 * UM,
+                                         0.1 * UM), "wire"],
+                         ids=["ribbon", "not-a-spec"])
+def test_wire_spectrum_takes_only_the_wire_types(spec):
+    with pytest.raises(TypeError, match="^wire spectrum needs a StraightWire "
+                                        "or TaperedWire$"):
+        tls.wire_tls_spectrum(spec, 0.1e-12, STACK3, sections=50_000)
 
 
 def test_wire_spectrum_peak_memory_is_five_patch_arrays():
