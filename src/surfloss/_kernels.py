@@ -23,6 +23,14 @@ against the columns up to its last row and of at most BLOCK_ENTRIES
 doubles per temporary.  Blocking only reorders the loops: every entry is
 computed by the same operations in the same order, so the results do
 not depend on the block size.
+
+segment_field and planar_matrix read from their inputs whether these
+lie on one line y = y0, and then skip the passes that the line makes
+constant or zero: for field points on one line (every field that verify
+evaluates lies on the substrate line y = 0), for segments on that line
+too (thin strips), and for elements on one line.  Each float these cases
+still form is the one the general case forms, so the results are the
+same, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,8 +68,10 @@ NEAR_FACTOR = 2.5
 #: doubles per block of a blocked layer (1 << 16 is 512 KB)
 BLOCK_ENTRIES = 1 << 16
 
-#: temporaries of one segment_field block, each points x segments
-_FIELD_BUFFERS = 6
+#: temporaries of one segment_field block, each points x segments and
+#: reused in place (its boolean mask of v == 0 comes on top); segments on
+#: the points' line use three
+_FIELD_BUFFERS = 5
 
 
 def row_blocks(n_rows, row_len, most=None):
@@ -84,25 +94,33 @@ def planar_matrix(x, y, w, rows=slice(None), cols=slice(None)):
     built and cols the elements of their columns, an element possibly more
     than once; the defaults give the square matrix.  A row takes the self
     term wherever its own element is among the columns, so each entry is
-    the one the square matrix holds for that row and column.
+    the one the square matrix holds for that row and column.  rows and
+    cols are slices or integer index arrays.  Elements on one line y = y0
+    (thin strips) skip dy: its square is 0, and dx^2 + 0 is dx^2.
     """
     x = np.asarray(x, float); y = np.asarray(y, float); w = np.asarray(w, float)
-    every = np.arange(len(x))
-    own, col = every[rows], every[cols]
-    m = x[own, None] - x[None, col]
+    own, col = _elements(len(x), rows), _elements(len(x), cols)
+    m = x[own][:, None] - x[col]
     m *= m
-    dy = y[own, None] - y[None, col]
-    dy *= dy
-    m += dy
+    if not (y == y[:1]).all():          # else dy^2 = 0 and m + 0 is m
+        dy = y[own][:, None] - y[col]
+        dy *= dy
+        m += dy
     with np.errstate(divide="ignore"):
         np.log(m, out=m)
     m /= -2.0 * _TWO_PI_EPS
     row_of = np.full(len(x), -1)        # element -> its row, or -1
     row_of[own] = np.arange(len(own))
-    at = np.flatnonzero(row_of[col] >= 0)
-    i = row_of[col[at]]
+    hit = row_of[col]
+    at = (hit >= 0).nonzero()[0]
+    i = hit[at]
     m[i, at] = ((np.log(2.0 / w[own]) + 1.5) / _TWO_PI_EPS)[i]
     return m
+
+
+def _elements(n, pick):
+    """The indices of the elements that a slice or an index array picks."""
+    return np.arange(n)[pick] if isinstance(pick, slice) else np.asarray(pick)
 
 
 def _ring_kernel(rho2, ri, rj):
@@ -247,17 +265,44 @@ def flatwire_mutual(y1, y2, rbar2):
     return _ring_kernel(dy * dy, rh, rh)
 
 
+def _log_ratio(u, u2, vv, w, out):
+    """log((u^2 + v^2) / (u2^2 + v^2)) in out, for u2 = u - w, which is
+    overwritten, and vv = v^2, or None where v is 0."""
+    # as log1p(w (2u - w) / (u2^2 + v^2)), since u^2 - u2^2 = w (2u - w):
+    # far from a short segment the ratio is near 1, and its log would lose
+    # digits
+    np.multiply(u, 2.0, out=out)
+    out -= w
+    out *= w
+    den = np.multiply(u2, u2, out=u2)
+    if vv is not None:
+        den += vv
+    out /= den
+    return np.log1p(out, out=out)
+
+
 def segment_field(px, py, mx, my, tx, ty, w, q):
     """E at points (px, py) from uniformly charged 2-D segments.
 
     Segments have midpoints (mx, my), unit tangents (tx, ty), lengths w,
     and total line charges q.  Closed form per segment: the along-segment
     part is the log of the end-distance ratio, the normal part the angle
-    the segment subtends, taken as one arctan2 of the cross and dot
-    products of the two end vectors.  The segments are summed by one dot
+    the segment subtends, taken as one signed arctan2 of the cross product
+    v and the dot product of the two end vectors, and 0 where v is 0 (a
+    point on the segment's line).  The segments are summed by one dot
     product per point (vecdot), for blocks of points.  A BLAS
     matrix-vector product would sum a lone row in another order than a
     group of rows, so its result would depend on the block size.
+
+    Two cases, read from the inputs, skip passes without changing a bit:
+
+    - points on one line y = y0: ry = y0 - ay is one row per segment, so
+      ry tx and ry ty are formed once per call instead of once per block,
+      each the same float;
+    - segments on that line too (ty = 0 and ay = y0): then ry = 0 and
+      v = 0, so u = rx tx + 0 and the log's denominator u2^2 + 0 are the
+      general case's floats, the normal part is 0, and so is Ey.  Only the
+      along part is formed.
 
     The _FIELD_BUFFERS temporaries of a block are preallocated once and
     reused in place (out=), and a block's rows are sized so that all of
@@ -269,38 +314,46 @@ def segment_field(px, py, mx, my, tx, ty, w, q):
     lam_u = lam / (4.0 * np.pi * EPS0)
     lam_v = lam / _TWO_PI_EPS
     ux, uy, vx, vy = lam_u * tx, lam_u * ty, lam_v * tx, lam_v * ty
-    ex = np.empty(len(px)); ey = np.empty(len(px))
+    line = len(py) > 0 and bool((py == py[0]).all())
+    if line:
+        ry = py[0] - ay
+        ry_tx, ry_ty = ry * tx, ry * ty
+    on_line = line and not (ry.any() or ty.any())
+    ex = np.empty(len(px))
+    ey = np.zeros(len(px)) if on_line else np.empty(len(px))
     blocks = row_blocks(len(px), _FIELD_BUFFERS * len(w))
-    buf = np.empty((_FIELD_BUFFERS, blocks[0].stop if blocks else 0, len(w)))
-    for s in blocks:
-        b0, b1, b2, b3, b4, b5 = buf[:, :s.stop - s.start]
-        rx, ry = b0, b1
-        np.subtract(px[s, None], ax, out=rx)
-        np.subtract(py[s, None], ay, out=ry)
-        u = np.multiply(rx, tx, out=b2)               # u = rx tx + ry ty
-        u += np.multiply(ry, ty, out=b3)
-        v = np.multiply(ry, tx, out=b3)               # v = ry tx - rx ty
-        v -= np.multiply(rx, ty, out=b0)
-        u2 = np.subtract(u, w, out=b1)
-        vv = np.multiply(v, v, out=b0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # log((u^2 + v^2) / (u2^2 + v^2)) as log1p(w (2u - w) / (u2^2 +
-            # v^2)), since u^2 - u2^2 = w (2u - w): far from a short
-            # segment the ratio is near 1, and its log would lose digits
-            log_ratio = np.multiply(u, 2.0, out=b4)
-            log_ratio -= w
-            log_ratio *= w
-            den = np.multiply(u2, u2, out=b5)
-            den += vv
-            log_ratio /= den
-            np.log1p(log_ratio, out=log_ratio)
-            # sign(v) * arctan2(w |v|, v^2 + u u2)
-            dot = np.multiply(u, u2, out=b5)
+    rows = blocks[0].stop if blocks else 0
+    buf = np.empty((_FIELD_BUFFERS, rows, len(w)))
+    v_zero = np.empty((rows, len(w)), bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in blocks:
+            b0, b1, b2, b3, b4 = buf[:, :s.stop - s.start]
+            rx = np.subtract(px[s, None], ax, out=b0)
+            u = np.multiply(rx, tx, out=b1)           # u = rx tx + ry ty
+            if on_line:
+                u2 = np.subtract(u, w, out=b0)
+                ex[s] = np.vecdot(_log_ratio(u, u2, None, w, b4), ux)
+                continue
+            if line:
+                u += ry_ty
+                v = np.multiply(rx, ty, out=b2)       # v = ry tx - rx ty
+                np.subtract(ry_tx, v, out=v)
+            else:
+                ry = np.subtract(py[s, None], ay, out=b2)
+                u += np.multiply(ry, ty, out=b3)
+                v = np.multiply(ry, tx, out=b2)
+                v -= np.multiply(rx, ty, out=b3)
+            u2 = np.subtract(u, w, out=b0)
+            vv = np.multiply(v, v, out=b3)
+            zero = np.equal(v, 0.0, out=v_zero[:s.stop - s.start])
+            # arctan2(w v, v^2 + u u2), odd in w v, and 0 where v is 0
+            dot = np.multiply(u, u2, out=b4)
             dot += vv
-            angle = np.abs(v, out=b2)
-            angle *= w
+            angle = np.multiply(v, w, out=b2)
             np.arctan2(angle, dot, out=angle)
-            angle *= np.sign(v, out=v)
-        ex[s] = np.vecdot(log_ratio, ux) - np.vecdot(angle, vy)
-        ey[s] = np.vecdot(log_ratio, uy) + np.vecdot(angle, vx)
+            if zero.any():
+                angle[zero] = 0.0
+            log_ratio = _log_ratio(u, u2, vv, w, b4)
+            ex[s] = np.vecdot(log_ratio, ux) - np.vecdot(angle, vy)
+            ey[s] = np.vecdot(log_ratio, uy) + np.vecdot(angle, vx)
     return ex, ey

@@ -723,13 +723,15 @@ def _solved_matrix(monkeypatch, mesh, volts):
 
 @pytest.mark.parametrize("entries", [1, 7, 300, 1000, kern.BLOCK_ENTRIES])
 @pytest.mark.parametrize("case, order", [("coax", 4), ("nudged-element", 1),
-                                         ("flat-coax", 4)])
+                                         ("flat-coax", 4),
+                                         ("ribbon-ground", 2)])
 def test_reduced_planar_matrix_does_not_depend_on_block_size(
         monkeypatch, case, order, entries):
     # 1, 7 and 300 entries give one row per block, 1000 three rows, which
     # neither 80 representatives (coax) nor 320 (nudged) is a multiple of;
     # flat-coax's strip lies on y = 0, so its orbits hold each strip
-    # element twice.  The reference solve takes every row in one block
+    # element twice; every ribbon-ground element lies on y = 0, where the
+    # kernel skips dy.  The reference solve takes every row in one block
     mesh, volts, _ = _symmetry_cases()[case]
     want, _, _, (perms, _) = _reduced_matrix_one_block(mesh, _drive(mesh, volts))
     assert len(perms) == order
@@ -855,14 +857,23 @@ def test_unfolded_field_is_the_plain_kernel(case):
 
 
 def test_fold_holds_under_floating_point_traps():
-    mesh, volts, _ = _symmetry_cases()["semicircle-film-odd-arc"]
-    sol = solve(mesh, volts)
-    xs = 10 * UM + np.geomspace(1e-9, 80 * UM, 200)
-    px, py = np.concatenate([-xs[::-1], xs]), np.zeros(2 * len(xs))
-    want = sol.field_at(px, py)
-    with np.errstate(all="raise"):
-        got = sol.field_at(px, py)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    plain = _plain_field(sol, px, py)
-    assert np.max(np.abs(got[0] - plain[0])) <= 1e-11 * np.max(np.abs(plain[0]))
+    # verify runs under errstate(raise).  ribbon-ground's strips lie on the
+    # points' line y = 0, so their field is the along part alone; its
+    # points are in the inner gap and beyond the ribbons and the ground
+    film = 10 * UM + np.geomspace(1e-9, 80 * UM, 200)
+    strips = np.concatenate([np.geomspace(1e-9, 50 * UM, 100)[:-1],
+                             100 * UM + np.geomspace(1e-9, 30 * UM, 100)[:-1],
+                             2130 * UM + np.geomspace(1e-9, 1e-3, 50)])
+    for case, xs in (("semicircle-film-odd-arc", film),
+                     ("ribbon-ground", strips)):
+        mesh, volts, _ = _symmetry_cases()[case]
+        sol = solve(mesh, volts)
+        px, py = np.concatenate([-xs[::-1], xs]), np.zeros(2 * len(xs))
+        want = sol.field_at(px, py)
+        with np.errstate(all="raise"):
+            got = sol.field_at(px, py)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        plain = _plain_field(sol, px, py)
+        assert np.max(np.abs(got[0] - plain[0])) \
+            <= 1e-11 * np.max(np.abs(plain[0]))

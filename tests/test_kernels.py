@@ -172,16 +172,23 @@ def test_mirror_subtracts_image_in_one_pass():
 
 
 def test_planar_matrix_matches_hypot_form():
+    # elements scattered over the plane, then on one line y = 3 um (a thin
+    # strip), where the kernel skips dy
     rng = np.random.default_rng(11)
     x = rng.uniform(-1e-4, 1e-4, 300)
-    y = rng.uniform(-1e-4, 1e-4, 300)
     w = rng.uniform(1e-9, 1e-6, 300)
-    m = kern.planar_matrix(x, y, w)
     off = ~np.eye(300, dtype=bool)
-    rho = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])[off]
-    np.testing.assert_allclose(m[off], np.log(1.0 / rho) / (2 * math.pi * EPS0),
-                               rtol=1e-15, atol=0)
-    assert np.array_equal(m, m.T)
+    for y in (rng.uniform(-1e-4, 1e-4, 300), np.full(300, 3e-6)):
+        m = kern.planar_matrix(x, y, w)
+        dx, dy = x[:, None] - x[None, :], y[:, None] - y[None, :]
+        rho = np.hypot(dx, dy)[off]
+        np.testing.assert_allclose(m[off],
+                                   np.log(1.0 / rho) / (2 * math.pi * EPS0),
+                                   rtol=1e-15, atol=0)
+        # bit for bit ln(dx^2 + dy^2) / (-4 pi eps), dy^2 = 0 on one line
+        assert np.array_equal(m[off], np.log((dx * dx + dy * dy)[off])
+                              / (-4.0 * np.pi * EPS0))
+        assert np.array_equal(m, m.T)
 
 
 def test_planar_matrix_column_selection_is_the_square_matrix():
@@ -495,28 +502,73 @@ def test_wire_matrices_do_not_depend_on_block_size(monkeypatch, entries,
         assert np.array_equal(got_flat, want_flat)
 
 
-def _coax_field_case():
-    # 1222 segments of a solved coax; 601 points along y = 0 across the gap
+def _field_cases():
+    """name -> segment_field arguments.  All but the last case take their
+    points on y = 0, as verify does."""
     from surfloss.bem import mesh as meshes
     from surfloss.bem import solve
-    mesh = meshes.concat([meshes.circle(10e-6, 306, electrode=0),
+
+    def args(mesh, px, q, py=0.0, lift=0.0):
+        """Points (px, py), the mesh's segments moved up by lift."""
+        return (px, np.zeros_like(px) + py, mesh.pos[:, 0],
+                mesh.pos[:, 1] + lift, mesh.tangent[:, 0],
+                mesh.tangent[:, 1], mesh.width, q)
+
+    rng = np.random.default_rng(5)
+    # 1222 segments of a solved coax; 601 points across the gap
+    coax = meshes.concat([meshes.circle(10e-6, 306, electrode=0),
                           meshes.circle(100e-6, 916, electrode=1)])
-    sol = solve(mesh, {0: 1.0, 1: 0.0})
-    px = np.linspace(-99e-6, 99e-6, 601)
-    return (px, np.zeros_like(px), mesh.pos[:, 0], mesh.pos[:, 1],
-            mesh.tangent[:, 0], mesh.tangent[:, 1], mesh.width, sol.charge)
+    coax_q = solve(coax, {0: 1.0, 1: 0.0}).charge
+    across = np.linspace(-99e-6, 99e-6, 601)
+    # 206 segments of two thin strips on y = 0: points in the gaps and
+    # beyond, and the midpoints of 9 elements, where v = 0 and dot < 0;
+    # no point is an element's end, where the field is infinite
+    strips = meshes.concat([
+        meshes.thin_strip(-60e-6, -20e-6, 5e-9, 1e-6, electrode=0),
+        meshes.thin_strip(20e-6, 60e-6, 5e-9, 1e-6, electrode=1)])
+    strips_q = rng.uniform(-1e-12, 1e-12, strips.n)
+    gaps = np.concatenate([np.linspace(-19e-6, 19e-6, 301),
+                           60e-6 + np.geomspace(1e-9, 1e-4, 100),
+                           strips.pos[::23, 0]])
+    # 601 segments: a square film, a thin strip on y = 0 beside it, and a
+    # circle; the film's centre and points beyond the film, among them
+    # inside the strip
+    film = meshes.concat([
+        meshes.film_cross_section(10e-6, 1e-6, 0.0125e-6, 0.25e-6,
+                                  edge="square"),
+        meshes.thin_strip(20e-6, 40e-6, 5e-9, 1e-6, electrode=1),
+        meshes.circle(100e-6, 240, electrode=2)])
+    beyond = 10e-6 + np.geomspace(1e-9, 80e-6, 200)
+    return {
+        "coax": args(coax, across, coax_q),
+        "strips on y = 0": args(strips, gaps, strips_q),
+        # parallel to the points' line, not on it
+        "strips at y = 2 um": args(strips, gaps, strips_q, lift=2e-6),
+        "film, strip and circle": args(
+            film, np.concatenate([-beyond[::-1], [0.0], beyond]),
+            rng.uniform(-1e-12, 1e-12, film.n)),
+        # y varies from point to point
+        "coax, points on y = x / 2": args(coax, across, coax_q,
+                                          py=0.5 * across),
+    }
 
 
 @pytest.mark.parametrize("entries", [1, 7, 300, 1 << 14, kern.BLOCK_ENTRIES])
 def test_segment_field_does_not_depend_on_block_size(monkeypatch, entries):
-    # 300 entries hold less than one row of 1222 segments: one point per
-    # block; 1 << 14 gives 13 points per block, which 601 is not a multiple of
-    args = _coax_field_case()
-    want = _segment_field_one_block(*args)
+    # 1, 7 and 300 entries hold less than one row: one point per block;
+    # 1 << 14 gives 2, 15 and 5 points per block, which 601, 410 and 401
+    # are not multiples of.  The reference takes every point in one block,
+    # with sign(v) arctan2(w |v|, dot) and v formed from ry for every point
+    cases = _field_cases()
+    px, _, mx, my, _, ty, w, _ = cases["strips on y = 0"]
+    assert not (my.any() or ty.any())       # the segments lie on the line
+    assert np.sum(np.abs(px[:, None] - mx) < 0.5 * w) == 9
     monkeypatch.setattr(kern, "BLOCK_ENTRIES", entries)
-    got = kern.segment_field(*args)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    for args in cases.values():
+        want = _segment_field_one_block(*args)
+        got = kern.segment_field(*args)
+        for g, e in zip(got, want):
+            assert np.array_equal(g, e)
 
 
 def _traced_peak(fn, *args, **kwargs):
