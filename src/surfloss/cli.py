@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from .constants import FF, GHZ, MAX_SECTIONS, MIN_SECTIONS, SUITES, UM
+from .constants import FF, GHZ, SUITES, UM
 from .config import DesignConfig, load_config, parse_config, read_config
 from .geometry import (NumericalError, ValidationError, _explained,
                        _labelled, assemble_design)
@@ -263,6 +263,14 @@ def cmd_taper(args) -> int:
     return EXIT_OK
 
 
+def _splitting(spectrum, area: float, name: str) -> str:
+    """The splitting at cumulative area, or none past the total area."""
+    total = float(spectrum.area_um2[-1])
+    if area > total:
+        return f"none (total area {_fmt(total, name=name)} um^2)"
+    return f"{_fmt(spectrum.s_at_area(area), name=name)} Hz"
+
+
 def cmd_tls(args) -> int:
     from . import tls
     cfg = load_config(args.config)
@@ -282,11 +290,10 @@ def cmd_tls(args) -> int:
         if model is None:
             print(f"{name}: no TLS model for this structure type; skipped")
             continue
-        # drop the last structure's spectrum (80 MB at the most sections)
-        # before the next one is built
+        # drop the last spectrum (0.8 MB for a wire) before building the next
         spectrum = None
         with _labelled(name):
-            spectrum = model(spec, cfg.stack, c_total, args.sections)
+            spectrum = model(spec, cfg.stack, c_total)
         if len(spectrum.s_hz) == 1:
             # only the plate pair's uniform oxide field gives one patch
             print(f"{name}: parallel plate S_max = "
@@ -294,17 +301,16 @@ def cmd_tls(args) -> int:
                   f"area {_fmt(spectrum.area_um2[0], name=name)} um^2")
             continue
         with _labelled(name):
-            s_first = spectrum.s_at_area(tls.OBSERVABLE_AREA_UM2)
-            s_spaced = spectrum.s_at_spacing(200e6)
+            s_first = _splitting(spectrum, tls.OBSERVABLE_AREA_UM2, name)
+            s_spaced = _splitting(spectrum, tls.spacing_area(200e6), name)
             # a Python float overflows to inf without a NumPy RuntimeWarning
             count = tls.DENSITY_PER_UM2_GHZ * float(spectrum.area_um2[-1]) \
                 * span_hz / 1e9
             if math.isinf(count):
                 raise FloatingPointError("expected count over the span "
                                          "overflows")
-        print(f"{name}: largest observable splitting "
-              f"{_fmt(s_first, name=name)} Hz (A = 1 um^2); "
-              f"{_fmt(s_spaced, name=name)} Hz at one-per-200-MHz spacing; "
+        print(f"{name}: largest observable splitting {s_first} "
+              f"(A = 1 um^2); {s_spaced} at one-per-200-MHz spacing; "
               f"expected count over span ~ {_fmt(count, '.0f', name)}")
         if args.out:
             _save(args.out, f"tls_{name}.csv",
@@ -351,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--config", required=True)
     pl.add_argument("--out", default=None)
     pl.add_argument("--span-ghz", type=_positive_float, default=None)
-    pl.add_argument("--sections", type=_count(MIN_SECTIONS, MAX_SECTIONS),
-                    default=100_000)
     return p
 
 

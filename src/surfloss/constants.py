@@ -17,8 +17,3 @@ GHZ = 1e9
 #: the verify suites, in the order `surfloss.bem.suites` dispatches them
 SUITES = ("coax", "flat-coax", "corner", "ribbon-ground", "cyl-wire",
           "flat-wire")
-
-#: fewest wire sections that give a converged TLS spectrum, and the most a
-#: spectrum may take: at 1e7 a `tls` run peaks near 0.25 GB
-MIN_SECTIONS = 10_000
-MAX_SECTIONS = 10_000_000

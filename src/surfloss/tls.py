@@ -5,8 +5,8 @@ at 2 pF with a 2 nm gap), scaled by 1/sqrt(C) and by the local field per
 volt.  Spectra pair each surface patch's S_max with its area; sorting by
 descending S_max and accumulating area gives the observability curve, with
 one splitting expected per (0.5/um^2/GHz)^-1 of area-bandwidth product.
-``TLS_MODELS`` maps each structure type that has a TLS model to its
-spectrum; the plate pair's uniform oxide field makes its spectrum one patch.
+``TLS_MODELS`` maps each structure type with a TLS model to its spectrum:
+WIRE_SLICES x 52 patches for a wire, one for the plate's uniform field.
 """
 
 import math
@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import MAX_SECTIONS, MIN_SECTIONS
 from .geometry import (DielectricStack, ParallelPlate, Ribbon, StraightWire,
                        TaperedWire)
 from . import analytic
@@ -32,6 +31,12 @@ DENSITY_REF_THICKNESS = 2e-9
 
 #: observability threshold for the default 2 GHz measurement span
 OBSERVABLE_AREA_UM2 = 1.0
+
+#: log-spaced slices of 52 patches along each wire.  More slices refine
+#: only the length, as the 40 face and 12 corner bins across it stay fixed:
+#: 10 and 100 times as many print the same `tls` summary at up to 8 times
+#: the time and memory, and 200 slices print a coarser one
+WIRE_SLICES = 961
 
 
 def s_max_prefactor(capacitance: float) -> float:
@@ -60,8 +65,12 @@ class TlsSpectrum(NamedTuple):
 
     def s_at_spacing(self, spacing_hz: float) -> float:
         """Splitting size at which the average spectral spacing equals spacing_hz."""
-        area = 1.0 / (DENSITY_PER_UM2_GHZ * spacing_hz / 1e9)
-        return self.s_at_area(area)
+        return self.s_at_area(spacing_area(spacing_hz))
+
+
+def spacing_area(spacing_hz: float) -> float:
+    """Cumulative area (um^2) at one splitting per spacing_hz on average."""
+    return 1.0 / (DENSITY_PER_UM2_GHZ * spacing_hz / 1e9)
 
 
 def _spectrum_from_patches(s_values: np.ndarray,
@@ -100,30 +109,24 @@ def ribbon_tls_profile(spec: Ribbon, stack: DielectricStack,
     return TlsSpectrum(s, area)
 
 
-def wire_tls_spectrum(spec, capacitance: float, stack: DielectricStack,
-                      sections: int) -> TlsSpectrum:
+def wire_tls_spectrum(spec, stack: DielectricStack,
+                      capacitance: float) -> TlsSpectrum:
     """S_max spectrum of a junction-wire pair's metal-substrate face.
 
-    The wire is split into ~`sections` patches: log-spaced slices along the
-    length, transverse bins following the thin-film profile outside t/2 of
-    each edge, and corner sub-bins below.  Patches are sorted by descending
-    S_max and their areas accumulated.
+    The wire is split into WIRE_SLICES x 52 patches: log-spaced slices
+    along the length, each with 40 transverse bins following the thin-film
+    profile outside t/2 of each edge and 12 corner sub-bins below.  Patches
+    are sorted by descending S_max and their areas accumulated.
     """
     weight = stack.eps_s / stack.eps_ms
     forms = analytic.CLOSED_FORMS.get(type(spec))
     if forms is None or forms.wire_energy is None:
         raise TypeError("wire spectrum needs a StraightWire or TaperedWire")
     r0, d, t = spec.r0, spec.d, spec.t
-    if sections < MIN_SECTIONS:
-        raise ValueError(f"use at least {MIN_SECTIONS} sections for a "
-                         "converged spectrum")
-    if sections > MAX_SECTIONS:
-        raise ValueError(f"use at most {MAX_SECTIONS} sections; more take "
-                         "over a quarter of a gigabyte")
 
     n_edge = 40      # transverse bins outside the corner region
     n_corner = 12    # corner sub-bins below t/2
-    n_y = max(sections // (2 * (n_edge + n_corner)), 200)
+    n_y = WIRE_SLICES
 
     y_edges = np.geomspace(2 * r0, d, n_y + 1)
     y = 0.5 * (y_edges[:-1] + y_edges[1:])
@@ -189,22 +192,16 @@ def parallel_plate_splitting(spec: ParallelPlate, stack: DielectricStack,
 # dispatch; each row looks its spectrum function up when called, so a
 # wrapper installed on this module sees these calls too
 
-def _wire_spectrum(spec, stack: DielectricStack, capacitance: float,
-                   sections: int) -> TlsSpectrum:
-    return wire_tls_spectrum(spec, capacitance, stack, sections=sections)
-
-
 def _plate_spectrum(spec: ParallelPlate, stack: DielectricStack,
-                    capacitance: float, sections: int) -> TlsSpectrum:
+                    capacitance: float) -> TlsSpectrum:
     s_val, area = parallel_plate_splitting(spec, stack, capacitance)
     return TlsSpectrum(np.array([s_val]), np.array([area]))
 
 
-#: TLS models: spec class -> spectrum(spec, stack, capacitance, sections),
-#: with `sections` the wire-patch count
+#: TLS models: spec class -> spectrum(spec, stack, capacitance)
 TLS_MODELS = {
-    Ribbon: lambda spec, stack, c, sections: ribbon_tls_profile(spec, stack, c),
-    StraightWire: _wire_spectrum,
-    TaperedWire: _wire_spectrum,
+    Ribbon: lambda spec, stack, c: ribbon_tls_profile(spec, stack, c),
+    StraightWire: lambda spec, stack, c: wire_tls_spectrum(spec, stack, c),
+    TaperedWire: lambda spec, stack, c: wire_tls_spectrum(spec, stack, c),
     ParallelPlate: _plate_spectrum,
 }

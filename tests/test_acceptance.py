@@ -298,10 +298,9 @@ def test_criterion_9_tls_predictions():
     s_top = spectrum.s_at_area(tls.OBSERVABLE_AREA_UM2)
     assert 0.25e6 < s_top < 1.0e6
 
-    straight = tls.wire_tls_spectrum(WIRE, c_qubit, stack3, sections=100_000)
+    straight = tls.wire_tls_spectrum(WIRE, stack3, c_qubit)
     tapered = tls.wire_tls_spectrum(TaperedWire(0.1 * UM, 0.2, 50 * UM,
-                                                0.1 * UM), c_qubit, stack3,
-                                    sections=100_000)
+                                                0.1 * UM), stack3, c_qubit)
     s_w = straight.s_at_area(1.0)
     assert 1e6 * 0.8 <= s_w <= 4e6 * 1.2
     s_t = tapered.s_at_area(1.0)

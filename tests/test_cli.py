@@ -146,7 +146,7 @@ def test_closed_stdout_ends_quietly(table_config, argv, unbuffered):
     (["taper"], "taper_curve.csv"),
     (["sweep", "--param", "stack.tan_ms", "--range", "0:0.01",
       "--steps", "2"], "sweep.csv"),
-    (["tls", "--sections", "20000"], "tls_pads.csv"),
+    (["tls"], "tls_pads.csv"),
 ], ids=["analyze", "taper", "sweep", "tls"])
 def test_unusable_out_path_is_config_error(table_config, tmp_path, capsys,
                                            argv, name):
@@ -335,7 +335,7 @@ t_um = 0.02
     pytest.param(["sweep", "--param", "structure.taper.d_um",
                   "--range", "40:50", "--steps", "2"], "tapered", 2, id="sweep"),
     pytest.param(["analyze"], "tapered", 2, id="analyze"),
-    pytest.param(["tls", "--sections", "20000"], "tapered", 2, id="tls"),
+    pytest.param(["tls"], "tapered", 2, id="tls"),
 ])
 def test_wire_energy_pole_is_numerical_error(tmp_path, cmd, wire, code):
     path = tmp_path / "pole.ini"
@@ -354,7 +354,7 @@ def test_wire_energy_pole_is_numerical_error(tmp_path, cmd, wire, code):
 
 @pytest.mark.parametrize("cmd", [
     pytest.param(["analyze"], id="analyze"),
-    pytest.param(["tls", "--sections", "20000"], id="tls"),
+    pytest.param(["tls"], id="tls"),
     pytest.param(["taper"], id="taper"),
     pytest.param(["sweep", "--param", "structure.taper.d_um",
                   "--range", "40:50", "--steps", "2"], id="sweep"),
@@ -388,8 +388,7 @@ def test_taper_that_does_not_widen_is_config_error(tmp_path):
 
 def test_tls_command(table_config, tmp_path):
     out = tmp_path / "tlsout"
-    res = run_cli("tls", "--config", str(table_config), "--out", str(out),
-                  "--sections", "20000")
+    res = run_cli("tls", "--config", str(table_config), "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert "parallel plate" in res.stdout
     assert "one-per-200-MHz" in res.stdout
@@ -397,13 +396,22 @@ def test_tls_command(table_config, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "s_max_hz,cumulative_area_um2"
     assert len(lines) > 100
+    # the header and 961 slices of 40 face and 12 corner patches
+    lines = (out / "tls_wire.csv").read_text().splitlines()
+    assert lines[0] == "s_max_hz,cumulative_area_um2"
+    assert len(lines) == 1 + 961 * 52 == 49973
+    # the count is fixed; argparse rejects a flag to set it
+    res = run_cli("tls", "--config", str(table_config), "--sections", "20000")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --sections 20000" in res.stderr
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize("span", ["0", "-1"])
 def test_tls_rejects_non_positive_config_span(tmp_path, span):
     path = tmp_path / "span.ini"
     path.write_text(TABLE_CONFIG.replace("span_ghz = 2", f"span_ghz = {span}"))
-    res = run_cli("tls", "--config", str(path), "--sections", "20000")
+    res = run_cli("tls", "--config", str(path))
     assert res.returncode == 2
     assert res.stderr == "error[2]: targets.span_ghz: must be > 0\n"
     assert res.stdout == ""
@@ -419,7 +427,7 @@ def test_tls_rejects_span_overflowing_in_hz(tmp_path, where):
     else:
         path.write_text(TABLE_CONFIG)
         flags = ["--span-ghz", "1e300"]
-    res = run_cli("tls", "--config", str(path), "--sections", "20000", *flags)
+    res = run_cli("tls", "--config", str(path), *flags)
     assert res.returncode == 2
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1
@@ -429,8 +437,7 @@ def test_tls_rejects_span_overflowing_in_hz(tmp_path, where):
 
 def test_tls_count_overflow_is_numerical_error(table_config):
     # the span fits in Hz, the expected splitting count over it does not
-    res = run_cli("tls", "--config", str(table_config), "--sections", "20000",
-                  "--span-ghz", "1e299")
+    res = run_cli("tls", "--config", str(table_config), "--span-ghz", "1e299")
     assert res.returncode == 3
     assert "Warning" not in res.stderr and "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()
@@ -483,7 +490,7 @@ def test_tls_numerical_error_names_the_structure(tmp_path, replace, label):
     # analyze takes these designs; their TLS spectra leave the float range
     path = tmp_path / "design.ini"
     path.write_text(TABLE_CONFIG.replace(*replace))
-    res = run_cli("tls", "--config", str(path), "--sections", "20000")
+    res = run_cli("tls", "--config", str(path))
     assert res.returncode == 3
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error[3]: {label}: ")
@@ -568,7 +575,7 @@ def test_malformed_ini_is_config_error(tmp_path, content):
                  {"capacitance_ff = 100": "capacitance_ff = 1e-300",
                   "tan_ma = 0.005": "tan_ma = 1e11"}, id="sweep"),
     # a subnormal capacitance makes the splittings overflow
-    pytest.param(["tls", "--sections", "20000"],
+    pytest.param(["tls"],
                  {"capacitance_ff = 100": "capacitance_ff = 4e-309"}, id="tls"),
 ])
 def test_non_finite_result_is_numerical_error(tmp_path, cmd, replace):
@@ -614,31 +621,23 @@ def test_verify_rejects_bad_mesh_scale(scale):
     assert "--mesh-scale" in res.stderr
 
 
-def test_tls_rejects_too_few_sections(table_config):
-    res = run_cli("tls", "--config", str(table_config), "--sections", "5")
-    assert res.returncode == 2
-    assert "Traceback" not in res.stderr
-    assert "--sections" in res.stderr
-
-
 @pytest.mark.parametrize("flag, count, extra", [
     ("--steps", "1000000000000",
      ["--param", "structure.wire.d_um", "--range", "10:50"]),
-    ("--sections", "10000000000000", []),
-], ids=["sweep", "tls"])
+], ids=["sweep"])
 def test_count_past_its_bound_is_config_error(table_config, flag, count,
                                               extra):
-    # the parent allocated for either count (7.28 TiB in linspace, 716 GiB
-    # in geomspace) and exited 1 with a NumPy memory-error traceback
-    cmd = "sweep" if flag == "--steps" else "tls"
-    res = run_cli(cmd, "--config", str(table_config), *extra, flag, count)
+    # unchecked, the count was allocated for (7.28 TiB in linspace) and
+    # the command exited 1 with a NumPy memory-error traceback
+    res = run_cli("sweep", "--config", str(table_config), *extra, flag, count)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert f"argument {flag}: must be at most" in res.stderr
 
 
 def test_tls_small_wire_area_is_numerical_error(tmp_path):
-    # 4*d*half_width is under the 10 um^2 the 200-MHz spacing needs
+    # 4*d*half_width is under the 10 um^2 the 200-MHz spacing needs: fewer
+    # than one splitting is expected at that spacing, which is no error
     path = tmp_path / "small_wire.ini"
     path.write_text("""
 [structure.wire]
@@ -647,11 +646,20 @@ half_width_um = 0.069
 d_um = 24.5
 t_um = 0.1
 """)
-    res = run_cli("tls", "--config", str(path), "--sections", "20000")
-    assert res.returncode == 3
-    assert "Traceback" not in res.stderr
-    assert len(res.stderr.strip().splitlines()) == 1
-    assert "outside the tabulated range" in res.stderr
+    res = run_cli("tls", "--config", str(path))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines()[1] == (
+        "wire: largest observable splitting 1.72e+07 Hz (A = 1 um^2); none "
+        "(total area 6.68e+00 um^2) at one-per-200-MHz spacing; expected "
+        "count over span ~ 7")
+    # at d = 3 um the whole face is under the 1 um^2 threshold too
+    path.write_text(path.read_text().replace("d_um = 24.5", "d_um = 3"))
+    res = run_cli("tls", "--config", str(path))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines()[1] == (
+        "wire: largest observable splitting none (total area 7.84e-01 um^2) "
+        "(A = 1 um^2); none (total area 7.84e-01 um^2) at one-per-200-MHz "
+        "spacing; expected count over span ~ 1")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -723,7 +731,7 @@ for argv in (["analyze", "--config", cfg],
              ["taper", "--config", cfg],
              ["sweep", "--config", cfg, "--param", "structure.wire.d_um",
               "--range", "10:50", "--steps", "3"],
-             ["tls", "--config", cfg, "--sections", "20000"],
+             ["tls", "--config", cfg],
              ["verify", "--suite", "flat-coax"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
@@ -757,7 +765,7 @@ def test_each_command_loads_only_what_it_runs():
         ["analyze --config --corner-split", 0], ["taper --config", 0],
         ["sweep --config --param structure.wire.d_um --range 10:50 "
          "--steps 3", 0],
-        ["tls --config --sections 20000", 0],
+        ["tls --config", 0],
         ["verify --suite flat-coax", 0]]
     loaded = [step[2] for step in steps]
     assert loaded[:3] == [[], [], []]

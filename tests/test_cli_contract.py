@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from surfloss import analytic, cli, tls
+from surfloss import analytic, cli
 from surfloss.bem import SUITES
 from surfloss.config import load_config
 from surfloss.analytic import STRUCTURE_TYPES
@@ -48,11 +48,9 @@ BASE = {
     "r0_um": "0.1", "slope": "0.4",
 }
 
-COMMANDS = (["analyze"], ["tls", "--sections", "10000"], ["taper"])
+COMMANDS = (["analyze"], ["tls"], ["taper"])
 
-#: counts just past each bound of --sections and --steps, and far past
-SECTIONS = tuple(map(str, (tls.MIN_SECTIONS - 1, tls.MAX_SECTIONS + 1,
-                           10**12, 10**30)))
+#: counts just past the bound of --steps, and far past
 OVER_STEPS = (cli.MAX_STEPS + 1, 10**12, 10**30)
 
 _NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
@@ -143,9 +141,8 @@ def _assert_contract(argv):
 @pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(text=configs(), sections=st.sampled_from(SECTIONS))
-def test_cli_contract_holds_for_random_configs(tmp_path_factory, text,
-                                               sections):
+@given(text=configs())
+def test_cli_contract_holds_for_random_configs(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("cfg") / "design.ini"
     path.write_text(text)
     for cmd in COMMANDS:
@@ -153,9 +150,6 @@ def test_cli_contract_holds_for_random_configs(tmp_path_factory, text,
         out = _assert_contract(argv)
         assert "-0.00e+00" not in out, out
         assert _run(argv)[1] == out
-    argv = ["tls", "--config", str(path), "--sections", sections]
-    assert _assert_contract(argv) == ""
-    assert _run(argv)[0] == 2
 
 
 SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" \

@@ -88,6 +88,24 @@ def test_segment_field_point_charge_limit():
     assert abs(ey[0]) < 1e-12 * abs(ex[0])
 
 
+def test_segment_field_at_a_shared_strip_end_under_traps():
+    # two strips on y = 0 meet at x = 0: at that point one end distance of
+    # each is 0, so the along part is log1p(w^2 / 0) = inf from one and
+    # log1p(-1) = -inf from the other.  Run under errstate(raise), as
+    # verify is, the kernel keeps these to itself and returns; Ex there is
+    # inf - inf, and a point off every end stays finite.  Points all on
+    # y = 0 take the strips-on-the-line pass, and one point above the line
+    # the general one
+    args = (np.array([-0.5, 0.5]), np.zeros(2), np.ones(2), np.zeros(2),
+            np.ones(2), np.full(2, 1e-12))
+    for px, py in ((np.array([0.0, 2.5]), np.zeros(2)),
+                   (np.array([0.0, 2.5, 0.3]), np.array([0.0, 0.0, 1.0]))):
+        with np.errstate(all="raise"):
+            ex, ey = kern.segment_field(px, py, *args)
+        assert not np.isfinite(ex[0])
+        assert np.isfinite(ex[1:]).all() and np.isfinite(ey[1:]).all()
+
+
 def test_ring_matrix_exact_symmetry():
     # a graded tapered wire mesh: near pairs, self terms and far pairs
     from surfloss.bem.mesh import wire_rings

@@ -66,24 +66,10 @@ def test_ribbon_profile_headline_numbers():
 
 
 def test_wire_spectrum_determinism_and_convergence():
-    s1 = tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3, sections=50_000)
-    s1b = tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3, sections=50_000)
+    s1 = tls.wire_tls_spectrum(WIRE, STACK3, 0.1e-12)
+    s1b = tls.wire_tls_spectrum(WIRE, STACK3, 0.1e-12)
     assert np.array_equal(s1.s_hz, s1b.s_hz)
-    s2 = tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3, sections=100_000)
-    for area in (0.5, 1.0, 3.0, 10.0):
-        assert s2.s_at_area(area) == pytest.approx(s1.s_at_area(area), rel=0.02)
-
-
-def test_wire_sections_floor():
-    with pytest.raises(ValueError):
-        tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3, sections=100)
-
-
-def test_wire_sections_ceiling():
-    # checked before any patch array is allocated
-    with pytest.raises(ValueError, match="at most"):
-        tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3,
-                              sections=tls.MAX_SECTIONS + 1)
+    assert np.array_equal(s1.area_um2, s1b.area_um2)
 
 
 @pytest.mark.parametrize("spec", [Ribbon(50 * UM, 100 * UM, 1391 * UM,
@@ -92,7 +78,7 @@ def test_wire_sections_ceiling():
 def test_wire_spectrum_takes_only_the_wire_types(spec):
     with pytest.raises(TypeError, match="^wire spectrum needs a StraightWire "
                                         "or TaperedWire$"):
-        tls.wire_tls_spectrum(spec, 0.1e-12, STACK3, sections=50_000)
+        tls.wire_tls_spectrum(spec, STACK3, 0.1e-12)
 
 
 def test_wire_spectrum_peak_memory_is_five_patch_arrays():
@@ -102,31 +88,31 @@ def test_wire_spectrum_peak_memory_is_five_patch_arrays():
     import tracemalloc
     tracemalloc.start()
     try:
-        spectrum = tls.wire_tls_spectrum(TAPER2, 0.1e-12, STACK3,
-                                         sections=1_000_000)
+        spectrum = tls.wire_tls_spectrum(TAPER2, STACK3, 0.1e-12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 6 * spectrum.s_hz.nbytes
-    # 1e6 // 104 slices of 40 face and 12 corner patches each
-    assert len(spectrum.s_hz) == len(spectrum.area_um2) == 9615 * 52
+    # 961 slices of 40 face and 12 corner patches each
+    assert tls.WIRE_SLICES == 961
+    assert len(spectrum.s_hz) == len(spectrum.area_um2) == 961 * 52
     assert np.all(np.diff(spectrum.s_hz) <= 0) and spectrum.s_hz[-1] > 0
     assert np.all(np.diff(spectrum.area_um2) > 0) and spectrum.area_um2[0] > 0
     assert np.isfinite(spectrum.s_hz[0]) and np.isfinite(spectrum.area_um2[-1])
 
 
 def test_straight_dominates_tapered():
-    s_straight = tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3, sections=40_000)
-    s_tapered = tls.wire_tls_spectrum(TAPER2, 0.1e-12, STACK3, sections=40_000)
+    s_straight = tls.wire_tls_spectrum(WIRE, STACK3, 0.1e-12)
+    s_tapered = tls.wire_tls_spectrum(TAPER2, STACK3, 0.1e-12)
     for area in np.geomspace(0.1, 15.0, 12):
         assert s_straight.s_at_area(area) > s_tapered.s_at_area(area)
 
 
 def test_wire_dominant_contribution_beyond_ten_microns():
     # a wire truncated at 10 um carries well under half the observable area
-    full = tls.wire_tls_spectrum(WIRE, 0.1e-12, STACK3, sections=40_000)
+    full = tls.wire_tls_spectrum(WIRE, STACK3, 0.1e-12)
     short = tls.wire_tls_spectrum(StraightWire(0.1 * UM, 10 * UM, 0.1 * UM),
-                                  0.1e-12, STACK3, sections=40_000)
+                                  STACK3, 0.1e-12)
     s0 = full.s_at_area(5.0)
     assert area_at(short, s0) < 0.5 * area_at(full, s0)
 
@@ -169,7 +155,7 @@ def test_tls_command_calls_spectra_through_the_module(monkeypatch, capsys):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(tls, name, spy)
-    assert cli.main(["tls", "--config", str(CONFIG), "--sections", "10000"]) == 0
+    assert cli.main(["tls", "--config", str(CONFIG)]) == 0
     assert called == ["parallel_plate_splitting", "ribbon_tls_profile",
                       "wire_tls_spectrum", "wire_tls_spectrum"]
     assert "ground_coupling: no TLS model for this structure type; skipped" \
