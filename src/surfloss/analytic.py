@@ -251,6 +251,13 @@ def tapered_wire_energy_quadrature(r0: float, slope: float, d: float,
     """U/(eps0 V^2) of both tapered wires at the corner constant
     C_M_DEFAULT; the line integral starts at y = 5t.
 
+    The integrand is 2 (ln(4r/t) + C_M) / (4r ln(4y/r)^2) at the half-width
+    r = max(r0, (y - 5t) S).  Its per-quadrature constants, 5t and, for
+    the nodes below the kink where r = r0, the numerator
+    2 (ln(4 r0/t) + C_M) and 4 r0, are computed once per call, as the same
+    floats in the same operation order as at each node, so every value is
+    bit for bit that of the per-node form.
+
     Raises ValueError when the pole of 1/ln(4y/r0)^2 at y = r0/4 lies in
     [5t, d], that is for r0 >= 20t (and r0 <= 4d): the integral diverges.
     """
@@ -258,15 +265,21 @@ def tapered_wire_energy_quadrature(r0: float, slope: float, d: float,
         raise ValueError(
             f"tapered-wire energy diverges: the integrand has a pole at "
             f"y = r0/4 = {r0 / 4.0:.4g} m inside [5t, d]; need r0 < 20*t")
-    def integrand(y: float) -> float:
-        r = max(r0, (y - 5.0 * t) * slope)
-        return 2.0 * (math.log(4 * r / t) + C_M_DEFAULT) \
-            / (4.0 * r * math.log(4 * y / r) ** 2)
+    five_t = 5.0 * t
+    top_r0 = 2.0 * (math.log(4 * r0 / t) + C_M_DEFAULT)
+    four_r0 = 4.0 * r0
 
-    y_kink = 5.0 * t + r0 / slope
-    pts = [y_kink] if 5.0 * t < y_kink < d else None
+    def integrand(y: float) -> float:
+        r = (y - five_t) * slope
+        if r > r0:          # where max(r0, r) returns r, NaN included
+            return 2.0 * (math.log(4 * r / t) + C_M_DEFAULT) \
+                / (4.0 * r * math.log(4 * y / r) ** 2)
+        return top_r0 / (four_r0 * math.log(4 * y / r0) ** 2)
+
+    y_kink = five_t + r0 / slope
+    pts = [y_kink] if five_t < y_kink < d else None
     from ._quadpack import quad
-    return quad(integrand, 5.0 * t, d, 400, pts)
+    return quad(integrand, five_t, d, 400, pts)
 
 
 def tapered_wire_energy_fit(r0: float, slope: float, d: float, t: float,

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from surfloss import DielectricStack, Ribbon, Coplanar, EPS0
-from surfloss import analytic
+from surfloss import DielectricStack, Ribbon, Coplanar, EPS0, TaperedWire
+from surfloss import _quadpack, analytic
+from surfloss.geometry import MAX_TAPER_SLOPE
 
 from paper_forms import edge_enhancement, fit_crossover, ribbon_inner_outer
 
@@ -308,6 +311,94 @@ def test_tapered_quadrature_rejects_pole_in_domain():
         u = analytic.tapered_wire_energy_quadrature(0.39 * UM, 0.28, 50 * UM,
                                                     0.02 * UM)
     assert math.isfinite(u) and u > 0
+
+
+def _per_node_integrand(r0, slope, t):
+    """The tapered-wire integrand with every node computing 5t, max() and
+    both logarithms: the reference the shipped one must equal bit for bit."""
+    def integrand(y):
+        r = max(r0, (y - 5.0 * t) * slope)
+        return 2.0 * (math.log(4 * r / t) + analytic.C_M_DEFAULT) \
+            / (4.0 * r * math.log(4 * y / r) ** 2)
+    return integrand
+
+
+def _per_node_quadrature(r0, slope, d, t):
+    y_kink = 5.0 * t + r0 / slope
+    pts = [y_kink] if 5.0 * t < y_kink < d else None
+    return _quadpack.quad(_per_node_integrand(r0, slope, t), 5.0 * t, d, 400,
+                          pts)
+
+
+def _shipped_integrand(r0, slope, d, t):
+    """The integrand tapered_wire_energy_quadrature hands to quad."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_quadpack, "quad",
+                   lambda f, a, b, limit, points=None: seen.append(f) or 0.0)
+        analytic.tapered_wire_energy_quadrature(r0, slope, d, t)
+    return seen[0]
+
+
+def _assert_per_node_values(r0, slope, d, t):
+    assert analytic.tapered_wire_energy_quadrature(r0, slope, d, t) \
+        == _per_node_quadrature(r0, slope, d, t)
+    # both branches: the kink and the floats either side of it
+    shipped = _shipped_integrand(r0, slope, d, t)
+    reference = _per_node_integrand(r0, slope, t)
+    kink = 5.0 * t + r0 / slope
+    ys = [kink]
+    for toward in (-math.inf, math.inf):
+        y = kink
+        for _ in range(3):
+            y = math.nextafter(y, toward)
+            ys.append(y)
+    for y in ys:
+        assert shipped(y) == reference(y), y
+
+
+# Hypothesis formats a failing example with black, whose import of
+# mypy_extensions warns; that must not hide the failure itself
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(log_r0=st.floats(-8.5, -5.0), log_t=st.floats(-1.6, 0.0),
+       slope=st.floats(1e-3, MAX_TAPER_SLOPE), log_kink=st.floats(0.001, 3.0),
+       log_beyond=st.floats(0.001, 2.0))
+def test_tapered_integrand_equals_its_per_node_form(log_r0, log_t, slope,
+                                                    log_kink, log_beyond):
+    # a valid wire, whose kink 5t + r0/S lies inside (5t, d), and the same
+    # wire at a slope the taper scan may try, whose kink lies beyond d
+    r0 = 10 ** log_r0
+    t = 2 * r0 * 10 ** log_t
+    d = 5 * t + (r0 / slope) * 10 ** log_kink
+    spec = TaperedWire(r0, slope, d, t)
+    assume(not spec.validate())
+    _assert_per_node_values(r0, slope, d, t)
+    shallow = r0 / (d - 5 * t) * 10 ** -log_beyond
+    assert 5.0 * t + r0 / shallow > d
+    _assert_per_node_values(r0, shallow, d, t)
+
+
+@pytest.mark.parametrize("r0, slope, d, t, error, text", [
+    pytest.param(2 * UM, 0.28, 50 * UM, 0.02 * UM, ValueError,
+                 "tapered-wire energy diverges: the integrand has a pole at "
+                 "y = r0/4 = 5e-07 m inside [5t, d]; need r0 < 20*t",
+                 id="pole"),
+    pytest.param(0.1 * UM, 0.3, 0.1 * UM, 0.1 * UM, ValueError,
+                 "quadrature needs a < b, got a = 5e-07, b = 1e-07",
+                 id="d-under-5t"),
+    pytest.param(0.0, 0.3, 50 * UM, 0.1 * UM, ValueError,
+                 "math domain error", id="r0-zero"),
+    pytest.param(1e3 * UM, 0.3, 50 * UM, -0.1 * UM, ValueError,
+                 "math domain error", id="t-negative"),
+    pytest.param(1e3 * UM, 0.3, 50 * UM, 0.0, ZeroDivisionError,
+                 "float division by zero", id="t-zero"),
+])
+def test_tapered_quadrature_errors(r0, slope, d, t, error, text):
+    with pytest.raises(error) as info:
+        analytic.tapered_wire_energy_quadrature(r0, slope, d, t)
+    assert type(info.value) is error and str(info.value) == text
 
 
 def test_taper_optimum_small_distance():
