@@ -3,8 +3,8 @@ superconducting transmon capacitors and junction wires.
 
 Closed-form participation ratios for the standard capacitor geometries
 (parallel plate, ribbon, coplanar, ribbon with ground, straight/tapered
-junction wires), cross-verified by built-in surface-charge solvers, plus
-two-level-state splitting spectra.
+junction wires), some of them checked against built-in surface-charge
+solvers, plus two-level-state splitting spectra.
 
 Importing the package, or its command line, loads neither NumPy nor
 SciPy: the closed forms run on ``math``, so `analyze` needs neither, and

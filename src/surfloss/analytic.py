@@ -213,7 +213,7 @@ def ribbon_ground_energies(spec: RibbonWithGround, c_m: float,
 # --------------------------------------------------------------------------
 # junction wires
 
-def wire_field(y, half_width, flat: bool = True):
+def wire_field(y, half_width, flat: bool):
     """Envelope field |E(y)|/V of a differential junction wire.
 
     flat=True is the thin-film form with ln(4y/rbar); False the round-wire

@@ -16,8 +16,9 @@ the lower triangle, which Cholesky reads, is built (in blocks of rows,
 each against the columns up to its last row) and then mirrored, so rcond
 and the residual refer to the exactly symmetric matrix that was
 factored.  The solution carries the group, and `ChargeSolution.field_at`
-filters it for the reflections that fix its points.  The suites module cross-verifies every closed form in
-`surfloss.analytic`.
+filters it for the reflections that fix its points.  The suites module
+checks some of the closed forms in `surfloss.analytic` against solves;
+the README's "Verification status" lists which.
 """
 
 from .mesh import Mesh, MeshCapError, MAX_UNKNOWNS

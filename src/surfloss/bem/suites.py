@@ -306,9 +306,10 @@ def _wire_pair(d, r0, slope, mesh_scale, flat):
     return m, solve(m, {0: 0.5})
 
 
-def wire_field_profile(d: float, r0: float, slope: float = 0.0,
-                       mesh_scale: float = 1.0, flat: bool = False):
-    """Solve a differential wire pair; returns (y, E/V, E_formula/V)."""
+def wire_field_profile(d: float, r0: float, slope: float, mesh_scale: float,
+                       flat: bool):
+    """Solve a differential wire pair, a thin-film strip if flat else
+    round rings; returns (y, E/V, E_formula/V)."""
     m, sol = _wire_pair(d, r0, slope, mesh_scale, flat)
     y, width = m.pos.T
     return y, sol.surface_field(), analytic.wire_field(y, width, flat=flat)
@@ -327,7 +328,7 @@ def suite_cyl_wire(mesh_scale: float = 1.0) -> list[Check]:
     r0, d = 0.1e-6, 100e-6
     checks = []
     for slope, tag in ((0.0, "straight"), (0.2, "tapered S=0.2")):
-        y, e, e_th = wire_field_profile(d, r0, slope, mesh_scale)
+        y, e, e_th = wire_field_profile(d, r0, slope, mesh_scale, flat=False)
         err = _window_rel_err(e, e_th, (y >= 2 * r0) & (y <= 0.9 * d))
         checks.append(_abs(f"{tag} field max rel err over [2r, 0.9d]", err,
                            0.0, 0.05, note="end uptick is outside the formula"))

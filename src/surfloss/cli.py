@@ -107,7 +107,7 @@ _COLUMNS = ("structure", "capacitance_ff", "p_ma", "p_ms", "p_sa",
 
 def _analysis_rows(cfg: DesignConfig, corner_split: bool = False):
     design = assemble_design(cfg.structures, cfg.stack,
-                             target_capacitance=cfg.target_capacitance,
+                             target_capacitance=cfg.targets.capacitance,
                              corner_split=corner_split)
     rows = [{"structure": bd.label, "capacitance_ff": bd.capacitance / FF,
              "p_ma": bd.p_ma, "p_ms": bd.p_ms, "p_sa": bd.p_sa,
@@ -205,7 +205,7 @@ def cmd_sweep(args) -> int:
             cfg_i = parse_config(cp)
             _, rows, total = _analysis_rows(cfg_i)
         except ValidationError as exc:
-            raise ValidationError([f"{culprit}: {exc}"])
+            raise ValidationError([f"{culprit}: {p}" for p in exc.problems])
         row = {"param": val}
         for spec, bd in zip(cfg_i.structures, rows):
             for c in _COLUMNS[1:]:
@@ -275,14 +275,9 @@ def cmd_tls(args) -> int:
     from . import tls
     cfg = load_config(args.config)
     design = assemble_design(cfg.structures, cfg.stack,
-                             target_capacitance=cfg.target_capacitance)
-    span_hz = args.span_ghz * GHZ if args.span_ghz else cfg.span_hz
-    if math.isinf(span_hz):
-        raise ValidationError([f"--span-ghz: {args.span_ghz:g} GHz "
-                               "overflows in Hz"])
-
-    print(f"span = {_fmt(span_hz / GHZ, 'g')} GHz; observability threshold "
-          f"{tls.OBSERVABLE_AREA_UM2:g} um^2")
+                             target_capacitance=cfg.targets.capacitance)
+    print(f"span = {_fmt(cfg.targets.span / GHZ, 'g')} GHz; observability "
+          f"threshold {tls.OBSERVABLE_AREA_UM2:g} um^2")
     c_total = design.capacitance
     for spec in cfg.structures:
         name = spec.label
@@ -305,7 +300,7 @@ def cmd_tls(args) -> int:
             s_spaced = _splitting(spectrum, tls.spacing_area(200e6), name)
             # a Python float overflows to inf without a NumPy RuntimeWarning
             count = tls.DENSITY_PER_UM2_GHZ * float(spectrum.area_um2[-1]) \
-                * span_hz / 1e9
+                * cfg.targets.span / 1e9
             if math.isinf(count):
                 raise FloatingPointError("expected count over the span "
                                          "overflows")
@@ -356,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("tls", help="TLS splitting spectra and densities")
     pl.add_argument("--config", required=True)
     pl.add_argument("--out", default=None)
-    pl.add_argument("--span-ghz", type=_positive_float, default=None)
     return p
 
 

@@ -2,7 +2,8 @@
 
 Units are fixed per key suffix: *_um (micrometers), *_nm (nanometers),
 *_ff (femtofarads), *_ghz (gigahertz); bare keys are dimensionless.  The
-[stack] keys follow the same rule as the structure keys.
+rule holds in every section, whose record maps its keys to fields by
+INI_KEYS.
 Unknown sections or keys are rejected, and all validation problems are
 collected before reporting.
 
@@ -34,14 +35,33 @@ from .geometry import (MAX_TAPER_SLOPE, DielectricStack, ValidationError,
 
 #: key suffix -> the unit a key's value is given in; any other key is read
 #: as is
-_UNITS = {"_um": UM, "_nm": NM}
+_UNITS = {"_um": UM, "_nm": NM, "_ff": FF, "_ghz": GHZ}
+
+
+class Targets(NamedTuple):
+    """The qubit capacitance every participation is taken at (None: the
+    structures' sum) and the span TLS splittings are counted over."""
+
+    INI_KEYS = {"capacitance_ff": "capacitance", "span_ghz": "span"}
+
+    capacitance: Optional[float] = None     # F
+    span: float = 2.0 * GHZ                 # Hz
+
+    def validate(self) -> list[str]:
+        bad = []
+        if self.capacitance is not None and self.capacitance <= 0:
+            bad.append("targets.capacitance_ff: must be > 0")
+        if self.span <= 0:
+            bad.append("targets.span_ghz: must be > 0")
+        elif math.isinf(self.span):
+            bad.append("targets.span_ghz: overflows in Hz")
+        return bad
 
 
 class DesignConfig(NamedTuple):
     stack: DielectricStack
     structures: list            # specs of STRUCTURE_TYPES, labelled by section
-    target_capacitance: Optional[float]   # F, or None
-    span_hz: float
+    targets: Targets
     warnings: list
 
 
@@ -108,28 +128,10 @@ def parse_config(cp: configparser.ConfigParser,
     it (the taper command optimizes the slope itself anyway).
     """
     problems: list[str] = []
-    stack_kwargs = {}
-    if cp.has_section("stack"):
-        stack_kwargs = _section_fields(cp.items("stack"), DielectricStack,
-                                       "stack", "unknown key", problems)
-
-    target_c = None
-    span_hz = 2.0 * GHZ
-    if cp.has_section("targets"):
-        for key, raw in cp.items("targets"):
-            if key == "capacitance_ff":
-                target_c = _parse_float(raw, "targets.capacitance_ff",
-                                        problems) * FF
-            elif key == "span_ghz":
-                span_ghz = _parse_float(raw, "targets.span_ghz", problems)
-                span_hz = span_ghz * GHZ
-                if math.isfinite(span_ghz) and span_ghz <= 0:
-                    problems.append("targets.span_ghz: must be > 0")
-                elif math.isfinite(span_ghz) and math.isinf(span_hz):
-                    problems.append(f"targets.span_ghz: {raw.strip()} GHz "
-                                    "overflows in Hz")
-            else:
-                problems.append(f"targets.{key}: unknown key")
+    stack, targets = (
+        cls(**_section_fields(cp.items(name) if cp.has_section(name) else (),
+                              cls, name, "unknown key", problems))
+        for name, cls in (("stack", DielectricStack), ("targets", Targets)))
 
     structures = []
     warnings_: list[str] = []
@@ -164,8 +166,7 @@ def parse_config(cp: configparser.ConfigParser,
     if problems:
         raise ValidationError(problems)
 
-    stack = DielectricStack(**stack_kwargs)
-    problems = validate_design(structures, stack)
+    problems = validate_design(structures, stack) + targets.validate()
     if problems:
         raise ValidationError(problems)
-    return DesignConfig(stack, structures, target_c, span_hz, warnings_)
+    return DesignConfig(stack, structures, targets, warnings_)

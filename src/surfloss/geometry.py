@@ -335,7 +335,10 @@ def assemble_design(structures, stack: DielectricStack,
             caps.append(analytic.capacitance(s, stack))
     c_total = target_capacitance if target_capacitance is not None else sum(caps)
     if c_total <= 0:
-        raise ValidationError(["targets.capacitance: resolved C must be > 0"])
+        # named by the argument C comes from; a sum can underflow to zero
+        name = ("structures" if target_capacitance is None
+                else "target_capacitance")
+        raise ValidationError([f"{name}: resolved C must be > 0"])
     length = capacitance_to_length(c_total)
 
     breakdowns = []

@@ -63,10 +63,6 @@ class TlsSpectrum(NamedTuple):
             raise ValueError(f"area {area} um^2 outside the tabulated range")
         return float(np.interp(area, self.area_um2, self.s_hz))
 
-    def s_at_spacing(self, spacing_hz: float) -> float:
-        """Splitting size at which the average spectral spacing equals spacing_hz."""
-        return self.s_at_area(spacing_area(spacing_hz))
-
 
 def spacing_area(spacing_hz: float) -> float:
     """Cumulative area (um^2) at one splitting per spacing_hz on average."""

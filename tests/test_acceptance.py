@@ -148,7 +148,7 @@ def test_criterion_6a_cylindrical_wire_field():
     r0, d = 0.1 * UM, 100 * UM
     worst = {}
     for slope, tag in ((0.0, "straight"), (0.2, "tapered")):
-        y, e, e_th = wire_field_profile(d, r0, slope)
+        y, e, e_th = wire_field_profile(d, r0, slope, 1.0, flat=False)
         win = (y >= 2 * r0) & (y <= 0.9 * d)
         worst[tag] = float(np.max(np.abs(e[win] / e_th[win] - 1.0)))
     report("criterion 6a", f"max deviation over [2r, 0.9d]: "
@@ -287,7 +287,8 @@ def test_criterion_9_tls_predictions():
     c_qubit = 0.1e-12
 
     spectrum = tls.ribbon_tls_profile(RIBBON, stack3, c_qubit)
-    s_spaced = spectrum.s_at_spacing(200e6)
+    # the value `tls` prints at one-per-200-MHz spacing
+    s_spaced = spectrum.s_at_area(tls.spacing_area(200e6))
     assert s_spaced == pytest.approx(300e3, rel=0.20)
     # at that size the expected density is one splitting per 200 MHz
     dens = tls.DENSITY_PER_UM2_GHZ * abs(

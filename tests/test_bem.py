@@ -106,7 +106,8 @@ def test_antisymmetric_charge_on_symmetric_mesh():
 def test_wire_field_core_window():
     # the coax-like form holds a few percent through the core of the wire;
     # the open end pulls away from it (the expected edge-field uptick)
-    y, e, e_th = wire_field_profile(100 * UM, 0.1 * UM, 0.0, mesh_scale=0.8)
+    y, e, e_th = wire_field_profile(100 * UM, 0.1 * UM, 0.0, mesh_scale=0.8,
+                                    flat=False)
     core = (y >= 0.2 * UM) & (y <= 30 * UM)
     assert np.max(np.abs(e[core] / e_th[core] - 1.0)) < 0.05
     end = y > 95 * UM
@@ -129,6 +130,15 @@ def test_surface_field_needs_a_wire_mesh():
     sol = solve(meshes.concat(_ribbons()), {0: 0.5, 1: -0.5})
     with pytest.raises(ValueError, match="wire meshes"):
         sol.surface_field()
+
+
+@pytest.mark.parametrize("fn", [analytic.wire_field, wire_field_profile],
+                         ids=["formula", "profile"])
+def test_wire_kind_has_no_default(fn):
+    # the two once defaulted to opposite kinds; every caller names it
+    import inspect
+    flat = inspect.signature(fn).parameters["flat"]
+    assert flat.default is inspect.Parameter.empty
 
 
 def test_flat_wire_envelope():

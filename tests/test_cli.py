@@ -270,6 +270,56 @@ def test_sweep_invalid_step_is_config_error(table_config):
     assert "need d > 2*half_width" in lines[0]
 
 
+def test_sweep_step_problems_print_one_line_each(capsys):
+    # the 1000 nm step's oxide is thicker than each film's metal; each
+    # problem is its own line, prefixed with the step, as analyze prints it
+    from surfloss import cli
+    cfg = str(SRC.parent / "configs" / "transmon_100ff.ini")
+    assert cli.main(["sweep", "--config", cfg, "--param", "stack.t_ma_nm",
+                     "--range", "1:1000", "--steps", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "".join(
+        "error[2]: stack.t_ma_nm=1000.0: stack.t_ma: oxide must be far "
+        f"thinner than {label} metal thickness\n"
+        for label in ("pads", "ground_coupling", "wire", "taper"))
+
+
+#: every command that reads a design config; the sweep varies a key that
+#: no target problem depends on
+DESIGN_COMMANDS = {
+    "analyze": [], "taper": [], "tls": [],
+    "sweep": ["--param", "stack.tan_ms", "--range", "0.001:0.01",
+              "--steps", "2"],
+}
+
+
+@pytest.mark.parametrize("cmd", DESIGN_COMMANDS, ids=DESIGN_COMMANDS)
+@pytest.mark.parametrize("key, value, problem", [
+    ("capacitance_ff", "0", "must be > 0"),
+    ("capacitance_ff", "-5", "must be > 0"),
+    # 1e-335 F underflows to 0
+    ("capacitance_ff", "1e-320", "must be > 0"),
+    ("span_ghz", "0", "must be > 0"),
+    ("span_ghz", "1e300", "overflows in Hz"),
+    ("capacitance_ff", "abc", "not a number: 'abc'"),
+    ("volume_um", "1", "unknown key"),
+], ids=["c=0", "c=-5", "c=1e-320", "span=0", "span=1e300", "c=abc",
+        "unknown"])
+def test_every_command_rejects_the_same_targets(tmp_path, capsys, cmd, key,
+                                                value, problem):
+    import configparser
+    from surfloss import cli
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(TABLE_CONFIG)
+    cp["targets"][key] = value
+    path = tmp_path / "targets.ini"
+    with open(path, "w") as fh:
+        cp.write(fh)
+    assert cli.main([cmd, "--config", str(path), *DESIGN_COMMANDS[cmd]]) == 2
+    assert capsys.readouterr() == ("", f"error[2]: targets.{key}: {problem}\n")
+
+
 def test_taper_command(table_config):
     res = run_cli("taper", "--config", str(table_config))
     assert res.returncode == 0, res.stderr
@@ -419,25 +469,26 @@ def test_tls_rejects_non_positive_config_span(tmp_path, span):
 
 @pytest.mark.parametrize("where", ["config", "flag"])
 def test_tls_rejects_span_overflowing_in_hz(tmp_path, where):
-    # 1e300 GHz is finite, but 1e309 Hz is not
+    # 1e300 GHz is finite, but 1e309 Hz is not; the span is read from the
+    # config only, and argparse rejects a flag to set it
     path = tmp_path / "span.ini"
     if where == "config":
         path.write_text(TABLE_CONFIG.replace("span_ghz = 2", "span_ghz = 1e300"))
-        flags = []
+        res = run_cli("tls", "--config", str(path))
+        assert res.stderr == "error[2]: targets.span_ghz: overflows in Hz\n"
     else:
         path.write_text(TABLE_CONFIG)
-        flags = ["--span-ghz", "1e300"]
-    res = run_cli("tls", "--config", str(path), *flags)
+        res = run_cli("tls", "--config", str(path), "--span-ghz", "1e300")
+        assert "unrecognized arguments: --span-ghz 1e300" in res.stderr
     assert res.returncode == 2
-    lines = res.stderr.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error[2]: ") and "overflows" in lines[0]
     assert res.stdout == ""
 
 
-def test_tls_count_overflow_is_numerical_error(table_config):
+def test_tls_count_overflow_is_numerical_error(tmp_path):
     # the span fits in Hz, the expected splitting count over it does not
-    res = run_cli("tls", "--config", str(table_config), "--span-ghz", "1e299")
+    path = tmp_path / "span.ini"
+    path.write_text(TABLE_CONFIG.replace("span_ghz = 2", "span_ghz = 1e299"))
+    res = run_cli("tls", "--config", str(path))
     assert res.returncode == 3
     assert "Warning" not in res.stderr and "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()

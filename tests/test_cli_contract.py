@@ -261,7 +261,7 @@ def test_valid_tapers_print_no_negative_number(tmp_path_factory, r0, slope,
 
 def _breakdowns(cfg, structures):
     design = assemble_design(structures, cfg.stack,
-                             target_capacitance=cfg.target_capacitance)
+                             target_capacitance=cfg.targets.capacitance)
     return {bd.label: (bd.p_ma, bd.p_ms, bd.p_sa, bd.capacitance,
                        bd.loss_tangent) for bd in design.breakdowns}
 
@@ -313,7 +313,7 @@ def test_participations_are_linear_in_each_oxide_thickness(tmp_path_factory,
         try:
             cfg = load_config(path)
             design = assemble_design(cfg.structures, cfg.stack,
-                                     target_capacitance=cfg.target_capacitance)
+                                     target_capacitance=cfg.targets.capacitance)
         except (ValueError, ArithmeticError):
             return          # exits 2 or 3
     stack = cfg.stack
@@ -330,7 +330,7 @@ def test_participations_are_linear_in_each_oxide_thickness(tmp_path_factory,
     for t, p in OXIDES:
         thinner = stack._replace(**{t: getattr(stack, t) / 2})
         half = assemble_design(cfg.structures, thinner,
-                               target_capacitance=cfg.target_capacitance)
+                               target_capacitance=cfg.targets.capacitance)
         for bd, bd_half in zip(design.breakdowns, half.breakdowns):
             for _, q in OXIDES:
                 if q == p:

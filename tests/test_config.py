@@ -1,13 +1,14 @@
-"""INI config loading: the stack and every structure type round-trip to
-their specs, and a flag key takes only configparser's boolean words."""
+"""INI config loading: the stack, the targets and every structure type
+round-trip to their records, and a flag key takes only configparser's
+boolean words."""
 
 import configparser
 
 import pytest
 
 from surfloss.analytic import CLOSED_FORMS, STRUCTURE_TYPES
-from surfloss.config import load_config
-from surfloss.constants import NM, UM
+from surfloss.config import Targets, load_config
+from surfloss.constants import FF, GHZ, NM, UM
 from surfloss.geometry import (Coplanar, DielectricStack, ParallelPlate,
                                Ribbon, RibbonWithGround, StraightWire,
                                TaperedWire, ValidationError)
@@ -64,22 +65,39 @@ def test_stack_section_round_trip(tmp_path):
         t_ms=1.5 * NM, t_sa=2.5 * NM, tan_ma=1e-3, tan_ms=2e-3, tan_sa=3e-3)
 
 
-@pytest.mark.parametrize("cls", [DielectricStack, *STRUCTURE_TYPES.values()],
-                         ids=["stack", *STRUCTURE_TYPES])
+@pytest.mark.parametrize("section, expected", [
+    ("", Targets(None, 2 * GHZ)),
+    ("[targets]\nspan_ghz = 3.5\n", Targets(None, 3.5 * GHZ)),
+    ("[targets]\ncapacitance_ff = 80\nspan_ghz = 3.5\n",
+     Targets(80 * FF, 3.5 * GHZ)),
+], ids=["absent", "span", "both"])
+def test_targets_section_round_trip(tmp_path, section, expected):
+    # read by the same key and suffix tables as every other section
+    path = tmp_path / "design.ini"
+    path.write_text(section + "[structure.s]\ntype = parallel_plate\n"
+                    "s_um = 5\nw_um = 100\nlength_um = 1130\n")
+    assert load_config(path).targets == expected
+
+
+#: every record a config section is read into
+RECORDS = {"stack": DielectricStack, "targets": Targets, **STRUCTURE_TYPES}
+
+
+@pytest.mark.parametrize("cls", RECORDS.values(), ids=RECORDS)
 def test_ini_keys_map_to_fields(cls):
     # every field but the label (the section name) has exactly one key
     names = [name for name in cls._fields if name != "label"]
     assert sorted(cls.INI_KEYS.values()) == sorted(names)
 
 
-#: the fields of each record that have a default: every stack field, and a
-#: structure's label and flags
+#: the fields of each record that have a default: every stack and targets
+#: field, and a structure's label and flags
 OPTIONAL = {DielectricStack: set(DielectricStack.INI_KEYS.values()),
+            Targets: set(Targets.INI_KEYS.values()),
             Coplanar: {"single_ended", "label"}}
 
 
-@pytest.mark.parametrize("cls", [DielectricStack, *STRUCTURE_TYPES.values()],
-                         ids=["stack", *STRUCTURE_TYPES])
+@pytest.mark.parametrize("cls", RECORDS.values(), ids=RECORDS)
 def test_record_contract(cls):
     # the parser builds every record by keyword from its INI_KEYS fields and
     # tells a required key from an optional one by _field_defaults; a

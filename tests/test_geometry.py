@@ -96,6 +96,19 @@ def test_target_capacitance_sets_length():
     assert design.length == pytest.approx(11.3e-3, rel=1e-3)
 
 
+@pytest.mark.parametrize("structures, target, name", [
+    ([RIBBON], 0.0, "target_capacitance"),
+    ([RIBBON], -5e-15, "target_capacitance"),
+    # w*length = 1e-512 m^2 underflows, so the plate's capacitance is 0
+    ([ParallelPlate(1e-306, 1e-256, 1e-256)], None, "structures"),
+], ids=["target=0", "target<0", "sum underflows"])
+def test_resolved_capacitance_must_be_positive(structures, target, name):
+    # the guard names the argument C came from
+    with pytest.raises(ValidationError) as exc:
+        assemble_design(structures, STACK, target_capacitance=target)
+    assert exc.value.problems == [f"{name}: resolved C must be > 0"]
+
+
 def test_total_loss_additivity():
     stack = DielectricStack(tan_ma=1e-3, tan_ms=2e-3, tan_sa=3e-3)
     design = assemble_design([RIBBON, COPLANAR, TAPER], stack,

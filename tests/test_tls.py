@@ -59,10 +59,11 @@ def test_ribbon_profile_headline_numbers():
     spectrum = tls.ribbon_tls_profile(RIBBON, STACK3, 0.1e-12)
     # ~300 kHz splittings spaced one per 200 MHz; the single largest
     # observable over a 2 GHz span sits in the few-hundred-kHz range
-    assert spectrum.s_at_spacing(200e6) == pytest.approx(300e3, rel=0.20)
+    # s_spaced is what `tls` prints at one-per-200-MHz spacing
+    s_spaced = spectrum.s_at_area(tls.spacing_area(200e6))
+    assert s_spaced == pytest.approx(300e3, rel=0.20)
     assert 0.25e6 < spectrum.s_at_area(1.0) < 1.0e6
-    assert area_at(spectrum, spectrum.s_at_spacing(200e6)) == pytest.approx(
-        10.0, rel=1e-6)
+    assert area_at(spectrum, s_spaced) == pytest.approx(10.0, rel=1e-6)
 
 
 def test_wire_spectrum_determinism_and_convergence():
