@@ -199,26 +199,22 @@ def cmd_sweep(args) -> int:
     wire_energy = {}
     out_rows = []
     for val in values:
-        culprit = f"{args.param}={val}"
         cp[sect][key] = repr(val)
-        try:
+        with _labelled(f"{args.param}={val}"):
             cfg_i = parse_config(cp)
             _, rows, total = _analysis_rows(cfg_i)
-        except ValidationError as exc:
-            raise ValidationError([f"{culprit}: {p}" for p in exc.problems])
-        row = {"param": val}
-        for spec, bd in zip(cfg_i.structures, rows):
-            for c in _COLUMNS[1:]:
-                row[f"{spec.label}.{c}"] = bd[c]
-            forms = analytic.CLOSED_FORMS[type(spec)]
-            if forms.wire_energy:
-                if spec not in wire_energy:
-                    with _labelled(culprit):
+            row = {"param": val}
+            for spec, bd in zip(cfg_i.structures, rows):
+                for c in _COLUMNS[1:]:
+                    row[f"{spec.label}.{c}"] = bd[c]
+                forms = analytic.CLOSED_FORMS[type(spec)]
+                if forms.wire_energy:
+                    if spec not in wire_energy:
                         wire_energy[spec] = forms.wire_energy(spec)
-                row[f"{spec.label}.u_metal"] = wire_energy[spec]
-                row[f"{spec.label}.u_metal_fit"] = \
-                    forms.energies(spec, analytic.C_M_DEFAULT).u_metal
-        row["total.loss_tangent"] = total["loss_tangent"]
+                    row[f"{spec.label}.u_metal"] = wire_energy[spec]
+                    row[f"{spec.label}.u_metal_fit"] = \
+                        forms.energies(spec, analytic.C_M_DEFAULT).u_metal
+            row["total.loss_tangent"] = total["loss_tangent"]
         out_rows.append(row)
 
     cols = list(out_rows[0])
@@ -263,12 +259,12 @@ def cmd_taper(args) -> int:
     return EXIT_OK
 
 
-def _splitting(spectrum, area: float, name: str) -> str:
+def _splitting(spectrum, area: float) -> str:
     """The splitting at cumulative area, or none past the total area."""
     total = float(spectrum.area_um2[-1])
     if area > total:
-        return f"none (total area {_fmt(total, name=name)} um^2)"
-    return f"{_fmt(spectrum.s_at_area(area), name=name)} Hz"
+        return f"none (total area {_fmt(total)} um^2)"
+    return f"{_fmt(spectrum.s_at_area(area))} Hz"
 
 
 def cmd_tls(args) -> int:
@@ -289,24 +285,23 @@ def cmd_tls(args) -> int:
         spectrum = None
         with _labelled(name):
             spectrum = model(spec, cfg.stack, c_total)
-        if len(spectrum.s_hz) == 1:
-            # only the plate pair's uniform oxide field gives one patch
-            print(f"{name}: parallel plate S_max = "
-                  f"{_fmt(spectrum.s_hz[0], name=name)} Hz over effective "
-                  f"area {_fmt(spectrum.area_um2[0], name=name)} um^2")
-            continue
-        with _labelled(name):
-            s_first = _splitting(spectrum, tls.OBSERVABLE_AREA_UM2, name)
-            s_spaced = _splitting(spectrum, tls.spacing_area(200e6), name)
+            if not isinstance(spectrum, tls.TlsSpectrum):
+                # the plate pair's uniform oxide field: one (S_max, area)
+                s_val, area = spectrum
+                print(f"{name}: parallel plate S_max = {_fmt(s_val)} Hz over "
+                      f"effective area {_fmt(area)} um^2")
+                continue
+            s_first = _splitting(spectrum, tls.OBSERVABLE_AREA_UM2)
+            s_spaced = _splitting(spectrum, tls.spacing_area(200e6))
             # a Python float overflows to inf without a NumPy RuntimeWarning
             count = tls.DENSITY_PER_UM2_GHZ * float(spectrum.area_um2[-1]) \
                 * cfg.targets.span / 1e9
             if math.isinf(count):
                 raise FloatingPointError("expected count over the span "
                                          "overflows")
-        print(f"{name}: largest observable splitting {s_first} "
-              f"(A = 1 um^2); {s_spaced} at one-per-200-MHz spacing; "
-              f"expected count over span ~ {_fmt(count, '.0f', name)}")
+            print(f"{name}: largest observable splitting {s_first} "
+                  f"(A = 1 um^2); {s_spaced} at one-per-200-MHz spacing; "
+                  f"expected count over span ~ {_fmt(count, '.0f')}")
         if args.out:
             _save(args.out, f"tls_{name}.csv",
                   _csv(["s_max_hz", "cumulative_area_um2"],

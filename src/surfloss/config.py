@@ -4,8 +4,10 @@ Units are fixed per key suffix: *_um (micrometers), *_nm (nanometers),
 *_ff (femtofarads), *_ghz (gigahertz); bare keys are dimensionless.  The
 rule holds in every section, whose record maps its keys to fields by
 INI_KEYS.
-Unknown sections or keys are rejected, and all validation problems are
-collected before reporting.
+Unknown sections or keys are rejected.  Problems are reported in two
+rounds: first every parse problem (an unknown section, key or structure
+type, a missing key, a value that is not a finite number or a true/false
+word); then, once every value parses, every range problem of the records.
 
 Example::
 
@@ -121,8 +123,9 @@ def load_config(path, clamp_slope: bool = False) -> DesignConfig:
 
 def parse_config(cp: configparser.ConfigParser,
                  clamp_slope: bool = False) -> DesignConfig:
-    """Parse and validate a read config; raises ValidationError with the
-    full problem list on any error.
+    """Parse and validate a read config; raises ValidationError on any
+    error, in two rounds: every parse problem first, and only once every
+    value parses, every range problem (`validate_design`, `Targets`).
 
     clamp_slope=True turns an over-cap taper slope into a warning and clamps
     it (the taper command optimizes the slope itself anyway).

@@ -303,11 +303,15 @@ def _explained(exc) -> str:
 @contextmanager
 def _labelled(name: str):
     """Put the culprit's name (a structure label, a swept param=value)
-    first in a numerical error raised inside.  A ValueError keeps its
-    class; an arithmetic error becomes a FloatingPointError with its text
-    explained (`_explained`)."""
+    first in every line of an error raised inside; labels nest, the
+    outermost first.  A ValidationError gets it on each of its problems,
+    another ValueError keeps its class, and an arithmetic error becomes a
+    FloatingPointError with its text explained (`_explained`)."""
     try:
         yield
+    except ValidationError as exc:
+        raise ValidationError([f"{name}: {p}" for p in exc.problems]) \
+            from exc
     except ValueError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
     except ArithmeticError as exc:

@@ -5,8 +5,9 @@ at 2 pF with a 2 nm gap), scaled by 1/sqrt(C) and by the local field per
 volt.  Spectra pair each surface patch's S_max with its area; sorting by
 descending S_max and accumulating area gives the observability curve, with
 one splitting expected per (0.5/um^2/GHz)^-1 of area-bandwidth product.
-``TLS_MODELS`` maps each structure type with a TLS model to its spectrum:
-WIRE_SLICES x 52 patches for a wire, one for the plate's uniform field.
+``TLS_MODELS`` maps each structure type with a TLS model to its read-out:
+a spectrum for a ribbon or a wire (WIRE_SLICES x 52 patches), and for the
+plate pair's uniform field one (S_max, area) pair.
 """
 
 import math
@@ -46,11 +47,6 @@ def s_max_prefactor(capacitance: float) -> float:
     return REF_SPLITTING_HZ * math.sqrt(REF_CAPACITANCE / capacitance) * REF_GAP
 
 
-def s_max(e_over_v: float, capacitance: float) -> float:
-    """Maximum splitting (Hz) for a TLS sitting in field e_over_v [1/m]."""
-    return s_max_prefactor(capacitance) * e_over_v
-
-
 class TlsSpectrum(NamedTuple):
     """Descending splitting sizes vs cumulative effective area."""
 
@@ -58,23 +54,16 @@ class TlsSpectrum(NamedTuple):
     area_um2: np.ndarray      # increasing
 
     def s_at_area(self, area: float) -> float:
-        """Splitting size at a given cumulative area."""
-        if not (self.area_um2[0] <= area <= self.area_um2[-1]):
-            raise ValueError(f"area {area} um^2 outside the tabulated range")
+        """Splitting size at a given cumulative area; below the first
+        patch's area, that patch's splitting."""
+        if area > self.area_um2[-1]:
+            raise ValueError(f"area {area} um^2 exceeds the total area")
         return float(np.interp(area, self.area_um2, self.s_hz))
 
 
 def spacing_area(spacing_hz: float) -> float:
     """Cumulative area (um^2) at one splitting per spacing_hz on average."""
     return 1.0 / (DENSITY_PER_UM2_GHZ * spacing_hz / 1e9)
-
-
-def _spectrum_from_patches(s_values: np.ndarray,
-                           areas_um2: np.ndarray) -> TlsSpectrum:
-    order = np.argsort(-s_values)
-    a_sorted = areas_um2[order]
-    np.cumsum(a_sorted, out=a_sorted)
-    return TlsSpectrum(s_values[order], a_sorted)
 
 
 # --------------------------------------------------------------------------
@@ -167,7 +156,10 @@ def wire_tls_spectrum(spec, stack: DielectricStack,
 
     a_all *= stack.t_ms / DENSITY_REF_THICKNESS
     a_all *= 1e12
-    return _spectrum_from_patches(s_all, a_all)
+    order = np.argsort(-s_all)
+    a_sorted = a_all[order]
+    np.cumsum(a_sorted, out=a_sorted)
+    return TlsSpectrum(s_all[order], a_sorted)
 
 
 def parallel_plate_splitting(spec: ParallelPlate, stack: DielectricStack,
@@ -178,26 +170,21 @@ def parallel_plate_splitting(spec: ParallelPlate, stack: DielectricStack,
     separation s*eps_MA; the area scales with the oxide thickness.
     """
     d_eff = spec.s * stack.eps_ma
-    s_val = s_max(1.0 / d_eff, capacitance)
+    s_val = s_max_prefactor(capacitance) * (1.0 / d_eff)
     area = spec.length * spec.w * (stack.t_ma / DENSITY_REF_THICKNESS) * 1e12
     return s_val, area
-
 
 
 # --------------------------------------------------------------------------
 # dispatch; each row looks its spectrum function up when called, so a
 # wrapper installed on this module sees these calls too
 
-def _plate_spectrum(spec: ParallelPlate, stack: DielectricStack,
-                    capacitance: float) -> TlsSpectrum:
-    s_val, area = parallel_plate_splitting(spec, stack, capacitance)
-    return TlsSpectrum(np.array([s_val]), np.array([area]))
-
-
-#: TLS models: spec class -> spectrum(spec, stack, capacitance)
+#: TLS models: spec class -> model(spec, stack, capacitance), a TlsSpectrum
+#: or, for the plate pair, its (S_max, area) pair
 TLS_MODELS = {
     Ribbon: lambda spec, stack, c: ribbon_tls_profile(spec, stack, c),
     StraightWire: lambda spec, stack, c: wire_tls_spectrum(spec, stack, c),
     TaperedWire: lambda spec, stack, c: wire_tls_spectrum(spec, stack, c),
-    ParallelPlate: _plate_spectrum,
+    ParallelPlate: lambda spec, stack, c:
+        parallel_plate_splitting(spec, stack, c),
 }

@@ -512,7 +512,9 @@ def test_permittivity_overflow_is_numerical_error(tmp_path, cmd):
     assert "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error[3]: plate: floating-point overflow")
+    step = "structure.pads.a_um=40.0: " if cmd[0] == "sweep" else ""
+    assert lines[0].startswith(f"error[3]: {step}plate: floating-point "
+                               "overflow")
     assert res.stdout == ""
 
 
@@ -711,6 +713,17 @@ t_um = 0.1
         "wire: largest observable splitting none (total area 7.84e-01 um^2) "
         "(A = 1 um^2); none (total area 7.84e-01 um^2) at one-per-200-MHz "
         "spacing; expected count over span ~ 1")
+    # under a 2 um oxide the strongest patch alone covers 3.8 um^2, so
+    # A = 1 um^2 reads that patch's splitting
+    path.write_text("[stack]\nt_ms_nm = 2000\n[structure.wire]\n"
+                    "type = straight_wire\nhalf_width_um = 5\nd_um = 500\n"
+                    "t_um = 10\n")
+    res = run_cli("tls", "--config", str(path))
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines()[1] == (
+        "wire: largest observable splitting 3.28e+05 Hz (A = 1 um^2); "
+        "3.27e+05 Hz at one-per-200-MHz spacing; expected count over span "
+        "~ 9702000")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

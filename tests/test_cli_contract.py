@@ -598,8 +598,9 @@ def test_denominator_underflow_names_the_structure(tmp_path, cmd):
     argv = [cmd, "--config", str(path), *extra]
     rc, out, err, _ = _run(argv)
     assert (rc, out) == (3, "")
-    assert err == ("error[3]: plate2: a denominator underflowed to zero; the "
-                   "inputs are outside the range of a float\n")
+    step = "structure.pads.a_um=40.0: " if cmd == "sweep" else ""
+    assert err == (f"error[3]: {step}plate2: a denominator underflowed to "
+                   "zero; the inputs are outside the range of a float\n")
     _assert_contract(argv)
 
 
@@ -612,6 +613,31 @@ def test_overflow_line_starts_with_the_structure(tmp_path):
     assert (rc, out) == (3, "")
     assert err == ("error[3]: plate: floating-point overflow: (34, "
                    "'Numerical result out of range')\n")
+    # a sweep step names itself first, then the structure
+    argv = ["sweep", "--config", str(SHIPPED_CONFIG), "--param",
+            "stack.eps_substrate", "--range", "1:1e200", "--steps", "3"]
+    rc, out, err, _ = _run(argv)
+    assert (rc, out) == (3, "")
+    assert err == ("error[3]: stack.eps_substrate=5e+199: plate: "
+                   "floating-point overflow: (34, 'Numerical result out of "
+                   "range')\n")
+    _assert_contract(argv)
+
+
+def test_tls_names_the_structure_once(tmp_path):
+    # without the plate, pads is the first structure tls reads out; at a
+    # target of 1e-308 fF its splittings leave the float range
+    text = SHIPPED_CONFIG.read_text()
+    plate = text[text.index("[structure.plate]"):text.index("[structure.pads]")]
+    path = tmp_path / "design.ini"
+    path.write_text(text.replace(plate, "").replace(
+        "capacitance_ff = 100", "capacitance_ff = 1e-308"))
+    argv = ["tls", "--config", str(path)]
+    rc, out, err, _ = _run(argv)
+    assert rc == 3
+    assert err == ("error[3]: pads: a result is not a finite number; the "
+                   "inputs are outside the range of a float\n")
+    _assert_contract(argv)
 
 
 def test_design_wide_line_names_the_design_quantity(tmp_path):

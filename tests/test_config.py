@@ -1,8 +1,9 @@
 """INI config loading: the stack, the targets and every structure type
-round-trip to their records, and a flag key takes only configparser's
-boolean words."""
+round-trip to their records, a flag key takes only configparser's boolean
+words, and range problems are reported once every value parses."""
 
 import configparser
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +166,24 @@ def test_flag_rejects_other_words(tmp_path, capsys, raw):
     assert cli.main(["analyze", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"error[2]: structure.s.single_ended: not true or false: {raw!r}" in err
+
+
+def test_range_problems_wait_for_every_value_to_parse(tmp_path):
+    # two rounds: the unparsable a_um keys alone, then, with them fixed,
+    # every range problem of the stack and the targets together
+    text = (Path(__file__).resolve().parent.parent / "configs"
+            / "transmon_100ff.ini").read_text()
+    text = text.replace("tan_ma = 0.005", "tan_ma = -1").replace(
+        "capacitance_ff = 100", "capacitance_ff = -5")
+    path = tmp_path / "design.ini"
+    path.write_text(text.replace("a_um = 50", "a_um = wide"))
+    with pytest.raises(ValidationError) as exc:
+        load_config(path)
+    assert exc.value.problems == [
+        "structure.pads.a_um: not a number: 'wide'",
+        "structure.ground_coupling.a_um: not a number: 'wide'"]
+    path.write_text(text)
+    with pytest.raises(ValidationError) as exc:
+        load_config(path)
+    assert exc.value.problems == ["stack.tan_ma: loss tangent must be >= 0",
+                                  "targets.capacitance_ff: must be > 0"]

@@ -26,7 +26,8 @@ TAPER2 = TaperedWire(0.1 * UM, 0.2, 50 * UM, 0.1 * UM)
 
 def test_s_max_reference_device():
     # 2 pF junction capacitor with the full volt across 2 nm
-    assert tls.s_max(1.0 / 2e-9, 2e-12) == pytest.approx(74e6, rel=1e-12)
+    assert tls.s_max_prefactor(2e-12) * (1.0 / 2e-9) == pytest.approx(
+        74e6, rel=1e-12)
 
 
 def test_s_max_transmon_prefactor():
