@@ -18,17 +18,25 @@ which took most of their start-up for a few tens of milliseconds of
 quadrature.  A cheaper fixed Gauss rule would move the printed values,
 and the reference with them.
 
+The integrand is called once per 21-point panel, not once per node: it
+takes the list of the panel's 21 abscissae and returns the list of their
+values, in the same order (``_qk21`` gives the order, dqk21's order of
+evaluation).  One call per panel, with the rule's sums written out as
+explicit statements, saves the Python call and loop overhead of 21 nodes
+while every floating-point operation keeps its place.
+
 The arrays keep Fortran's 1-based indices (slot 0 is unused), and the
 ``goto`` labels of the original are named in the comments where the
 control flow jumps.  dqagse and dqagpe run as one function, ``_qag``,
 whose few differences branch on whether break points were given.  Sums
-run as explicit loops (``sum`` of floats may compensate), and
-``min(1, r**1.5)`` is taken as 1 when r >= 1, where ``pow`` gives at least
-1 anyway but Python's ``**`` raises on overflow.
+are explicit statements or loops, term by term (``sum`` of floats may
+compensate), and ``min(1, r**1.5)`` is taken as 1 when r >= 1, where
+``pow`` gives at least 1 anyway but Python's ``**`` raises on overflow.
 
 ``quad`` is the one entry point: it runs ``_qag`` at SciPy's default
 tolerances and returns the integral, raising ValueError where SciPy's
-``quad`` would warn.  The tests compare ``_qag`` itself with SciPy.
+``quad`` would warn.  The tests compare ``_qag`` itself with SciPy, on
+the node integrand ``lambda x: f([x])[0]``.
 """
 
 from __future__ import annotations
@@ -83,47 +91,72 @@ _WG = (0.066671344308688137593568809893332,
        0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
 
-# dqk21's order of evaluation, 0-based: the Gauss nodes xgk(2j) with their
-# weights wg(j), then the other Kronrod nodes xgk(2j - 1)
-_GAUSS = tuple(zip(range(1, 10, 2), _WG))
-_KRONROD = range(0, 10, 2)
-
 
 def _qk21(f, a: float, b: float):
     """dqk21: the 21-point Kronrod rule on [a, b]; returns (result, abserr,
-    resabs, resasc)."""
+    resabs, resasc).
+
+    f is called once, on the list of the panel's 21 abscissae in dqk21's
+    order of evaluation: the centre, then the pairs centr - absc,
+    centr + absc at the Gauss nodes xgk(1, 3, 5, 7, 9) (0-based), then at
+    the other Kronrod nodes xgk(0, 2, 4, 6, 8).  It returns their 21 values
+    in the same order.  The sums are dqk21's loops written out, term by
+    term in the loops' order."""
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, _ = _XGK
+    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10 = _WGK
+    g1, g3, g5, g7, g9 = _WG
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
-    fv1 = [0.0] * 10
-    fv2 = [0.0] * 10
-    resg = 0.0
-    fc = f(centr)
-    resk = _WGK[10] * fc
-    resabs = abs(resk)
-    for jtw, wg in _GAUSS:
-        absc = hlgth * _XGK[jtw]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtw] = fval1
-        fv2[jtw] = fval2
-        fsum = fval1 + fval2
-        resg = resg + wg * fsum
-        resk = resk + _WGK[jtw] * fsum
-        resabs = resabs + _WGK[jtw] * (abs(fval1) + abs(fval2))
-    for jtwm1 in _KRONROD:
-        absc = hlgth * _XGK[jtwm1]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[jtwm1] = fval1
-        fv2[jtwm1] = fval2
-        fsum = fval1 + fval2
-        resk = resk + _WGK[jtwm1] * fsum
-        resabs = resabs + _WGK[jtwm1] * (abs(fval1) + abs(fval2))
+    d0 = hlgth * x0
+    d1 = hlgth * x1
+    d2 = hlgth * x2
+    d3 = hlgth * x3
+    d4 = hlgth * x4
+    d5 = hlgth * x5
+    d6 = hlgth * x6
+    d7 = hlgth * x7
+    d8 = hlgth * x8
+    d9 = hlgth * x9
+    (fc, f1m, f1p, f3m, f3p, f5m, f5p, f7m, f7p, f9m, f9p,
+     f0m, f0p, f2m, f2p, f4m, f4p, f6m, f6p, f8m, f8p) = f([
+         centr, centr - d1, centr + d1, centr - d3, centr + d3,
+         centr - d5, centr + d5, centr - d7, centr + d7, centr - d9,
+         centr + d9, centr - d0, centr + d0, centr - d2, centr + d2,
+         centr - d4, centr + d4, centr - d6, centr + d6, centr - d8,
+         centr + d8])
+    s0 = f0m + f0p
+    s1 = f1m + f1p
+    s2 = f2m + f2p
+    s3 = f3m + f3p
+    s4 = f4m + f4p
+    s5 = f5m + f5p
+    s6 = f6m + f6p
+    s7 = f7m + f7p
+    s8 = f8m + f8p
+    s9 = f9m + f9p
+    # resg starts from 0.0 as in dqk21, where a first term of -0.0 gives 0.0
+    resg = 0.0 + g1 * s1 + g3 * s3 + g5 * s5 + g7 * s7 + g9 * s9
+    resk = k10 * fc + k1 * s1 + k3 * s3 + k5 * s5 + k7 * s7 + k9 * s9 \
+        + k0 * s0 + k2 * s2 + k4 * s4 + k6 * s6 + k8 * s8
+    resabs = abs(k10 * fc) + k1 * (abs(f1m) + abs(f1p)) \
+        + k3 * (abs(f3m) + abs(f3p)) + k5 * (abs(f5m) + abs(f5p)) \
+        + k7 * (abs(f7m) + abs(f7p)) + k9 * (abs(f9m) + abs(f9p)) \
+        + k0 * (abs(f0m) + abs(f0p)) + k2 * (abs(f2m) + abs(f2p)) \
+        + k4 * (abs(f4m) + abs(f4p)) + k6 * (abs(f6m) + abs(f6p)) \
+        + k8 * (abs(f8m) + abs(f8p))
     reskh = resk * 0.5
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    resasc = k10 * abs(fc - reskh) \
+        + k0 * (abs(f0m - reskh) + abs(f0p - reskh)) \
+        + k1 * (abs(f1m - reskh) + abs(f1p - reskh)) \
+        + k2 * (abs(f2m - reskh) + abs(f2p - reskh)) \
+        + k3 * (abs(f3m - reskh) + abs(f3p - reskh)) \
+        + k4 * (abs(f4m - reskh) + abs(f4p - reskh)) \
+        + k5 * (abs(f5m - reskh) + abs(f5p - reskh)) \
+        + k6 * (abs(f6m - reskh) + abs(f6p - reskh)) \
+        + k7 * (abs(f7m - reskh) + abs(f7p - reskh)) \
+        + k8 * (abs(f8m - reskh) + abs(f8p - reskh)) \
+        + k9 * (abs(f9m - reskh) + abs(f9p - reskh))
     result = resk * hlgth
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth
@@ -271,8 +304,11 @@ def _qelg(n: int, epstab, res3la, nres: int):
 def _qag(f, a: float, b: float, points, epsabs: float, epsrel: float,
          limit: int):
     """dqagse (points None) or dqagpe (points sorted, unique and strictly
-    inside (a, b)) on [a, b], a < b; returns (result, abserr, ier, last)
-    with ier as in QUADPACK (0 success, 6 invalid input).
+    inside (a, b)) on [a, b], a < b, of the panel integrand f (see
+    ``_qk21``); returns (result, abserr, ier, last) with ier as in QUADPACK
+    (0 success, 6 invalid input).  f is called once per panel: 2*last - 1
+    times for QAGS, nint + 2*(last - nint) for QAGP's nint = len(points) + 1
+    first intervals.
 
     The two share their bisection loop.  Where they differ, QAGS tells the
     smallest intervals by width (``small``, halved at each extrapolation)
@@ -571,11 +607,15 @@ def _qag(f, a: float, b: float, points, epsabs: float, epsrel: float,
 
 
 def quad(f, a: float, b: float, limit: int, points=None) -> float:
-    """Integral of f over the finite interval [a, b], a < b, as SciPy's
-    ``quad`` computes it at its default tolerances: QAGS without break
-    points, QAGP with the points, which must be sorted and strictly inside
-    (a, b).  Raises ValueError on invalid input, and where ``quad`` would
-    warn that the integral did not converge (the codes of ``MESSAGES``)."""
+    """Integral over the finite interval [a, b], a < b, as SciPy's ``quad``
+    computes it at its default tolerances: QAGS without break points, QAGP
+    with the points, which must be sorted and strictly inside (a, b).
+
+    f is the panel integrand: it takes a list of 21 abscissae and returns
+    the list of the integrand's values there, in the same order, so the
+    integral is that of ``lambda x: f([x])[0]``.  Raises ValueError on
+    invalid input, and where ``quad`` would warn that the integral did not
+    converge (the codes of ``MESSAGES``)."""
     if not a < b:
         raise ValueError(f"quadrature needs a < b, got a = {a!r}, b = {b!r}")
     val, _, ier, _ = _qag(f, a, b, points, EPSABS, EPSREL, limit)

@@ -233,8 +233,10 @@ def straight_wire_energy_quadrature(rbar: float, d: float, t: float) -> float:
     # imported on first use: analyze never integrates, and its start-up
     # does not load the module
     from ._quadpack import quad
-    coef = (math.log(4 * rbar / t) + C_M_DEFAULT) / (2.0 * rbar)
-    return coef * quad(lambda y: 1.0 / math.log(4 * y / rbar) ** 2,
+    log = math.log
+    coef = (log(4 * rbar / t) + C_M_DEFAULT) / (2.0 * rbar)
+    return coef * quad(lambda ys: [1.0 / log(4.0 * y / rbar) ** 2
+                                   for y in ys],
                        2 * rbar, d, 200)
 
 
@@ -252,7 +254,8 @@ def tapered_wire_energy_quadrature(r0: float, slope: float, d: float,
     C_M_DEFAULT; the line integral starts at y = 5t.
 
     The integrand is 2 (ln(4r/t) + C_M) / (4r ln(4y/r)^2) at the half-width
-    r = max(r0, (y - 5t) S).  Its per-quadrature constants, 5t and, for
+    r = max(r0, (y - 5t) S), evaluated over each 21-node panel that
+    ``_quadpack.quad`` hands it.  Its per-quadrature constants, 5t and, for
     the nodes below the kink where r = r0, the numerator
     2 (ln(4 r0/t) + C_M) and 4 r0, are computed once per call, as the same
     floats in the same operation order as at each node, so every value is
@@ -265,16 +268,22 @@ def tapered_wire_energy_quadrature(r0: float, slope: float, d: float,
         raise ValueError(
             f"tapered-wire energy diverges: the integrand has a pole at "
             f"y = r0/4 = {r0 / 4.0:.4g} m inside [5t, d]; need r0 < 20*t")
+    log = math.log
+    c_m = C_M_DEFAULT
     five_t = 5.0 * t
-    top_r0 = 2.0 * (math.log(4 * r0 / t) + C_M_DEFAULT)
+    top_r0 = 2.0 * (log(4 * r0 / t) + c_m)
     four_r0 = 4.0 * r0
 
-    def integrand(y: float) -> float:
-        r = (y - five_t) * slope
-        if r > r0:          # where max(r0, r) returns r, NaN included
-            return 2.0 * (math.log(4 * r / t) + C_M_DEFAULT) \
-                / (4.0 * r * math.log(4 * y / r) ** 2)
-        return top_r0 / (four_r0 * math.log(4 * y / r0) ** 2)
+    def integrand(ys: list[float]) -> list[float]:
+        out = []
+        for y in ys:
+            r = (y - five_t) * slope
+            if r > r0:      # where max(r0, r) returns r, NaN included
+                out.append(2.0 * (log(4.0 * r / t) + c_m)
+                           / (4.0 * r * log(4.0 * y / r) ** 2))
+            else:
+                out.append(top_r0 / (four_r0 * log(4.0 * y / r0) ** 2))
+        return out
 
     y_kink = five_t + r0 / slope
     pts = [y_kink] if five_t < y_kink < d else None

@@ -121,8 +121,8 @@ def suite_flat_coax(mesh_scale: float = 1.0) -> list[Check]:
     checks.append(_rel("metal surface energy vs log form (c=0)",
                        u_bem / EPS0, u_th / EPS0, 0.03))
 
-    vint = _quadpack.quad(field, rbar * (1 + 1e-12), shield, 200,
-                          [rbar * 1.001])
+    vint = _quadpack.quad(lambda xs: [field(x) for x in xs],
+                          rbar * (1 + 1e-12), shield, 200, [rbar * 1.001])
     checks.append(_abs("voltage integral of the flat-coax field", vint, 1.0,
                        (rbar / shield) ** 2))
     return checks

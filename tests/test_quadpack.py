@@ -1,7 +1,9 @@
 """The pure-Python QUADPACK against its oracle, scipy.integrate.quad: value,
 error estimate and subinterval count of the transcription ``_qag`` must be
 equal, not close, and the entry point ``quad`` must return that value or
-raise with SciPy's message."""
+raise with SciPy's message.  The transcription calls its integrand once
+per 21-point panel, SciPy once per node: ``panel`` turns a node integrand
+into a panel one, and ``g([x])[0]`` a panel integrand g into a node one."""
 
 import configparser
 import math
@@ -37,10 +39,16 @@ def scipy_quad(f, a, b, points=None, limit=50, epsabs=_quadpack.EPSABS,
     return out[0], out[1], out[2]["last"], msg
 
 
+def panel(f):
+    """The panel integrand of the node integrand f."""
+    return lambda xs: [f(x) for x in xs]
+
+
 def qag(f, a, b, points=None, limit=50, epsabs=_quadpack.EPSABS,
         epsrel=_quadpack.EPSREL):
-    """(result, abserr, ier, last) from the transcription."""
-    return _quadpack._qag(f, a, b, points, epsabs, epsrel, limit)
+    """(result, abserr, ier, last) from the transcription, for the node
+    integrand f."""
+    return _quadpack._qag(panel(f), a, b, points, epsabs, epsrel, limit)
 
 
 def port_quad(f, a, b, points=None, limit=50, **tolerances):
@@ -60,13 +68,15 @@ def entry_point_outcome(got):
 @pytest.fixture
 def recorded(monkeypatch):
     """Every call the program makes to the entry point, as (f, a, b,
-    keywords, outcome), the outcome being the value or the error text."""
+    keywords, outcome), f being the node integrand of the panel integrand
+    the program passed and the outcome the value or the error text."""
     calls = []
 
-    def spy(f, a, b, limit, points=None):
+    def spy(g, a, b, limit, points=None):
         kwargs = {"limit": limit, "points": points}
+        f = lambda x: g([x])[0]
         try:
-            val = PORT(f, a, b, limit, points)
+            val = PORT(g, a, b, limit, points)
         except ValueError as exc:
             calls.append((f, a, b, kwargs, str(exc)))
             raise
@@ -199,7 +209,8 @@ def test_pathological_integrands_match_scipy(name, f, a, b, kwargs, ier,
     monkeypatch.setattr(_quadpack, "EPSREL",
                         kwargs.get("epsrel", _quadpack.EPSREL))
     with pytest.raises(ValueError) as exc:
-        _quadpack.quad(f, a, b, kwargs.get("limit", 50), kwargs.get("points"))
+        _quadpack.quad(panel(f), a, b, kwargs.get("limit", 50),
+                       kwargs.get("points"))
     assert str(exc.value) == entry_point_outcome(got)
 
 
@@ -219,10 +230,57 @@ def test_extrapolation_roundoff_code_matches_scipy(points):
 ])
 def test_invalid_input_raises(a, b, kwargs):
     with pytest.raises(ValueError):
-        _quadpack.quad(math.exp, a, b, **kwargs)
+        _quadpack.quad(panel(math.exp), a, b, **kwargs)
 
 
 def test_zero_tolerance_is_invalid_input():
     # QUADPACK's ier 6: no absolute tolerance and a relative one below
     # max(50 eps, 5e-29)
     assert qag(math.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-20)[2] == 6
+
+
+def kronrod_panel(a, b):
+    """The 21 abscissae of the panel [a, b] in dqk21's order of evaluation:
+    the centre, then the pairs centr -+ absc at the Gauss nodes xgk(1, 3,
+    5, 7, 9), then at the other Kronrod nodes xgk(0, 2, 4, 6, 8)."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    xs = [centr]
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        absc = hlgth * _quadpack._XGK[j]
+        xs += [centr - absc, centr + absc]
+    return xs
+
+
+@pytest.mark.parametrize("with_points", [False, True], ids=["qags", "qagp"])
+@pytest.mark.parametrize("f, a, b", [
+    (math.exp, 0.0, 1.0), (_inv_abs, 0.0, 1.0),
+    (lambda x: math.sin(1.0 / x), 1e-6, 1.0),
+], ids=["exp", "1/|x-0.3|", "sin(1/x)"])
+def test_one_integrand_call_per_kronrod_panel(f, a, b, with_points):
+    # each call of the integrand gets one whole panel: the first panels
+    # span [a, b] or the intervals between the break points, and every
+    # later pair of calls the two halves of a panel seen before
+    points = [0.7 * a + 0.3 * b] if with_points else None
+    panels = []
+
+    def spy(xs):
+        panels.append(list(xs))
+        return [f(x) for x in xs]
+    _, _, _, last = _quadpack._qag(spy, a, b, points, _quadpack.EPSABS,
+                                   _quadpack.EPSREL, 50)
+    ends = [a, *(points or ()), b]
+    first = list(zip(ends, ends[1:]))
+    nint = len(first)
+    assert len(panels) == (nint + 2 * (last - nint) if points
+                           else 2 * last - 1)
+    assert panels[:nint] == [kronrod_panel(*ab) for ab in first]
+    seen = set(first)
+    for left, right in zip(panels[nint::2], panels[nint + 1::2]):
+        halves = [(a1, 0.5 * (a1 + b1), b1) for a1, b1 in seen
+                  if left == kronrod_panel(a1, 0.5 * (a1 + b1))]
+        assert len(halves) == 1
+        a1, mid, b1 = halves[0]
+        assert right == kronrod_panel(mid, b1)
+        seen |= {(a1, mid), (mid, b1)}
+    if f is not math.exp:
+        assert last > 10
