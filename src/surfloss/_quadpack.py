@@ -318,12 +318,15 @@ def _qag(f, a: float, b: float, points, epsabs: float, epsrel: float,
     if limit <= npts or (epsabs <= 0.0
                          and epsrel < max(50.0 * EPMACH, 0.5e-28)):
         return 0.0, 0.0, 6, 0
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    level = [0] * (limit + 1)
+    # the interval lists are 1-based and hold entries 1..last: they start
+    # with the first intervals and grow by one per bisection, so a call
+    # allocates for the intervals it makes, not for limit
+    alist = [0.0] * (npts + 2)
+    blist = [0.0] * (npts + 2)
+    rlist = [0.0] * (npts + 2)
+    elist = [0.0] * (npts + 2)
+    iord = [0] * (npts + 2)
+    level = [0] * (npts + 2)
     rlist2 = [0.0] * 53
     res3la = [0.0] * 4
     ier = 0
@@ -427,6 +430,10 @@ def _qag(f, a: float, b: float, points, epsabs: float, epsrel: float,
 
     jump = "sum"
     for last in range(npts + 2, limit + 1):
+        for entries in (alist, blist, rlist, elist):
+            entries.append(0.0)
+        iord.append(0)
+        level.append(0)
         # bisect the subinterval with the nrmax-th largest error estimate
         levcur = level[maxerr] + 1
         a1 = alist[maxerr]

@@ -22,7 +22,8 @@ import os
 import sys
 
 from .constants import FF, GHZ, SUITES, UM
-from .config import DesignConfig, load_config, parse_config, read_config
+from .config import (DesignConfig, load_config, parse_config, read_config,
+                     with_value)
 from .geometry import (NumericalError, ValidationError, _explained,
                        _labelled, assemble_design)
 from . import analytic
@@ -175,7 +176,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cp = read_config(args.config)
-    parse_config(cp)        # the unswept config must be valid on its own
+    cfg = parse_config(cp)      # the unswept config must be valid on its own
     try:
         lo, hi = (float(v) for v in args.range.split(":"))
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -192,6 +193,12 @@ def cmd_sweep(args) -> int:
             [f"--param must be section.key, got {args.param!r}"])
     if not cp.has_section(sect) or key not in cp[sect]:
         raise ValidationError([f"--param {args.param!r} not found in config"])
+    # a step changes one value of one section: the section's raw items are
+    # read once, and each step re-reads that section alone with the value
+    # replaced under the key configparser stores (D_UM is d_um); the other
+    # records are cfg's own, and both validation rounds still run per step
+    items = cp.items(sect)
+    key = cp.optionxform(key)
 
     values = analytic.linspace(lo, hi, args.steps)
     # wire spec -> its quadrature; the spec is immutable, so a step that leaves
@@ -199,9 +206,10 @@ def cmd_sweep(args) -> int:
     wire_energy = {}
     out_rows = []
     for val in values:
-        cp[sect][key] = repr(val)
         with _labelled(f"{args.param}={val}"):
-            cfg_i = parse_config(cp)
+            # repr(val) is the text a step's INI would hold: a key that
+            # takes no number reports it as parse_config would
+            cfg_i = with_value(cfg, sect, items, key, repr(val))
             _, rows, total = _analysis_rows(cfg_i)
             row = {"param": val}
             for spec, bd in zip(cfg_i.structures, rows):

@@ -9,6 +9,13 @@ rounds: first every parse problem (an unknown section, key or structure
 type, a missing key, a value that is not a finite number or a true/false
 word); then, once every value parses, every range problem of the records.
 
+One reader turns a section's raw items into its record, the same for
+[stack], [targets] and each [structure.*].  `parse_config` runs it on every
+section; `with_value` runs it on one section with one value replaced, which
+is how each `sweep` step re-reads only the section it changes.  Both rounds
+hold per step: a step reports exactly the problems `parse_config` reports
+for the INI so edited.
+
 Example::
 
     [stack]
@@ -103,6 +110,48 @@ def _section_fields(items, cls, section: str, unknown: str,
     return kwargs
 
 
+#: the sections read into one record each, by section name (the field of
+#: DesignConfig they fill)
+_RECORDS = {"stack": DielectricStack, "targets": Targets}
+
+
+def _read_section(section: str, items, problems: list[str],
+                  clamped: Optional[list[str]] = None):
+    """The record of one section's (key, raw) items: its DielectricStack,
+    Targets or labelled structure spec, or None after a problem that leaves
+    no spec (an unknown section or structure type, a missing key).  Appends
+    every parse problem to problems.  Given a clamped list, an over-cap
+    taper slope is clamped, with its warning appended there."""
+    if section in _RECORDS:
+        cls = _RECORDS[section]
+        return cls(**_section_fields(items, cls, section, "unknown key",
+                                     problems))
+    if not section.startswith("structure."):
+        problems.append(f"[{section}]: unknown section")
+        return None
+    name = section.split(".", 1)[1]
+    items = dict(items)
+    stype = items.pop("type", None)
+    if stype not in STRUCTURE_TYPES:
+        problems.append(f"{section}.type: unknown structure type {stype!r}")
+        return None
+    cls = STRUCTURE_TYPES[stype]
+    kwargs = _section_fields(items.items(), cls, section,
+                             f"unknown key for {stype}", problems)
+    missing = set(cls._fields) - set(cls._field_defaults) - set(kwargs)
+    if missing:
+        problems.append(f"[{section}]: missing keys for {stype}: "
+                        f"{', '.join(sorted(missing))}")
+        return None
+    kwargs["label"] = name
+    if clamped is not None and kwargs.get("slope", 0.0) > MAX_TAPER_SLOPE:
+        clamped.append(
+            f"{section}.slope: {kwargs['slope']} exceeds the {MAX_TAPER_SLOPE} "
+            "cap (steeper tapers no longer reduce the edge field); clamped")
+        kwargs["slope"] = MAX_TAPER_SLOPE
+    return cls(**kwargs)
+
+
 def read_config(path) -> configparser.ConfigParser:
     """Read an INI file; raises ValidationError if it cannot be read."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -127,49 +176,58 @@ def parse_config(cp: configparser.ConfigParser,
     error, in two rounds: every parse problem first, and only once every
     value parses, every range problem (`validate_design`, `Targets`).
 
+    Each section, [stack], [targets] and every [structure.*], is read by
+    one reader, `_read_section`; `with_value` re-reads one section alone
+    and applies the same two rounds, so each `sweep` step is checked as
+    this function checks the edited INI.
+
     clamp_slope=True turns an over-cap taper slope into a warning and clamps
     it (the taper command optimizes the slope itself anyway).
     """
     problems: list[str] = []
-    stack, targets = (
-        cls(**_section_fields(cp.items(name) if cp.has_section(name) else (),
-                              cls, name, "unknown key", problems))
-        for name, cls in (("stack", DielectricStack), ("targets", Targets)))
-
-    structures = []
     warnings_: list[str] = []
+    stack, targets = (
+        _read_section(name, cp.items(name) if cp.has_section(name) else (),
+                      problems)
+        for name in _RECORDS)
+    structures = []
     for section in cp.sections():
-        if section in ("stack", "targets"):
-            continue
-        if not section.startswith("structure."):
-            problems.append(f"[{section}]: unknown section")
-            continue
-        name = section.split(".", 1)[1]
-        items = dict(cp.items(section))
-        stype = items.pop("type", None)
-        if stype not in STRUCTURE_TYPES:
-            problems.append(f"{section}.type: unknown structure type {stype!r}")
-            continue
-        cls = STRUCTURE_TYPES[stype]
-        kwargs = _section_fields(items.items(), cls, section,
-                                 f"unknown key for {stype}", problems)
-        missing = set(cls._fields) - set(cls._field_defaults) - set(kwargs)
-        if missing:
-            problems.append(f"[{section}]: missing keys for {stype}: "
-                            f"{', '.join(sorted(missing))}")
-            continue
-        kwargs["label"] = name
-        if clamp_slope and kwargs.get("slope", 0.0) > MAX_TAPER_SLOPE:
-            warnings_.append(
-                f"{section}.slope: {kwargs['slope']} exceeds the {MAX_TAPER_SLOPE} "
-                "cap (steeper tapers no longer reduce the edge field); clamped")
-            kwargs["slope"] = MAX_TAPER_SLOPE
-        structures.append(cls(**kwargs))
-
+        if section not in _RECORDS:
+            spec = _read_section(section, cp.items(section), problems,
+                                 warnings_ if clamp_slope else None)
+            if spec is not None:
+                structures.append(spec)
     if problems:
         raise ValidationError(problems)
+    return _checked(DesignConfig(stack, structures, targets, warnings_))
 
-    problems = validate_design(structures, stack) + targets.validate()
+
+def with_value(cfg: DesignConfig, section: str, items, key: str,
+               raw: str) -> DesignConfig:
+    """The config `parse_config` returns (clamp_slope=False) for the INI of
+    cfg with key of section set to raw, or its ValidationError: section is
+    re-read from its (key, raw) items with key's value replaced, and the
+    range problems of the whole config are checked again.  The other
+    sections of a valid cfg have no parse problem, so theirs are not read
+    again.  key is as configparser stores it (``cp.optionxform``)."""
+    problems: list[str] = []
+    record = _read_section(section, [(k, raw if k == key else v)
+                                     for k, v in items], problems)
     if problems:
         raise ValidationError(problems)
-    return DesignConfig(stack, structures, targets, warnings_)
+    if section in _RECORDS:
+        cfg = cfg._replace(**{section: record})
+    else:
+        cfg = cfg._replace(structures=[record if s.label == record.label
+                                       else s for s in cfg.structures])
+    return _checked(cfg)
+
+
+def _checked(cfg: DesignConfig) -> DesignConfig:
+    """cfg, once its records pass the second round: every range problem
+    of the design (`validate_design`) and of the targets."""
+    problems = validate_design(cfg.structures, cfg.stack) \
+        + cfg.targets.validate()
+    if problems:
+        raise ValidationError(problems)
+    return cfg

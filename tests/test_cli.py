@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, file outputs."""
 
+import collections
 import json
 import subprocess
 import sys
@@ -873,6 +874,25 @@ def test_sweep_computes_each_wire_quadrature_once(monkeypatch, capsys):
             col = rows[0].index(f"{spec.label}.u_metal")
             assert {row[col] for row in rows[1:]} \
                 == {format(quadrature(spec), ".12e")}
+
+
+def test_sweep_reads_only_the_swept_section_per_step(monkeypatch, capsys):
+    # the unswept config is read once, every section of it; a step re-reads
+    # only the section it changes, not the whole INI
+    from surfloss import cli, config
+    cfg = str(SRC.parent / "configs" / "transmon_100ff.ini")
+    reads = collections.Counter()
+
+    def counted(items, cls, section, *args, fn=config._section_fields):
+        reads[section] += 1
+        return fn(items, cls, section, *args)
+    monkeypatch.setattr(config, "_section_fields", counted)
+    assert cli.main(["sweep", "--config", cfg, "--param",
+                     "structure.wire.d_um", "--range", "10:50",
+                     "--steps", "20"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 21
+    sections = config.read_config(cfg).sections()
+    assert reads == {s: 21 if s == "structure.wire" else 1 for s in sections}
 
 
 def test_taper_reads_its_two_report_slopes_from_the_scan(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """INI config loading: the stack, the targets and every structure type
 round-trip to their records, a flag key takes only configparser's boolean
-words, and range problems are reported once every value parses."""
+words, range problems are reported once every value parses, and re-reading
+one section with one value replaced gives what parsing the edited INI
+gives."""
 
 import configparser
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from surfloss.analytic import CLOSED_FORMS, STRUCTURE_TYPES
-from surfloss.config import Targets, load_config
+from surfloss.config import (DesignConfig, Targets, load_config,
+                             parse_config, read_config, with_value)
 from surfloss.constants import FF, GHZ, NM, UM
 from surfloss.geometry import (Coplanar, DielectricStack, ParallelPlate,
                                Ribbon, RibbonWithGround, StraightWire,
@@ -187,3 +190,50 @@ def test_range_problems_wait_for_every_value_to_parse(tmp_path):
         load_config(path)
     assert exc.value.problems == ["stack.tan_ma: loss tangent must be >= 0",
                                   "targets.capacitance_ff: must be > 0"]
+
+
+#: raw values a sweep step could write: non-numbers, non-finite numbers, a
+#: negative one, a slope over the cap and a number where a type name or a
+#: true/false word belongs; None keeps the key's own value
+RAWS = ["wide", "nan", "inf", "-1", "0.6", "1.0", None]
+
+
+def _outcome(parse, *args):
+    """The config parse returns, or the problems it raises."""
+    try:
+        return parse(*args)
+    except ValidationError as exc:
+        return exc.problems
+
+
+@pytest.mark.parametrize("raw", RAWS, ids=[str(r) for r in RAWS])
+@pytest.mark.parametrize("name", ["transmon_100ff.ini",
+                                  "narrow_strip_check.ini"])
+def test_with_value_gives_what_parse_config_gives_the_edited_ini(name, raw):
+    # every key of a shipped config, spelt as stored and in upper case
+    # (configparser stores D_UM as d_um), set to raw: with_value re-reads
+    # its section alone and must return an equal config or the same
+    # problem list, in the same order, as parsing the edited INI whole
+    path = Path(__file__).resolve().parent.parent / "configs" / name
+    cp = read_config(path)
+    cfg = parse_config(cp)
+    outcomes = set()
+    for section in cp.sections():
+        items = cp.items(section)
+        for key, own in items:
+            value = own if raw is None else raw
+            for spelling in (key, key.upper()):
+                edited = read_config(path)
+                edited[section][spelling] = value
+                want = _outcome(parse_config, edited)
+                got = _outcome(with_value, cfg, section, items,
+                               cp.optionxform(spelling), value)
+                assert got == want, (section, spelling, value)
+                if isinstance(want, DesignConfig):
+                    assert list(map(type, got.structures)) \
+                        == list(map(type, want.structures))
+                outcomes.add(type(want))
+    if raw is None:
+        assert outcomes == {DesignConfig}
+    elif raw in ("wide", "nan", "inf"):
+        assert outcomes == {list}

@@ -284,3 +284,22 @@ def test_one_integrand_call_per_kronrod_panel(f, a, b, with_points):
         seen |= {(a1, mid), (mid, b1)}
     if f is not math.exp:
         assert last > 10
+
+
+@pytest.mark.parametrize("points", [None, [0.3]], ids=["qags", "qagp"])
+def test_interval_lists_grow_with_the_intervals_made(points):
+    # a call allocates for the subintervals it makes, not for limit: at
+    # limit 10**6, six lists of limit + 1 entries would take 48 MB, while
+    # cos(200x) converges after a few dozen bisections
+    import tracemalloc
+    f = lambda x: math.cos(200.0 * x)
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        got = port_quad(f, 0.0, 1.0, points, limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == scipy_quad(f, 0.0, 1.0, points, limit)
+    assert 10 < got[2] < 100
+    assert peak < 1_000_000
