@@ -11,6 +11,9 @@ of the metal surface energy, the substrate-air interface the full
 substrate-line energy, with the optional corner split re-weighting the
 air/substrate sides of the film corners.  The loss tangent of a structure
 is its participations weighted by the stack's interface loss tangents.
+``participation`` is two steps: ``evaluate`` takes the structure's closed
+forms at a stack (from a cache dict, when given one, keyed on each form's
+full inputs), and ``breakdown`` takes the participations at a length.
 
 The closed forms, ``flat_coax_field`` among them, run on ``math`` alone.
 The array helpers (``strip_field``, ``wire_field`` and ``taper_halfwidth``)
@@ -442,6 +445,74 @@ def capacitance(spec, stack: DielectricStack) -> float:
     return _closed_forms(spec).capacitance(spec, stack)
 
 
+class StructureValues(NamedTuple):
+    """A structure's closed forms evaluated at one stack: its capacitance,
+    and the energies ``participation`` takes, the pair at the metal-air
+    corner constant and the metal energy at the metal-substrate one (both
+    None for a plate pair, which has no energies)."""
+
+    capacitance: float
+    energies: Optional[SurfaceEnergyPair]
+    u_metal_ms: Optional[float]
+
+
+def cached(cache: dict, form: Callable, *args):
+    """form(*args), kept in cache under (form, *args), the form and its full
+    inputs: a later call with equal inputs returns the kept value."""
+    key = (form, *args)
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = form(*args)
+    return value
+
+
+def evaluate(spec, stack: DielectricStack, corner_split: bool = False,
+             cache: Optional[dict] = None) -> StructureValues:
+    """The closed forms of one structure that ``participation`` needs:
+    its capacitance at the stack, and its energies at C_M_DEFAULT, or at
+    C_M_AIR and C_M_SUBSTRATE with corner_split.
+
+    Given a cache dict, each form is looked up there under its full
+    inputs, (spec, stack) for the capacitance and (spec, c_m) for the
+    energies, and evaluated only when absent (see ``cached``)."""
+    if cache is None:
+        cache = {}
+    forms = _closed_forms(spec)
+    # keyed on the type's own form: specs of two types with equal fields
+    # compare equal.  The call goes through `capacitance`, looked up when
+    # called, so a wrapper installed on this module sees it
+    key = (forms.capacitance, spec, stack)
+    cap = cache.get(key)
+    if cap is None:
+        cap = cache[key] = capacitance(spec, stack)
+    if forms.energies is None:
+        return StructureValues(cap, None, None)
+    if corner_split:
+        pair = cached(cache, forms.energies, spec, C_M_AIR)
+        u_ms = cached(cache, forms.energies, spec, C_M_SUBSTRATE).u_metal
+    else:
+        pair = cached(cache, forms.energies, spec, C_M_DEFAULT)
+        u_ms = pair.u_metal
+    return StructureValues(cap, pair, u_ms)
+
+
+def breakdown(spec, stack: DielectricStack, length: float,
+              values: StructureValues) -> ParticipationBreakdown:
+    """The participation breakdown of a structure at a shared design length,
+    from its evaluated closed forms (``evaluate``); see ``participation``."""
+    w_ma, w_ms, w_sa = interface_weights(stack)
+    if values.energies is None:
+        p_ma = w_ma * stack.t_ma * spec.length * spec.w / (spec.s**2 * length)
+        p_ms = p_sa = 0.0
+    else:
+        p_ma = w_ma * stack.t_ma * values.energies.u_metal / length
+        p_ms = w_ms * stack.t_ms * values.u_metal_ms / length
+        p_sa = w_sa * stack.t_sa * (2.0 * values.energies.u_substrate) / length
+    return ParticipationBreakdown(
+        spec.label, p_ma, p_ms, p_sa, values.capacitance,
+        p_ma * stack.tan_ma + p_ms * stack.tan_ms + p_sa * stack.tan_sa)
+
+
 def participation(spec, stack: DielectricStack, length: float,
                   corner_split: bool = False) -> ParticipationBreakdown:
     """Participation breakdown of any structure at a shared design length.
@@ -453,22 +524,5 @@ def participation(spec, stack: DielectricStack, length: float,
     C_M_DEFAULT on both.  The loss tangent is
     p_ma*tan_ma + p_ms*tan_ms + p_sa*tan_sa.
     """
-    forms = _closed_forms(spec)
-    energies = forms.energies
-    w_ma, w_ms, w_sa = interface_weights(stack)
-    if energies is None:
-        p_ma = w_ma * stack.t_ma * spec.length * spec.w / (spec.s**2 * length)
-        p_ms = p_sa = 0.0
-    else:
-        if corner_split:
-            pair = energies(spec, C_M_AIR)
-            s_ms = energies(spec, C_M_SUBSTRATE).u_metal
-        else:
-            pair = energies(spec, C_M_DEFAULT)
-            s_ms = pair.u_metal
-        p_ma = w_ma * stack.t_ma * pair.u_metal / length
-        p_ms = w_ms * stack.t_ms * s_ms / length
-        p_sa = w_sa * stack.t_sa * (2.0 * pair.u_substrate) / length
-    return ParticipationBreakdown(
-        spec.label, p_ma, p_ms, p_sa, forms.capacitance(spec, stack),
-        p_ma * stack.tan_ma + p_ms * stack.tan_ms + p_sa * stack.tan_sa)
+    return breakdown(spec, stack, length,
+                     evaluate(spec, stack, corner_split))

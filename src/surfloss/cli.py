@@ -22,10 +22,10 @@ import os
 import sys
 
 from .constants import FF, GHZ, SUITES, UM
-from .config import (DesignConfig, load_config, parse_config, read_config,
-                     with_value)
+from .config import load_config, parse_config, read_config, with_value
 from .geometry import (NumericalError, ValidationError, _explained,
-                       _labelled, assemble_design)
+                       _labelled, assemble_design, combine_design,
+                       evaluate_design)
 from . import analytic
 
 EXIT_OK = 0
@@ -106,10 +106,8 @@ _COLUMNS = ("structure", "capacitance_ff", "p_ma", "p_ms", "p_sa",
             "loss_tangent")
 
 
-def _analysis_rows(cfg: DesignConfig, corner_split: bool = False):
-    design = assemble_design(cfg.structures, cfg.stack,
-                             target_capacitance=cfg.targets.capacitance,
-                             corner_split=corner_split)
+def _analysis_rows(design):
+    """The analyze rows of a design's breakdowns, and its TOTAL row."""
     rows = [{"structure": bd.label, "capacitance_ff": bd.capacitance / FF,
              "p_ma": bd.p_ma, "p_ms": bd.p_ms, "p_sa": bd.p_sa,
              "loss_tangent": bd.loss_tangent} for bd in design.breakdowns]
@@ -119,7 +117,7 @@ def _analysis_rows(cfg: DesignConfig, corner_split: bool = False):
              "p_ms": sum(r["p_ms"] for r in rows),
              "p_sa": sum(r["p_sa"] for r in rows),
              "loss_tangent": design.total_loss_tangent}
-    return design, rows, total
+    return rows, total
 
 
 def _table(rows) -> list[str]:
@@ -138,7 +136,10 @@ def _table(rows) -> list[str]:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    design, rows, total = _analysis_rows(cfg, corner_split=args.corner_split)
+    design = assemble_design(cfg.structures, cfg.stack,
+                             target_capacitance=cfg.targets.capacitance,
+                             corner_split=args.corner_split)
+    rows, total = _analysis_rows(design)
     rows.append(total)
     # formatted in full before printing, so a non-finite value prints nothing
     lines = _table(rows)
@@ -175,6 +176,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """One CSV row per step of the swept key: each structure's analyze
+    columns, a wire's metal energy by quadrature and by its fit, and the
+    total loss tangent.
+
+    The config is parsed once.  A step re-reads only the swept section and
+    checks the whole design (`with_value`, which runs `validate_design`
+    once), then evaluates through one cache kept for this call alone: a
+    closed form or wire quadrature whose full inputs an earlier step had
+    is not evaluated again, so a step evaluates only the structures its
+    key changes, and nothing is kept once the command returns."""
     cp = read_config(args.config)
     cfg = parse_config(cp)      # the unswept config must be valid on its own
     try:
@@ -196,32 +207,35 @@ def cmd_sweep(args) -> int:
     # a step changes one value of one section: the section's raw items are
     # read once, and each step re-reads that section alone with the value
     # replaced under the key configparser stores (D_UM is d_um); the other
-    # records are cfg's own, and both validation rounds still run per step
+    # records are cfg's own
     items = cp.items(sect)
     key = cp.optionxform(key)
 
     values = analytic.linspace(lo, hi, args.steps)
-    # wire spec -> its quadrature; the spec is immutable, so a step that leaves
-    # a wire's keys alone reuses the energy an earlier step computed
-    wire_energy = {}
+    # (form, *its full inputs) -> its value; the specs and the stack are
+    # immutable, so a step reuses every form its key leaves alone
+    cache = {}
     out_rows = []
     for val in values:
         with _labelled(f"{args.param}={val}"):
             # repr(val) is the text a step's INI would hold: a key that
             # takes no number reports it as parse_config would
             cfg_i = with_value(cfg, sect, items, key, repr(val))
-            _, rows, total = _analysis_rows(cfg_i)
+            evaluated = evaluate_design(cfg_i.structures, cfg_i.stack,
+                                        cache=cache)
+            rows, total = _analysis_rows(combine_design(
+                cfg_i.structures, evaluated, cfg_i.stack,
+                cfg_i.targets.capacitance))
             row = {"param": val}
-            for spec, bd in zip(cfg_i.structures, rows):
+            for spec, ev, bd in zip(cfg_i.structures, evaluated, rows):
                 for c in _COLUMNS[1:]:
                     row[f"{spec.label}.{c}"] = bd[c]
-                forms = analytic.CLOSED_FORMS[type(spec)]
-                if forms.wire_energy:
-                    if spec not in wire_energy:
-                        wire_energy[spec] = forms.wire_energy(spec)
-                    row[f"{spec.label}.u_metal"] = wire_energy[spec]
-                    row[f"{spec.label}.u_metal_fit"] = \
-                        forms.energies(spec, analytic.C_M_DEFAULT).u_metal
+                wire_energy = analytic.CLOSED_FORMS[type(spec)].wire_energy
+                if wire_energy:
+                    row[f"{spec.label}.u_metal"] = \
+                        analytic.cached(cache, wire_energy, spec)
+                    # the fit is the metal energy at C_M_DEFAULT
+                    row[f"{spec.label}.u_metal_fit"] = ev.energies.u_metal
             row["total.loss_tangent"] = total["loss_tangent"]
         out_rows.append(row)
 

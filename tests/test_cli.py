@@ -895,6 +895,122 @@ def test_sweep_reads_only_the_swept_section_per_step(monkeypatch, capsys):
     assert reads == {s: 21 if s == "structure.wire" else 1 for s in sections}
 
 
+#: (config, param, range): a key of each section kind; eps_substrate
+#: changes every capacitance, and the narrow-strip config has no
+#: [targets], so its L is the sum of the capacitances
+ORACLE_SWEEPS = [
+    ("transmon_100ff.ini", "stack.eps_substrate", "5:12"),
+    ("transmon_100ff.ini", "stack.t_ms_nm", "1:50"),
+    ("transmon_100ff.ini", "stack.tan_ms", "0:0.01"),
+    ("transmon_100ff.ini", "targets.capacitance_ff", "60:150"),
+    ("transmon_100ff.ini", "structure.pads.length_um", "500:2000"),
+    ("transmon_100ff.ini", "structure.wire.d_um", "10:50"),
+    ("transmon_100ff.ini", "structure.taper.slope", "0.1:0.45"),
+    ("narrow_strip_check.ini", "structure.strip.length_um", "100:2000"),
+]
+
+
+def _recorded_cells(monkeypatch) -> list:
+    """(name, value) of every number a command formats (`cli._fmt`), in
+    order, from here on."""
+    from surfloss import cli
+    cells = []
+
+    def recorded(x, spec=".2e", name="", fn=cli._fmt):
+        cells.append((name, x))
+        return fn(x, spec, name)
+    monkeypatch.setattr(cli, "_fmt", recorded)
+    return cells
+
+
+@pytest.mark.parametrize("config,param,span", ORACLE_SWEEPS)
+def test_every_sweep_row_is_the_analyze_breakdown_of_its_ini(
+        config, param, span, monkeypatch, capsys, tmp_path):
+    # a step reuses every closed form its key leaves alone; each of its
+    # values is still, float for float, the one analyze gives for the INI
+    # so edited, and a wire's energies those of its edited spec
+    from surfloss import analytic, cli
+    from surfloss.config import load_config, read_config
+    path = SRC.parent / "configs" / config
+    cells = _recorded_cells(monkeypatch)
+    assert cli.main(["sweep", "--config", str(path), "--param", param,
+                     "--range", span, "--steps", "4"]) == 0
+    rows = []
+    for name, x in cells:
+        if name == "param":
+            rows.append({})
+        rows[-1][name] = x
+    assert len(rows) == 4
+    sect, _, key = param.rpartition(".")
+    for row in rows:
+        cp = read_config(path)
+        cp.set(sect, key, repr(row.pop("param")))
+        ini = tmp_path / "edited.ini"
+        with open(ini, "w") as fh:
+            cp.write(fh)
+        cells.clear()
+        assert cli.main(["analyze", "--config", str(ini)]) == 0
+        want = dict(cells)
+        want["total.loss_tangent"] = want.pop("TOTAL.loss_tangent")
+        structures = load_config(ini).structures
+        for spec in structures:
+            forms = analytic.CLOSED_FORMS[type(spec)]
+            if forms.wire_energy:
+                want[f"{spec.label}.u_metal"] = forms.wire_energy(spec)
+                want[f"{spec.label}.u_metal_fit"] = \
+                    forms.energies(spec, analytic.C_M_DEFAULT).u_metal
+        wires = sum(1 for s in structures
+                    if analytic.CLOSED_FORMS[type(s)].wire_energy)
+        assert len(row) == 5 * len(structures) + 2 * wires + 1
+        assert {k: v.hex() for k, v in row.items()} \
+            == {k: want[k].hex() for k in row}
+
+
+def test_sweep_evaluates_only_what_its_key_changes(monkeypatch, capsys):
+    # one cache per sweep run: an unswept structure's closed forms run
+    # once, the swept one's once a step, and each step validates the
+    # design once (with_value), 20 steps plus the unswept parse; a second
+    # run starts from nothing, and analyze takes each capacitance once
+    from surfloss import analytic, cli, config, geometry
+    calls = collections.Counter()
+
+    def counted(kind, fn):
+        def form(spec, *args):
+            calls[spec.label, kind] += 1
+            return fn(spec, *args)
+        return form
+    for cls, forms in list(analytic.CLOSED_FORMS.items()):
+        monkeypatch.setitem(analytic.CLOSED_FORMS, cls, forms._replace(
+            capacitance=counted("capacitance", forms.capacitance),
+            energies=forms.energies and counted("energies", forms.energies)))
+
+    def validate_design(structures, stack, fn=geometry.validate_design):
+        calls["validate_design"] += 1
+        return fn(structures, stack)
+    # config checks each parse and step, assemble_design each design
+    monkeypatch.setattr(config, "validate_design", validate_design)
+    monkeypatch.setattr(geometry, "validate_design", validate_design)
+    cfg = str(SRC.parent / "configs" / "transmon_100ff.ini")
+    argv = ["sweep", "--config", cfg, "--param", "structure.pads.length_um",
+            "--range", "500:2000", "--steps", "20"]
+    once = collections.Counter({
+        ("pads", "capacitance"): 20, ("pads", "energies"): 20,
+        ("plate", "capacitance"): 1, "validate_design": 21})
+    for label in ("ground_coupling", "wire", "taper"):
+        once[label, "capacitance"] = once[label, "energies"] = 1
+    assert cli.main(argv) == 0
+    assert calls == once
+    assert cli.main(argv) == 0
+    assert calls == once + once
+    assert len(capsys.readouterr().out.splitlines()) == 2 * 21
+
+    # analyze checks the parse and, in assemble_design, the design it is
+    # handed
+    calls.clear()
+    assert cli.main(["analyze", "--config", cfg]) == 0
+    assert calls == dict.fromkeys(once, 1) | {"validate_design": 2}
+
+
 def test_taper_reads_its_two_report_slopes_from_the_scan(monkeypatch, capsys):
     # S = 0.28 and S = 0.16 are points of the 41-slope scan, so the report
     # takes their energies from it and taper makes only the optimizer's

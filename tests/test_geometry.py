@@ -61,6 +61,54 @@ def test_validation_collects_all_problems():
     assert "ribbon.length" in text and "ribbon.t" in text
 
 
+def test_labelled_puts_the_culprit_first_in_every_error_kind():
+    from surfloss.geometry import _explained, _labelled
+    # labels nest, the outermost first, on each problem of a ValidationError
+    inner = ValidationError(["a: must be > 0", "b: must exceed a"])
+    with pytest.raises(ValidationError) as exc:
+        with _labelled("x=1.0"):
+            with _labelled("pads"):
+                raise inner
+    assert exc.value.problems == ["x=1.0: pads: a: must be > 0",
+                                  "x=1.0: pads: b: must exceed a"]
+    assert exc.value.__cause__.problems == ["pads: a: must be > 0",
+                                            "pads: b: must exceed a"]
+    assert exc.value.__cause__.__cause__ is inner
+
+    # a ValueError subclass keeps its class, raised from the original
+    class DomainError(ValueError):
+        pass
+    err = DomainError("math domain error")
+    with pytest.raises(DomainError) as exc:
+        with _labelled("wire"):
+            raise err
+    assert type(exc.value) is DomainError
+    assert str(exc.value) == "wire: math domain error"
+    assert exc.value.__cause__ is err
+
+    # an arithmetic error becomes a FloatingPointError with _explained's text
+    for err in (OverflowError("(34, 'Numerical result out of range')"),
+                ZeroDivisionError("float division by zero"),
+                FloatingPointError("a result is not a finite number")):
+        with pytest.raises(FloatingPointError) as exc:
+            with _labelled("plate"):
+                raise err
+        assert type(exc.value) is FloatingPointError
+        assert str(exc.value) == f"plate: {_explained(err)}"
+        assert exc.value.__cause__ is err
+
+    # anything else passes through untouched
+    for err in (TypeError("unknown structure type"), KeyboardInterrupt()):
+        with pytest.raises(type(err)) as exc:
+            with _labelled("plate"):
+                raise err
+        assert exc.value is err and exc.value.__cause__ is None
+        assert str(exc.value) == str(err)
+
+    with _labelled("plate"):
+        pass
+
+
 def test_empty_design_rejected():
     with pytest.raises(ValidationError):
         assemble_design([], STACK)
